@@ -8,7 +8,6 @@ short connected curves through finite point sets.
 from .core import (
     HeisPoint,
     ORIGIN,
-    cc_dist_bounds,
     dilate,
     dist,
     group_inv,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HeisPoint", "ORIGIN", "group_mul", "group_inv", "koranyi_norm", "dist",
-    "cc_dist_bounds", "dilate", "rotate_z", "proj_pi", "proj_tilde", "nh",
+    "dilate", "rotate_z", "proj_pi", "proj_tilde", "nh",
     "sigma", "heis_point",
     "HorizontalLine", "LineFoot", "horizontal_line", "line_from_point_direction",
     "line_point_at", "foot", "line_dist", "sigma_l", "trapezoid_area",

@@ -30,16 +30,19 @@ from .core import (
     point_of,
     dilate_arr,
     dist_point_arr,
+    farthest_point_order,
     group_inv,
     left_translate_arr,
     norm_arr,
+    within,
 )
 from .lines import (
     HorizontalLine,
-    _cubic_min_param,
+    golden_min,
     horizontal_line,
     line_dists_arr,
     line_through_two,
+    quartic_dists,
     transform_line,
 )
 
@@ -88,17 +91,13 @@ class BetaResult:
 
 def members_in_ball(arr: np.ndarray, ball: Ball) -> np.ndarray:
     """Indices of rows inside the closed ball (tolerance 1e-12 * radius)."""
-    d = dist_point_arr(ball.center, arr)
-    return np.flatnonzero(d <= ball.radius * (1.0 + 1e-12))
+    return np.flatnonzero(within(dist_point_arr(ball.center, arr), ball.radius))
 
 
 def _maxdist(arr: np.ndarray, theta: float, c: float, h: float) -> tuple[float, int]:
     d = line_dists_arr(arr, HorizontalLine(theta, c, h))
     i = int(np.argmax(d))
     return float(d[i]), i
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _best_height(arr: np.ndarray, theta: float, c: float, iters: int = 60) -> float:
@@ -121,19 +120,7 @@ def _best_height(arr: np.ndarray, theta: float, c: float, iters: int = 60) -> fl
     def f(h: float) -> float:
         return float(line_dists_arr(arr, HorizontalLine(theta, c, h)).max())
 
-    c1 = b - _INV_GOLDEN * (b - a)
-    c2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(c2)
-    return c1 if f1 <= f2 else c2
+    return golden_min(f, a, b, iters)[0]
 
 
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
@@ -208,18 +195,32 @@ def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> f
     return 0.5 * width / ball_diam(ball)
 
 
-def _farthest_subsample(arr: np.ndarray, m: int) -> np.ndarray:
-    """Deterministic farthest-point subsample of row indices, seeded at row 0."""
-    n = arr.shape[0]
-    if n <= m:
-        return np.arange(n)
-    chosen = [0]
-    d = dist_point_arr(HeisPoint(*arr[0]), arr)
-    for _ in range(m - 1):
-        i = int(np.argmax(d))
-        chosen.append(i)
-        d = np.minimum(d, dist_point_arr(HeisPoint(*arr[i]), arr))
-    return np.array(sorted(chosen))
+def _setup(points: Sequence[HeisPoint] | np.ndarray,
+           ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray]:
+    """Members of E & B and their copy in the canonical frame (unit ball at
+    the origin), or the final result when fewer than two points are members."""
+    arr = points if isinstance(points, np.ndarray) else as_array(points)
+    center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
+                                 g=ball.center, lam=ball.radius)
+    idx = members_in_ball(arr, ball)
+    if idx.size == 0:
+        return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
+    members = arr[idx]
+    if idx.size == 1:
+        p = point_of(members[0])
+        ln = line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z))
+        return BetaResult(0.0, ln, p, 0.0)
+    canon = dilate_arr(1.0 / ball.radius, left_translate_arr(group_inv(ball.center), members))
+    return members, canon
+
+
+def _witness_result(members: np.ndarray, ball: Ball, params: tuple[float, float, float],
+                    gap: float) -> BetaResult:
+    """beta at the canonical-frame line params: the exact sup over all members."""
+    witness = transform_line(horizontal_line(*params), g=ball.center, lam=ball.radius)
+    d_all = line_dists_arr(members, witness)
+    k = int(np.argmax(d_all))
+    return BetaResult(float(d_all[k]) / ball_diam(ball), witness, point_of(members[k]), gap)
 
 
 def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[tuple[int, int]]:
@@ -255,24 +256,14 @@ def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     """
     if budget is None:
         budget = BetaBudget()
-    arr = points if isinstance(points, np.ndarray) else as_array(points)
-    center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
-                                 g=ball.center, lam=ball.radius)
-    if arr.shape[0] == 0:
-        return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
-    idx = members_in_ball(arr, ball)
-    if idx.size == 0:
-        return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
-    members = arr[idx]
-    if idx.size == 1:
-        p = point_of(members[0])
-        ln = line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z))
-        return BetaResult(0.0, ln, p, 0.0)
-
-    # canonical frame: unit ball at the origin
-    lam = 1.0 / ball.radius
-    canon = dilate_arr(lam, left_translate_arr(group_inv(ball.center), members))
-    sub = canon[_farthest_subsample(canon, budget.max_members)]
+    setup = _setup(points, ball)
+    if isinstance(setup, BetaResult):
+        return setup
+    members, canon = setup
+    sub = canon
+    if canon.shape[0] > budget.max_members:
+        # deterministic farthest-point subsample, kept in row order
+        sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
 
     cands: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0)]
     _, th_s, off_s = min_width_strip(sub[:, :2])
@@ -305,14 +296,7 @@ def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
         if (cand[0], cand[1]) < (best_val, best_params):
             best_val, best_params = cand
     stage_b = best_val / 2.0
-
-    witness_canon = horizontal_line(*best_params)
-    witness = transform_line(witness_canon, g=ball.center, lam=ball.radius)
-    d_all = line_dists_arr(members, witness)
-    k = int(np.argmax(d_all))
-    beta = float(d_all[k]) / ball_diam(ball)
-    gap = max(budget.gap_floor, stage_a - stage_b)
-    return BetaResult(beta, witness, point_of(members[k]), gap)
+    return _witness_result(members, ball, best_params, max(budget.gap_floor, stage_a - stage_b))
 
 
 def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
@@ -327,23 +311,13 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     """
     if resolution > 400:
         raise ResourceBudgetError("oracle resolution capped at 400 per axis")
-    arr = points if isinstance(points, np.ndarray) else as_array(points)
-    idx = members_in_ball(arr, ball)
-    if idx.size > 10_000:
-        raise ResourceBudgetError("oracle limited to 1e4 members, got %d" % idx.size)
-    center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
-                                 g=ball.center, lam=ball.radius)
-    if idx.size == 0:
-        return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
-    members = arr[idx]
-    if idx.size == 1:
-        p = point_of(members[0])
-        ln = line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z))
-        return BetaResult(0.0, ln, p, 0.0)
-
-    lam = 1.0 / ball.radius
-    canon = dilate_arr(lam, left_translate_arr(group_inv(ball.center), members))
+    setup = _setup(points, ball)
+    if isinstance(setup, BetaResult):
+        return setup
+    members, canon = setup
     n = canon.shape[0]
+    if n > 10_000:
+        raise ResourceBudgetError("oracle limited to 1e4 members, got %d" % n)
     if resolution ** 3 * n > max_cells:
         raise ResourceBudgetError("oracle grid of %d cells over %d members exceeds "
                                   "the cost guard" % (resolution ** 3, n))
@@ -368,16 +342,11 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
         px = cs * canon[:, 0] + sn * canon[:, 1]
         py = -sn * canon[:, 0] + cs * canon[:, 1]
         for c_ in offsets:
-            yt = py - c_
             zt0 = canon[:, 2] + 2.0 * c_ * px
             zt = zt0[None, :] - heights[:, None]          # (res_h, n)
             xt = np.broadcast_to(px, zt.shape)
-            ytb = np.broadcast_to(yt, zt.shape)
-            t = _cubic_min_param(xt, ytb, zt)
-            u = t - xt
-            f = (u * u + ytb * ytb) ** 2 + (zt - 2.0 * t * ytb) ** 2
-            f_alt = (ytb * ytb) ** 2 + (zt - 2.0 * xt * ytb) ** 2
-            dmax = (np.minimum(f, f_alt) ** 0.25).max(axis=1)  # (res_h,)
+            yt = np.broadcast_to(py - c_, zt.shape)
+            dmax = quartic_dists(xt, yt, zt).max(axis=1)  # (res_h,)
             j = int(np.argmin(dmax))
             if dmax[j] < best[0]:
                 best = (float(dmax[j]), (float(th), float(c_), float(heights[j])))
@@ -399,9 +368,4 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     cand = [(objective(np.array(refined[0])), refined[0]),
             (float(res.fun), tuple(float(v) for v in res.x))]
     cand.sort(key=lambda t: (t[0], t[1]))
-    witness = transform_line(horizontal_line(*cand[0][1]), g=ball.center, lam=ball.radius)
-    d_all = line_dists_arr(members, witness)
-    k = int(np.argmax(d_all))
-    beta = float(d_all[k]) / ball_diam(ball)
-    gap = max(1e-9, grid_val - cand[0][0] / 2.0)
-    return BetaResult(beta, witness, point_of(members[k]), gap)
+    return _witness_result(members, ball, cand[0][1], max(1e-9, grid_val - cand[0][0] / 2.0))

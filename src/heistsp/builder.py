@@ -25,7 +25,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import HeisPoint, as_array, diameter, dist, dist_point_arr, point_of
+from .core import HeisPoint, as_array, dist, dist_point_arr, point_of, within
+# not called here: kept importable because the benchmark's tracer wraps them here
+from .core import diameter, farthest_point_order  # noqa: F401
 from .beta import (
     BUILDER_BUDGET,
     Ball,
@@ -36,17 +38,18 @@ from .beta import (
 from .curves import PolygonalCurve, curve_length
 from .lines import foot
 from .multiscale import (
+    MAX_LEVELS,
     NetHierarchy,
     UnionFind,
     build_nets,
     carleson_sum,
-    farthest_point_order,
+    default_scale_range,
     _term_seed,
 )
 
 
 class ScaleRangeError(ValueError):
-    """The configured scale range cannot cover the input set."""
+    """The scale range cannot resolve every input point."""
 
 
 @dataclass
@@ -54,8 +57,6 @@ class BuilderConfig:
     c1: float = 16.0           # ball multiplier per net scale
     eps0: float = 0.05         # flatness threshold
     r: float = 3.0             # target Carleson exponent, in (2, 4)
-    k_min: int | None = None   # coarsest scale; derived from diam(E) if None
-    k_max: int | None = None   # finest scale; extended to saturation if None
     beta_budget: BetaBudget = field(default_factory=lambda: BUILDER_BUDGET)
     d1: float = 1e4            # future-ball slack constant
     carleson_a: float = 4.0    # ball multiplier of the Carleson sum
@@ -105,13 +106,6 @@ class BuildLedger:
     def total_cost(self) -> float:
         return math.fsum(e.cost for e in self.entries)
 
-    def per_scale(self) -> dict[int, dict[str, float]]:
-        out: dict[int, dict[str, float]] = {}
-        for e in self.entries:
-            bucket = out.setdefault(e.k, {})
-            bucket[e.case] = bucket.get(e.case, 0.0) + e.cost
-        return out
-
     def deleted_edges(self) -> list[tuple[int, tuple[int, int]]]:
         return [(e.k, e.deleted_edge) for e in self.entries if e.deleted_edge is not None]
 
@@ -154,55 +148,28 @@ class _Path:
     def _coords(self) -> np.ndarray:
         return self.arr[self.seq]
 
-    def length(self) -> float:
-        return math.fsum(self.edges)
-
-    def insert_cheapest(self, idx: int) -> tuple[str, float, tuple[int, int] | None]:
-        """Insert idx at the slot of least added length (ends or edge split)."""
-        q = HeisPoint(*self.arr[idx])
-        d = dist_point_arr(q, self._coords())
+    def _slot_costs(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distances from idx to the vertices, and the added length per slot:
+        slot 0 prepends, slot len(seq) appends, slot j splits edge j-1."""
+        d = dist_point_arr(HeisPoint(*self.arr[idx]), self._coords())
         m = len(self.seq)
-        if m == 1:
-            self.seq.append(idx)
-            self.edges.append(float(d[0]))
-            return "append", float(d[0]), None
         costs = np.empty(m + 1)
         costs[0] = d[0]
         costs[1:m] = d[:-1] + d[1:] - np.asarray(self.edges)
         costs[m] = d[m - 1]
-        j = int(np.argmin(costs))
-        return self._apply(idx, j, d)
+        return d, costs
+
+    def insert_cheapest(self, idx: int) -> tuple[str, float, tuple[int, int] | None]:
+        """Insert idx at the slot of least added length (ends or edge split)."""
+        d, costs = self._slot_costs(idx)
+        return self._apply(idx, int(np.argmin(costs)) if len(self.seq) > 1 else 1, d)
 
     def insert_near(self, idx: int) -> tuple[str, float, tuple[int, int] | None]:
-        """Insert idx adjacent to its nearest existing vertex."""
-        q = HeisPoint(*self.arr[idx])
-        d = dist_point_arr(q, self._coords())
-        m = len(self.seq)
-        if m == 1:
-            self.seq.append(idx)
-            self.edges.append(float(d[0]))
-            return "append", float(d[0]), None
+        """Insert idx next to its nearest existing vertex, on the cheaper side."""
+        d, costs = self._slot_costs(idx)
         pos = int(np.argmin(d))
-        slots = []
-        if pos == 0:
-            slots.append(0)
-        if pos == m - 1:
-            slots.append(m)
-        if pos > 0:
-            slots.append(pos)        # split edge (pos-1, pos)
-        if pos < m - 1:
-            slots.append(pos + 1)    # split edge (pos, pos+1)
-        best, best_cost = None, math.inf
-        for j in sorted(set(slots)):
-            if j == 0:
-                cost = float(d[0])
-            elif j == m:
-                cost = float(d[m - 1])
-            else:
-                cost = float(d[j - 1] + d[j] - self.edges[j - 1])
-            if cost < best_cost:
-                best, best_cost = j, cost
-        return self._apply(idx, best, d)
+        j = pos + int(np.argmin(costs[pos:pos + 2])) if len(self.seq) > 1 else 1
+        return self._apply(idx, j, d)
 
     def _apply(self, idx: int, j: int, d: np.ndarray) -> tuple[str, float, tuple[int, int] | None]:
         m = len(self.seq)
@@ -239,7 +206,7 @@ def _ball_member_roots(path: _Path, center: HeisPoint,
     joined; returns (vertex id -> root, root -> vertex ids).
     """
     coords = path._coords()
-    inside = dist_point_arr(center, coords) <= radius * (1.0 + 1e-12)
+    inside = within(dist_point_arr(center, coords), radius)
     ids = sorted({path.seq[p] for p in np.flatnonzero(inside)})
     idx_of = {v: i for i, v in enumerate(ids)}
     uf = UnionFind(len(ids))
@@ -266,7 +233,7 @@ def curve_ball_components(curve: PolygonalCurve, member_points: Sequence[HeisPoi
     for v in verts:
         key_of.setdefault((v.x, v.y, v.z), len(key_of))
     arr = as_array(list(key_of))
-    inside = dist_point_arr(ball.center, arr) <= ball.radius * (1.0 + 1e-12)
+    inside = within(dist_point_arr(ball.center, arr), ball.radius)
     uf = UnionFind(len(key_of))
     for a, b in zip(verts, verts[1:]):
         ia, ib = key_of[(a.x, a.y, a.z)], key_of[(b.x, b.y, b.z)]
@@ -288,7 +255,7 @@ def _enforce_local_connectivity(path: _Path, arr: np.ndarray, net_ids: list[int]
     for anchor in net_ids:
         center = HeisPoint(*arr[anchor])
         d = dist_point_arr(center, arr[net_ids])
-        members = [net_ids[j] for j in np.flatnonzero(d <= radius * (1.0 + 1e-12))]
+        members = [net_ids[j] for j in np.flatnonzero(within(d, radius))]
         if len(members) <= 1:
             continue
         for _ in range(len(members)):
@@ -313,17 +280,6 @@ def _enforce_local_connectivity(path: _Path, arr: np.ndarray, net_ids: list[int]
             pos = path.seq.index(u)
             cost = path.detour(pos, w)
             ledger.entries.append(LedgerEntry(k, anchor, "bridge", "detour", w, cost))
-
-
-def _saturation_scale(radii: list[float], k_min: int, cap: int = 60) -> int:
-    finite = [r for r in radii[1:] if r > 0.0]
-    if not finite:
-        return k_min
-    sep = min(finite)
-    k = k_min
-    while 2.0 ** (-k) >= sep and k - k_min < cap:
-        k += 1
-    return k
 
 
 def _dedup_exact(points: Sequence[HeisPoint]) -> list[HeisPoint]:
@@ -355,22 +311,15 @@ def _build(points: Sequence[HeisPoint],
     if len(pts) == 1:
         return PolygonalCurve(pts), ledger, None
     arr = as_array(pts)
-    diam = diameter(arr)
-    if cfg.k_min is not None:
-        k_min = cfg.k_min
-        if 2.0 ** (-k_min) < diam:
-            raise ScaleRangeError("k_min=%d gives top scale %g below diam(E)=%g"
-                                  % (k_min, 2.0 ** (-k_min), diam))
-    else:
-        k_min = math.floor(-math.log2(diam))
-        while 2.0 ** (-k_min) < diam:
-            k_min -= 1
-    _, radii = farthest_point_order(arr)
-    k_sat = _saturation_scale(radii, k_min)
-    k_max = max(cfg.k_max, k_sat) if cfg.k_max is not None else k_sat
+    k_min, k_max = default_scale_range(arr)
     hierarchy = build_nets(arr, k_min, k_max)
+    missed = arr.shape[0] - len(hierarchy.nets[k_max])
+    if missed:
+        raise ScaleRangeError("%d points lie within 2^-%d of another point, finer than the "
+                              "%d scales below diam(E) that the nets span, and would be "
+                              "dropped from the curve" % (missed, k_max, MAX_LEVELS))
 
-    path = _Path(arr, hierarchy.nets[k_min][0] if hierarchy.nets[k_min] else 0)
+    path = _Path(arr, hierarchy.nets[k_min][0])
     in_path = set(path.seq)
     ledger.snapshots[k_min] = list(path.seq)
     for k in range(k_min + 1, k_max + 1):
@@ -380,7 +329,7 @@ def _build(points: Sequence[HeisPoint],
         for pos, anchor in enumerate(net_k):
             center = HeisPoint(*arr[anchor])
             d = dist_point_arr(center, net_arr)
-            members = [net_k[j] for j in np.flatnonzero(d <= radius * (1.0 + 1e-12))]
+            members = [net_k[j] for j in np.flatnonzero(within(d, radius))]
             fresh = [i for i in members if i not in in_path]
             if not fresh:
                 continue
@@ -411,6 +360,8 @@ class TheoremAResult(NamedTuple):
     length: float
     bound: float
     ratio: float
+    curve: PolygonalCurve    # the built curve the check measured
+    ledger: BuildLedger
 
 
 def theorem_a_check(points: Sequence[HeisPoint], cfg: BuilderConfig | None = None,
@@ -418,17 +369,18 @@ def theorem_a_check(points: Sequence[HeisPoint], cfg: BuilderConfig | None = Non
     """Length of the built curve against diam(E) + the r-Carleson sum.
 
     The ratio is reported, not asserted: the theorem's constant is not
-    pinned numerically.
+    pinned numerically.  The curve and ledger come from the same build.
     """
     if cfg is None:
         cfg = BuilderConfig()
-    curve, _, hierarchy = _build(points, cfg)
+    curve, ledger, hierarchy = _build(points, cfg)
     length = curve_length(curve)
     if hierarchy is None:
-        return TheoremAResult(0.0, 0.0, 0.0)
+        return TheoremAResult(0.0, 0.0, 0.0, curve, ledger)
     report = carleson_sum(hierarchy, cfg.r, cfg.carleson_a, cfg.beta_budget, seed=cfg.seed)
     bound = report.diam_e + report.total
-    return TheoremAResult(length, bound, length / bound if bound > 0.0 else math.inf)
+    return TheoremAResult(length, bound, length / bound if bound > 0.0 else math.inf,
+                          curve, ledger)
 
 
 @dataclass
@@ -504,7 +456,7 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     best_ball: Ball | None = None
     for li, rho in enumerate(levels):
         for ci in centers:
-            if d_centers[ci] + rho > big_r * (1.0 + 1e-12):
+            if not within(d_centers[ci] + rho, big_r):
                 continue
             cand = Ball(point_of(arr[ci]), rho)
             res = beta_heis(arr, cand, cfg.beta_budget, seed=cfg.seed)

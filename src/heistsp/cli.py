@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 from .core import HeisPoint, as_array, dist_point_arr, heis_point
 from .beta import Ball, BetaBudget, ResourceBudgetError, beta_heis
-from .builder import BuilderConfig, ScaleRangeError, build_curve, theorem_a_check
+from .builder import BuilderConfig, ScaleRangeError, TheoremAResult, theorem_a_check
+# not called here: kept importable because the benchmark's tracer wraps it here
+from .builder import build_curve  # noqa: F401
 from .curves import PolygonalCurve, resample_curve
 from .multiscale import build_nets, carleson_sum, default_scale_range, theorem_b_check
 from .verify import EXACT_CHECK_IDS, report_dict, run_suite, suite_passed
@@ -105,21 +107,39 @@ def _config_header(command: str, cfg: dict) -> list[str]:
     return ["# heis-tsp %s" % command, "# config: %s" % " ".join(parts)]
 
 
-def _parse_ball(spec: str) -> Ball:
-    tokens = spec.split()
-    if len(tokens) != 4:
-        raise InputError("--ball expects 'cx cy cz radius', got %r" % spec)
+def _ball_arg(spec: str) -> Ball:
+    """argparse type of --ball: four finite numbers, the radius positive."""
     try:
-        cx, cy, cz, r = (float(t) for t in tokens)
+        vals = [float(t) for t in spec.split()]
     except ValueError:
-        raise InputError("--ball expects numbers, got %r" % spec) from None
-    if r <= 0.0:
-        raise InputError("--ball radius must be positive")
-    return Ball(HeisPoint(cx, cy, cz), r)
+        vals = []
+    if len(vals) != 4 or not all(math.isfinite(v) for v in vals) or vals[3] <= 0.0:
+        raise argparse.ArgumentTypeError("expected 'cx cy cz radius' as finite numbers "
+                                         "with radius > 0, got %r" % spec)
+    return Ball(HeisPoint(*vals[:3]), vals[3])
+
+
+def _number_arg(ok, what: str):
+    """argparse type of a finite number for which ok(value) holds."""
+    def parse(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not (math.isfinite(v) and ok(v)):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (what, text))
+        return v
+    return parse
+
+
+_positive_arg = _number_arg(lambda v: v > 0.0, "a finite number > 0")
+_multiplier_arg = _number_arg(lambda v: v >= 1.0, "a finite number >= 1")
 
 
 def _enclosing_ball(points: list[HeisPoint]) -> Ball:
     """Ball centered at the input point minimizing the max distance."""
+    if not points:
+        raise InputError("no points: give --ball")
     arr = as_array(points)
     best = (math.inf, 0)
     for i in range(arr.shape[0]):
@@ -137,20 +157,22 @@ def _budget_from_level(level: int) -> BetaBudget:
                       nm_starts=max(2, level // 8), nm_iter=5 * level)
 
 
-def _threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HEIS_TSP_THREADS")
-    return int(env) if env else None
-
-
-def _builder_config(args, beta_budget: BetaBudget) -> BuilderConfig:
+def _theorem_a(command: str, args) -> tuple[TheoremAResult, list[str]]:
+    """theorem_a_check of the input file under the flags, and the output header."""
+    pset = load_points(args.input)
+    if not pset.points:
+        raise InputError("%s: no points" % args.input)
     try:
-        return BuilderConfig(c1=args.c1, eps0=args.eps0, r=args.r,
-                             beta_budget=beta_budget, carleson_a=args.a,
-                             seed=args.seed)
-    except ValueError as exc:
+        cfg = BuilderConfig(c1=args.c1, eps0=args.eps0, r=args.r,
+                            beta_budget=_budget_from_level(args.budget),
+                            carleson_a=args.a, seed=args.seed)
+    except ValueError as exc:   # r outside (2, 4), c1 <= 1, eps0 outside (0, 1)
         raise InputError(str(exc)) from None
+    check = theorem_a_check(pset.points, cfg)
+    cfg_dict = {"r": cfg.r, "c1": cfg.c1, "eps0": cfg.eps0, "a": cfg.carleson_a,
+                "budget": args.budget, "seed": cfg.seed,
+                "input": os.path.basename(args.input)}
+    return check, _config_header(command, cfg_dict)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -163,7 +185,7 @@ def _write(path: str | None, text: str) -> None:
 
 def cmd_beta(args) -> int:
     pset = load_points(args.input)
-    ball = _parse_ball(args.ball) if args.ball else _enclosing_ball(pset.points)
+    ball = args.ball if args.ball is not None else _enclosing_ball(pset.points)
     budget = _budget_from_level(args.budget)
     res = beta_heis(pset.points, ball, budget, seed=args.seed)
     cfg = {"ball": "%s %s %s %s" % tuple(_fmt(v) for v in
@@ -182,17 +204,8 @@ def cmd_beta(args) -> int:
 
 
 def cmd_build(args) -> int:
-    pset = load_points(args.input)
-    if not pset.points:
-        raise InputError("%s: no points" % args.input)
-    budget = _budget_from_level(args.budget)
-    cfg = _builder_config(args, budget)
-    curve, ledger = build_curve(pset.points, cfg)
-    check = theorem_a_check(pset.points, cfg)
-    cfg_dict = {"r": cfg.r, "c1": cfg.c1, "eps0": cfg.eps0, "a": cfg.carleson_a,
-                "budget": args.budget, "seed": cfg.seed,
-                "input": os.path.basename(args.input)}
-    header = _config_header("build", cfg_dict)
+    check, header = _theorem_a("build", args)
+    curve, ledger = check.curve, check.ledger
     prefix = args.out or os.path.splitext(args.input)[0]
     curve_path = prefix + ".curve.txt"
     ledger_path = prefix + ".ledger.csv"
@@ -246,7 +259,7 @@ def cmd_carleson(args) -> int:
         arr = as_array(pset.points)
     k_min, k_max = default_scale_range(arr)
     report = carleson_sum(build_nets(arr, k_min, k_max), args.r, args.a,
-                          budget, seed=args.seed, threads=_threads(args))
+                          budget, seed=args.seed)
     if length is not None:
         ratio = report.total / length if length > 0.0 else math.inf
         extra = ["length,,,,,%s" % _fmt(length), "ratio,,,,,%s" % _fmt(ratio)]
@@ -255,16 +268,8 @@ def cmd_carleson(args) -> int:
 
 
 def cmd_theorem_a(args) -> int:
-    pset = load_points(args.input)
-    if not pset.points:
-        raise InputError("%s: no points" % args.input)
-    budget = _budget_from_level(args.budget)
-    cfg = _builder_config(args, budget)  # rejects r outside (2, 4)
-    check = theorem_a_check(pset.points, cfg)
-    cfg_dict = {"r": cfg.r, "c1": cfg.c1, "eps0": cfg.eps0, "a": cfg.carleson_a,
-                "budget": args.budget, "seed": cfg.seed,
-                "input": os.path.basename(args.input)}
-    out = "\n".join(_config_header("theorem-a", cfg_dict) + [
+    check, header = _theorem_a("theorem-a", args)
+    out = "\n".join(header + [
         "length %s" % _fmt(check.length),
         "bound %s" % _fmt(check.bound),
         "ratio %s" % _fmt(check.ratio),
@@ -309,10 +314,6 @@ def cmd_verify(args) -> int:
             else:
                 counts[cid] = max(4, int(round(n * scale)))
     results = run_suite(seed=args.seed, sample_counts=counts)
-    if args.debug_tamper:
-        # debug path: force a violation to demonstrate the failing exit code
-        results[0].violations += 1
-        results[0].worst_margin = min(results[0].worst_margin, -1.0)
     payload = report_dict(results, args.seed)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -331,52 +332,44 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Heisenberg-group TSP toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_r=True):
+    def command(name, func, help, r=None, builder=False):
+        """Subcommand with the flags func reads: --r when r is its default,
+        --c1/--eps0 for the builder, --a wherever a Carleson sum runs."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("input", help="point set file: 'x y z' per line, '#' comments")
-        if with_r:
-            p.add_argument("--r", type=float, default=3.0, help="beta exponent")
-        p.add_argument("--c1", type=float, default=16.0, help="builder ball multiplier")
-        p.add_argument("--eps0", type=float, default=0.05, help="flatness threshold")
-        p.add_argument("--a", type=float, default=4.0, help="Carleson ball multiplier")
+        if r is not None:
+            p.add_argument("--r", type=float, default=r, help="beta exponent")
+            p.add_argument("--a", type=_multiplier_arg, default=4.0,
+                           help="Carleson ball multiplier (>= 1)")
+        if builder:
+            p.add_argument("--c1", type=_multiplier_arg, default=16.0,
+                           help="builder ball multiplier (> 1)")
+            p.add_argument("--eps0", type=float, default=0.05, help="flatness threshold")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=24, help="beta effort level")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (or HEIS_TSP_THREADS)")
         p.add_argument("--out", default=None)
+        return p
 
-    p = sub.add_parser("beta", help="beta number of a point set in a ball")
-    common(p, with_r=False)
-    p.add_argument("--ball", default=None, help="'cx cy cz radius' (default: enclosing)")
-    p.set_defaults(func=cmd_beta)
-
-    p = sub.add_parser("build", help="build the multiscale curve")
-    common(p)
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("carleson", help="discrete Carleson sum (raw r up to 8)")
-    common(p)
-    p.add_argument("--density", type=float, default=None,
+    p = command("beta", cmd_beta, "beta number of a point set in a ball")
+    p.add_argument("--ball", type=_ball_arg, default=None,
+                   help="'cx cy cz radius' (default: enclosing)")
+    command("build", cmd_build, "build the multiscale curve", r=3.0, builder=True)
+    p = command("carleson", cmd_carleson, "discrete Carleson sum (raw r up to 8)", r=3.0)
+    p.add_argument("--density", type=_positive_arg, default=None,
                    help="treat input as curve vertices, sample at this density")
-    p.set_defaults(func=cmd_carleson)
-
-    p = sub.add_parser("theorem-a", help="length vs diam + Carleson bound (r in (2,4))")
-    common(p)
-    p.set_defaults(func=cmd_theorem_a)
-
-    p = sub.add_parser("theorem-b", help="Carleson sum of a sampled curve vs length")
-    common(p)
-    p.add_argument("--density", type=float, default=64.0, help="samples per unit length")
-    p.set_defaults(func=cmd_theorem_b)
+    command("theorem-a", cmd_theorem_a, "length vs diam + Carleson bound (r in (2,4))",
+            r=3.0, builder=True)
     # theorem-b defaults to the converse exponent
-    p.set_defaults(r=4.0)
+    p = command("theorem-b", cmd_theorem_b, "Carleson sum of a sampled curve vs length", r=4.0)
+    p.add_argument("--density", type=_positive_arg, default=64.0,
+                   help="samples per unit length")
 
     p = sub.add_parser("verify", help="run the lemma suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None,
                    help="override sample count of the exact-constant checks")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--debug-tamper", action="store_true",
-                   help="force a failure to exercise the nonzero exit path")
     p.set_defaults(func=cmd_verify)
     return ap
 

@@ -62,17 +62,6 @@ def dist(a: HeisPoint, b: HeisPoint) -> float:
     return (r2 * r2 + dz * dz) ** 0.25
 
 
-def cc_dist_bounds(a: HeisPoint, b: HeisPoint) -> tuple[float, float]:
-    """Two-sided sandwich (d, 2d) for the Carnot-Caratheodory distance.
-
-    d <= d_cc always, and d >= d_cc / 2, so d_cc lies in [d, 2d].  The two
-    metrics agree when a, b lie on a common horizontal line, but this
-    function always returns the interval; no geodesic solver is provided.
-    """
-    d = dist(a, b)
-    return (d, 2.0 * d)
-
-
 def dilate(lam: float, a: HeisPoint) -> HeisPoint:
     """Anisotropic dilation (x,y,z) -> (l*x, l*y, l^2*z), l > 0."""
     if not lam > 0.0:
@@ -119,10 +108,6 @@ def as_array(points: Iterable[HeisPoint]) -> np.ndarray:
     if arr.size == 0:
         return arr.reshape(0, 3)
     return arr.reshape(-1, 3)
-
-
-def from_array(arr: np.ndarray) -> list[HeisPoint]:
-    return [HeisPoint(float(r[0]), float(r[1]), float(r[2])) for r in np.asarray(arr).reshape(-1, 3)]
 
 
 def point_of(row: np.ndarray) -> HeisPoint:
@@ -172,6 +157,11 @@ def dist_point_arr(p: HeisPoint, arr: np.ndarray) -> np.ndarray:
     return (r2 * r2 + dz * dz) ** 0.25
 
 
+def within(d: np.ndarray, radius: float) -> np.ndarray:
+    """Closed-ball membership of distances d, with a tolerance of 1e-12 * radius."""
+    return d <= radius * (1.0 + 1e-12)
+
+
 def dist_pairwise_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d(a_i, b_i) row by row (same length)."""
     dx = b[:, 0] - a[:, 0]
@@ -201,6 +191,23 @@ def diameter(arr: np.ndarray) -> float:
         p = HeisPoint(arr[i, 0], arr[i, 1], arr[i, 2])
         best = max(best, float(dist_point_arr(p, arr[i + 1:]).max()))
     return best
+
+
+def farthest_point_order(arr: np.ndarray, m: int | None = None) -> tuple[list[int], list[float]]:
+    """Farthest-point traversal seeded at row 0, stopped after m picks (all rows
+    by default): the picked rows and their insertion radii, the first being
+    infinite.  Ties go to the smallest index.
+    """
+    n = arr.shape[0] if m is None else min(m, arr.shape[0])
+    order = [0]
+    radii = [math.inf]
+    d = dist_point_arr(HeisPoint(*arr[0]), arr)
+    for _ in range(n - 1):
+        i = int(np.argmax(d))
+        order.append(i)
+        radii.append(float(d[i]))
+        d = np.minimum(d, dist_point_arr(HeisPoint(*arr[i]), arr))
+    return order, radii
 
 
 def sample_box(rng: np.random.Generator, n: int, s: float = 2.0) -> np.ndarray:

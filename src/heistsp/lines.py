@@ -18,7 +18,7 @@ shoelace sign, so the unit square traversed clockwise has area -1.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -123,20 +123,33 @@ def _cubic_min_param(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarr
     return xt + u
 
 
-def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
-    """Koranyi distance of every row to the line (exact 1D minimization)."""
-    c, s = math.cos(line.theta), math.sin(line.theta)
+def _canon_arr(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """canon_coords of every row, given cos and sin of the line direction."""
     px = c * arr[:, 0] + s * arr[:, 1]
     py = -s * arr[:, 0] + c * arr[:, 1]
-    xt = px
-    yt = py - line.offset
-    zt = arr[:, 2] + 2.0 * line.offset * px - line.height
-    t = _cubic_min_param(xt, yt, zt)
+    return px, py - offset, arr[:, 2] + 2.0 * offset * px - height
+
+
+def _quartic(t, xt, yt, zt):
+    """f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2: the fourth power of the distance
+    from the point to the line point at parameter t."""
     u = t - xt
-    f = (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
+    return (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
+
+
+def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
+    """Koranyi distance to the line from canonical coordinates: f at its
+    minimizer, the cubic root (broadcasts over matching shapes)."""
+    f = _quartic(_cubic_min_param(xt, yt, zt), xt, yt, zt)
     # insurance candidate at the vertical drop t = x~ (free; same min in exact math)
     f_alt = (yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2
     return np.minimum(f, f_alt) ** 0.25
+
+
+def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
+    """Koranyi distance of every row to the line."""
+    return quartic_dists(*_canon_arr(arr, math.cos(line.theta), math.sin(line.theta),
+                                     line.offset, line.height))
 
 
 def line_dist(p: HeisPoint, line: HorizontalLine) -> float:
@@ -147,41 +160,21 @@ def line_dist(p: HeisPoint, line: HorizontalLine) -> float:
 def canon_coords_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
                          heights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """canon_coords for row i of pts against line i; all inputs length n."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    px = c * pts[:, 0] + s * pts[:, 1]
-    py = -s * pts[:, 0] + c * pts[:, 1]
-    return px, py - offsets, pts[:, 2] + 2.0 * offsets * px - heights
+    return _canon_arr(pts, np.cos(thetas), np.sin(thetas), offsets, heights)
 
 
 def line_dists_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
                        heights: np.ndarray) -> np.ndarray:
     """Distance of point i to line i (vectorized over matched rows)."""
-    xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
-    t = _cubic_min_param(xt, yt, zt)
-    u = t - xt
-    f = (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
-    f_alt = (yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2
-    return np.minimum(f, f_alt) ** 0.25
+    return quartic_dists(*canon_coords_rowwise(pts, thetas, offsets, heights))
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> float:
-    """Golden-section fallback on t in [-T, T], T = 4(N(p~)+1).
-
-    Independent of the cubic root solve; serves as the 1D oracle in tests.
-    """
-    xt, yt, zt = canon_coords(p, line)
-    n = koranyi_norm(HeisPoint(xt, yt, zt))
-    hi = 4.0 * (n + 1.0)
-    lo = -hi
-
-    def f(t: float) -> float:
-        u = t - xt
-        return (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
-
-    a, b = lo, hi
+def golden_min(f: Callable[[float], float], a: float, b: float,
+               iters: int) -> tuple[float, float]:
+    """Golden-section search of a unimodal f on [a, b]: (t, f(t)) of the better final probe."""
     c1 = b - _INV_GOLDEN * (b - a)
     c2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)
@@ -194,12 +187,26 @@ def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> f
             a, c1, f1 = c1, c2, f2
             c2 = a + _INV_GOLDEN * (b - a)
             f2 = f(c2)
-    return min(f1, f2) ** 0.25
+    return (c1, f1) if f1 <= f2 else (c2, f2)
+
+
+def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> float:
+    """Golden-section fallback on t in [-T, T], T = 4(N(p~)+1).
+
+    Independent of the cubic root solve; serves as the 1D oracle in tests.
+    """
+    xt, yt, zt = canon_coords(p, line)
+    hi = 4.0 * (koranyi_norm(HeisPoint(xt, yt, zt)) + 1.0)
+    return golden_min(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
 def line_dists_bracket_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
                                heights: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Golden-section distances for matched rows; oracle for the cubic solve."""
+    """Golden-section distances for matched rows; oracle for the cubic solve.
+
+    The vectorised bulk form of golden_min: every row narrows its own
+    bracket in lockstep.
+    """
     xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
     r2 = xt * xt + yt * yt
     n4 = (r2 * r2 + zt * zt) ** 0.25
@@ -207,8 +214,7 @@ def line_dists_bracket_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.
     a, b = -hi, hi
 
     def f(t: np.ndarray) -> np.ndarray:
-        u = t - xt
-        return (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
+        return _quartic(t, xt, yt, zt)
 
     c1 = b - _INV_GOLDEN * (b - a)
     c2 = a + _INV_GOLDEN * (b - a)

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import HeisPoint, as_array, diameter, dist_point_arr, point_of
+from .core import HeisPoint, as_array, diameter, dist_point_arr, farthest_point_order, point_of
 from .beta import Ball, BetaBudget, beta_heis
 from .curves import PolygonalCurve, curve_length, resample_curve
 
@@ -46,25 +46,6 @@ class NetHierarchy:
     k_max: int
     nets: dict[int, list[int]]         # scale -> point indices in net order
     parent_links: dict[int, dict[int, int]]  # scale k+1 -> {index: covering index at k}
-    order: list[int] = field(default_factory=list)       # farthest-point traversal
-    radii: list[float] = field(default_factory=list)     # insertion radii
-
-    def net_points(self, k: int) -> list[HeisPoint]:
-        return [point_of(self.points[i]) for i in self.nets[k]]
-
-
-def farthest_point_order(arr: np.ndarray) -> tuple[list[int], list[float]]:
-    """Traversal order and insertion radii; ties go to the smallest index."""
-    n = arr.shape[0]
-    order = [0]
-    radii = [math.inf]
-    d = dist_point_arr(HeisPoint(*arr[0]), arr)
-    for _ in range(n - 1):
-        i = int(np.argmax(d))
-        order.append(i)
-        radii.append(float(d[i]))
-        d = np.minimum(d, dist_point_arr(HeisPoint(*arr[i]), arr))
-    return order, radii
 
 
 def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int, k_max: int) -> NetHierarchy:
@@ -74,15 +55,14 @@ def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int, k_max: int)
         raise ValueError("cannot build nets of an empty set")
     if k_max < k_min:
         raise ValueError("k_max < k_min")
-    diam = diameter(arr)
-    if 2.0 ** (-k_min) < diam:
-        warnings.warn("top scale 2^-%d is smaller than diam(E)=%g; the coarsest "
-                      "net will not be a single point" % (k_min, diam))
     order, radii = farthest_point_order(arr)
     nets: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
         cut = 2.0 ** (-k)
         nets[k] = [i for i, r in zip(order, radii) if r > cut]
+    if len(nets[k_min]) > 1:
+        warnings.warn("the coarsest net at scale 2^-%d has %d points, not one"
+                      % (k_min, len(nets[k_min])))
     parent_links: dict[int, dict[int, int]] = {}
     for k in range(k_min, k_max):
         coarse = nets[k]
@@ -93,7 +73,7 @@ def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int, k_max: int)
                 d = dist_point_arr(HeisPoint(*arr[i]), carr)
                 links[i] = coarse[int(np.argmin(d))]
         parent_links[k + 1] = links
-    return NetHierarchy(arr, k_min, k_max, nets, parent_links, order, radii)
+    return NetHierarchy(arr, k_min, k_max, nets, parent_links)
 
 
 def delta_components(points: Sequence[HeisPoint] | np.ndarray, delta: float) -> list[list[int]]:
@@ -132,36 +112,25 @@ class CarlesonReport:
 
 
 def carleson_sum(hierarchy: NetHierarchy, r: float, a: float,
-                 beta_budget: BetaBudget | None = None, seed: int = 0,
-                 threads: int | None = None) -> CarlesonReport:
+                 beta_budget: BetaBudget | None = None, seed: int = 0) -> CarlesonReport:
     """Sum of beta(B(P, a*2^-k))^r * 2^-k over net points and scales."""
     if not (0.0 < r <= 8.0):
         raise ValueError("carleson exponent r must lie in (0, 8], got %r" % (r,))
     if a < 1.0:
         raise ValueError("ball multiplier must be >= 1, got %r" % (a,))
     arr = hierarchy.points
-    jobs = []
+    terms = []
     for k in range(hierarchy.k_min, hierarchy.k_max + 1):
         for pos, i in enumerate(hierarchy.nets[k]):
-            jobs.append((k, pos, i))
-
-    def term(job: tuple[int, int, int]) -> CarlesonTerm:
-        k, pos, i = job
-        p = point_of(arr[i])
-        ball = Ball(p, a * 2.0 ** (-k))
-        try:
-            res = beta_heis(arr, ball, beta_budget,
-                            seed=_term_seed(seed, k - hierarchy.k_min, pos))
-        except Exception as exc:
-            raise type(exc)("scale k=%d net point %r: %s" % (k, p, exc)) from exc
-        return CarlesonTerm(k, p, res.beta, res.beta ** r * 2.0 ** (-k), res.certified_gap)
-
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            terms = list(pool.map(term, jobs))
-    else:
-        terms = [term(j) for j in jobs]
+            p = point_of(arr[i])
+            ball = Ball(p, a * 2.0 ** (-k))
+            try:
+                res = beta_heis(arr, ball, beta_budget,
+                                seed=_term_seed(seed, k - hierarchy.k_min, pos))
+            except Exception as exc:
+                raise type(exc)("scale k=%d net point %r: %s" % (k, p, exc)) from exc
+            terms.append(CarlesonTerm(k, p, res.beta, res.beta ** r * 2.0 ** (-k),
+                                      res.certified_gap))
     total = math.fsum(t.contribution for t in terms)
     return CarlesonReport(r, a, terms, total, diameter(arr))
 
@@ -172,22 +141,27 @@ def _term_seed(seed: int, level: int, pos: int) -> int:
     return (seed * 1_000_003 + level * 8191 + pos) & 0x7FFFFFFF
 
 
-def default_scale_range(arr: np.ndarray, min_sep_hint: float | None = None,
-                        max_levels: int = 40) -> tuple[int, int]:
-    """(k_min, k_max): coarsest scale covering diam(E), finest resolving it."""
+#: the most scales a default scale range spans below its coarsest one
+MAX_LEVELS = 60
+
+
+def default_scale_range(arr: np.ndarray) -> tuple[int, int]:
+    """(k_min, k_max): the coarsest scale covers diam(E), the finest resolves
+    the closest pair, and k_max - k_min is at most MAX_LEVELS.
+
+    A pair closer than diam(E) * 2^-MAX_LEVELS is not resolved: the finest
+    net then misses a point of the set.
+    """
     diam = diameter(arr)
     if diam == 0.0:
         return 0, 0
     k_min = math.floor(-math.log2(diam))
     while 2.0 ** (-k_min) < diam:
         k_min -= 1
-    sep = min_sep_hint
-    if sep is None:
-        _, radii = farthest_point_order(arr)
-        finite = [r for r in radii[1:] if r > 0.0]
-        sep = min(finite) if finite else diam
+    _, radii = farthest_point_order(arr)
+    sep = min(r for r in radii[1:] if r > 0.0)
     k_max = k_min
-    while 2.0 ** (-k_max) >= sep and k_max - k_min < max_levels:
+    while 2.0 ** (-k_max) >= sep and k_max - k_min < MAX_LEVELS:
         k_max += 1
     return k_min, k_max
 

@@ -26,9 +26,13 @@ from .core import (
     as_array,
     dist,
     dist_point_arr,
+    farthest_point_order,
     group_mul,
+    left_translate_arr,
     norm_arr,
+    point_of,
     sample_box,
+    within,
 )
 from .lines import (
     HorizontalLine,
@@ -43,7 +47,6 @@ from .lines import (
 )
 from .beta import Ball, BUILDER_BUDGET, beta_euclidean_2d, beta_heis
 from .builder import excess
-from .multiscale import farthest_point_order
 
 RELATIVE_SLACK = 1e-9
 
@@ -183,15 +186,8 @@ def check_pair_flatness_floor(seed: int, n: int) -> LemmaCheck:
 # ---------------------------------------------------------------------------
 # constructed hypothesis families
 
-def _lift(line: HorizontalLine, t: float, y: float) -> HeisPoint:
-    """Zero-mismatch point at foot parameter t and plane offset y from the line."""
-    th, c, h = line.theta, line.offset, line.height
-    raw = HeisPoint(t, c + y, h + 2.0 * t * (y - c))
-    cs, sn = math.cos(th), math.sin(th)
-    return HeisPoint(cs * raw.x - sn * raw.y, sn * raw.x + cs * raw.y, raw.z)
-
-
 def _lift_many(line: HorizontalLine, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Zero-mismatch points at foot parameters ts and plane offsets ys from the line."""
     th, c, h = line.theta, line.offset, line.height
     raw = np.empty((ts.size, 3))
     raw[:, 0] = ts
@@ -342,7 +338,7 @@ def check_angle_improvement_dichotomy(seed: int, n: int) -> LemmaCheck:
         params = foot_params_arr(pts, line)
         assert params.max() - params.min() >= 0.25
         if corner:
-            center = _lift(line, 0.0, m_const)
+            center = point_of(_lift_many(line, np.array([0.0]), np.array([m_const]))[0])
         else:
             center = HeisPoint(*pts[ts_floor.size + len(zs) - 1])
         # candidate subball at the feature, diameter a few eps^2 / m
@@ -351,7 +347,7 @@ def check_angle_improvement_dichotomy(seed: int, n: int) -> LemmaCheck:
         tilde = beta_euclidean_2d(pts, cand)
         res = beta_heis(pts, cand, BUILDER_BUDGET, seed=seed)
         spread_ok = False
-        idx = dist_point_arr(center, pts) <= rho * (1.0 + 1e-12)
+        idx = within(dist_point_arr(center, pts), rho)
         if np.any(idx):
             fp = foot_params_arr(pts[idx], res.line)
             spread_ok = (fp.max() - fp.min()) >= 0.25 * 2.0 * rho
@@ -471,7 +467,6 @@ def check_doubling_constant(seed: int, n: int, frozen_bound: int = 82) -> LemmaC
         gx, gy, gz = np.meshgrid(g * radius, g * radius, g * radius ** 2, indexing="ij")
         u = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
         u = u[norm_arr(u) <= radius]
-        from .core import left_translate_arr
         pts = left_translate_arr(center, u)
         _, radii = farthest_point_order(pts)
         counts.append(sum(1 for r in radii if r > radius / 2.0))

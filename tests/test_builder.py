@@ -110,8 +110,12 @@ class TestBuildCurve:
         assert not ledger.entries
 
     def test_scale_range_error(self):
+        # the close pair sits below diam(E) * 2^-60, so the finest net misses
+        # a point; the builder refuses rather than return 2 of 3 vertices
         with pytest.raises(ScaleRangeError):
-            build_curve([ORIGIN, HeisPoint(4, 0, 0)], BuilderConfig(k_min=3))
+            build_curve([ORIGIN, HeisPoint(1, 0, 0), HeisPoint(1e-20, 0, 0)])
+        curve, _ = build_curve([ORIGIN, HeisPoint(1, 0, 0), HeisPoint(1e-15, 0, 0)])
+        assert len(curve.vertices) == 3
 
     def test_ledger_accounts_for_length(self):
         rng = np.random.default_rng(63)

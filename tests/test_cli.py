@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heistsp.cli
 from heistsp.cli import InputError, PointSetFile, load_points, main, save_points
+from heistsp.verify import run_suite
 from heistsp.core import HeisPoint
 from conftest import corner_curve_vertices, horizontal_points, intro_triple
 
@@ -96,6 +98,14 @@ class TestBetaCommand:
         assert code == 2
         assert ":1:" in err
 
+    def test_empty_file_needs_ball(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing\n")
+        code, _, err = run_cli(capsys, "beta", str(path))
+        assert code == 2 and "Traceback" not in err
+        code, out, _ = run_cli(capsys, "beta", str(path), "--ball", "0 0 0 1")
+        assert code == 0 and "vacuous true" in out
+
     def test_ball_spec_errors(self, tmp_path, capsys):
         path = write_points(tmp_path / "p.txt", horizontal_points(3))
         assert run_cli(capsys, "beta", path, "--ball", "0 0 0")[0] == 2
@@ -145,17 +155,6 @@ class TestCarlesonCommand:
         assert code == 2
         assert "r" in err
 
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
-        out1 = tmp_path / "seq.csv"
-        out2 = tmp_path / "par.csv"
-        code, _, _ = run_cli(capsys, "carleson", path, "--out", str(out1))
-        assert code == 0
-        monkeypatch.setenv("HEIS_TSP_THREADS", "3")
-        code, _, _ = run_cli(capsys, "carleson", path, "--out", str(out2))
-        assert code == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestTheoremCommands:
     def test_theorem_a_horizontal(self, tmp_path, capsys):
@@ -191,10 +190,57 @@ class TestVerifyCommand:
         payload = json.loads(out1.read_text())
         assert payload["passed"] is True
 
-    def test_tamper_fails(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--samples", "2000", "--debug-tamper")
+    def test_tamper_fails(self, capsys, monkeypatch):
+        def tampered(seed, sample_counts):
+            results = run_suite(seed=seed, sample_counts=sample_counts,
+                                include=["shortest-to-line", "doubling-constant"])
+            results[0].violations += 1
+            results[0].worst_margin = -1.0
+            return results
+
+        monkeypatch.setattr(heistsp.cli, "run_suite", tampered)
+        code, out, _ = run_cli(capsys, "verify", "--samples", "2000")
         assert code == 1
         assert "FAIL" in out
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli(capsys, "nonsense")[0] == 2
+
+
+BAD_INPUTS = [
+    ("beta", "--ball", "0 0 0 inf"),
+    ("beta", "--ball", "0 0 0 nan"),
+    ("beta", "--ball", "nan 0 0 1"),
+    ("beta", "--c1", "2"),
+    ("beta", "--a", "2"),
+    ("carleson", "--density", "-2"),
+    ("carleson", "--density", "0"),
+    ("carleson", "--a", "0.5"),
+    ("carleson", "--eps0", "0.1"),
+    ("build", "--a", "0.5"),
+    ("build", "--a", "nan"),
+    ("build", "--c1", "inf"),
+    ("theorem-a", "--a", "0.5"),
+    ("theorem-b", "--density", "0"),
+    ("theorem-b", "--density", "inf"),
+    ("theorem-b", "--a", "0.5"),
+    ("theorem-b", "--c1", "2"),
+    ("verify", "--debug-tamper"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=" ".join)
+def test_bad_input_exits_2(argv, tmp_path, capsys):
+    path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
+    cmd, *flags = argv
+    code, _, err = run_cli(capsys, cmd, *([] if cmd == "verify" else [path]), *flags)
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_unresolvable_close_pair_exits_2(tmp_path, capsys):
+    path = write_points(tmp_path / "close.txt",
+                        [HeisPoint(0, 0, 0), HeisPoint(1, 0, 0), HeisPoint(1e-20, 0, 0)])
+    code, _, err = run_cli(capsys, "build", path, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "dropped" in err

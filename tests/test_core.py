@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from heistsp.core import (
     HeisPoint,
     ORIGIN,
-    cc_dist_bounds,
     dilate,
     dilate_arr,
     dist,
@@ -76,12 +75,6 @@ class TestNormAndDist:
         assert dist(p, p) == 0.0
         assert dist(ORIGIN, HeisPoint(1, 0, 0)) == 1.0
         assert dist(HeisPoint(-1, 0, 0), HeisPoint(1, 0, 0)) == 2.0
-
-    def test_cc_bounds(self):
-        p = HeisPoint(0.5, 0.5, 0.5)
-        assert cc_dist_bounds(p, p) == (0.0, 0.0)
-        assert cc_dist_bounds(ORIGIN, HeisPoint(1, 0, 0)) == (1.0, 2.0)
-        assert cc_dist_bounds(ORIGIN, HeisPoint(0, 0, 1)) == (1.0, 2.0)
 
     def test_norm_zero_only_at_origin(self):
         assert koranyi_norm(ORIGIN) == 0.0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ class TestNets:
     def test_warns_when_top_scale_small(self):
         with pytest.warns(UserWarning):
             build_nets([ORIGIN, HeisPoint(4, 0, 0)], 2, 4)
+
+    def test_no_warning_when_coarsest_net_is_one_point(self):
+        # diam 1.2 exceeds 2^0, yet every point lies within 1 of the seed
+        pts = [ORIGIN, HeisPoint(0.6, 0, 0), HeisPoint(-0.6, 0, 0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = build_nets(pts, 0, 2)
+        assert h.nets[0] == [0]
+
+    def test_farthest_order_prefix(self):
+        rng = np.random.default_rng(35)
+        pts = rng.uniform(-1, 1, (40, 3))
+        order, radii = farthest_point_order(pts)
+        for m in (1, 7, 40, 55):
+            assert farthest_point_order(pts, m) == (order[:m], radii[:m])
 
     def test_farthest_order_radii_decrease(self):
         rng = np.random.default_rng(33)
@@ -165,14 +182,6 @@ class TestCarleson:
         k0, k1 = default_scale_range(arr)
         h = build_nets(arr, k0, k1)
         assert carleson_sum(h, 3.5, 2.0).total <= carleson_sum(h, 3.0, 2.0).total + 1e-15
-
-    def test_threads_match_sequential(self):
-        arr = as_array(intro_triple(0.1))
-        k0, k1 = default_scale_range(arr)
-        h = build_nets(arr, k0, k1)
-        seq = carleson_sum(h, 3.0, 2.0, seed=5)
-        par = carleson_sum(h, 3.0, 2.0, seed=5, threads=4)
-        assert seq.total == par.total
 
 
 class TestTheoremB:
