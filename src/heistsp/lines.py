@@ -41,6 +41,9 @@ def horizontal_line(theta: float, offset: float, height: float) -> HorizontalLin
     """Canonicalize: reduce theta mod pi, negating offset per half turn."""
     k = math.floor(theta / math.pi)
     t = theta - k * math.pi
+    if t < 0.0:  # theta / pi underflowed to -0.0 for a tiny negative theta
+        t += math.pi
+        k -= 1
     if t >= math.pi:  # guard against rounding at the boundary
         t -= math.pi
         k += 1

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heistsp.core import (
@@ -63,6 +63,7 @@ class TestCanonicalForm:
             assert line_dist(g, ln) <= 1e-12 * (1.0 + koranyi_norm(g))
 
     @given(st.floats(-50.0, 50.0), st.floats(-3.0, 3.0), st.floats(-9.0, 9.0))
+    @example(-5e-324, 0.0, 0.0)  # theta / pi underflows to -0.0
     @settings(max_examples=200, deadline=None)
     def test_theta_wrap_preserves_point_set(self, theta, offset, height):
         ln = horizontal_line(theta, offset, height)
