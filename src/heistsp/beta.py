@@ -9,6 +9,16 @@ few are polished with Nelder-Mead over (theta, offset, height).  The
 returned beta is always the exact sup over members evaluated at the
 returned witness line, hence an upper bound on the true infimum.
 
+The engine runs in lockstep: every step evaluates all the lines it needs
+in one (lines x members) broadcast (lines.line_dists_many).  All candidates
+are scored in one call; the golden-section height searches run side by
+side, first for the strip line and then for every refit candidate; and the
+Nelder-Mead starts advance together, each iteration evaluating the four
+trial points of every start in one call (a shrink takes a second).  Each
+search replays its sequential form bit for bit (golden_min, and scipy
+1.17.1's Nelder-Mead), so results equal the one-line-at-a-time engine's.
+beta_heis_oracle keeps scipy.optimize.minimize as an independent reference.
+
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate (floored at 1e-9): a self-consistency estimate of the
 remaining optimization slack, not a global certificate.
@@ -22,7 +32,6 @@ from typing import NamedTuple, Sequence
 import warnings
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     HeisPoint,
@@ -37,14 +46,23 @@ from .core import (
     within,
 )
 from .lines import (
+    _INV_GOLDEN,
     HorizontalLine,
-    golden_min,
+    directions,
     horizontal_line,
     line_dists_arr,
+    line_dists_many,
     line_through_two,
     quartic_dists,
     transform_line,
 )
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first use: only the oracle needs
+    scipy, so importing heistsp does not load scipy.optimize."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 class Ball(NamedTuple):
@@ -94,33 +112,49 @@ def members_in_ball(arr: np.ndarray, ball: Ball) -> np.ndarray:
     return np.flatnonzero(within(dist_point_arr(ball.center, arr), ball.radius))
 
 
-def _maxdist(arr: np.ndarray, theta: float, c: float, h: float) -> tuple[float, int]:
-    d = line_dists_arr(arr, HorizontalLine(theta, c, h))
-    i = int(np.argmax(d))
-    return float(d[i]), i
-
-
-def _best_height(arr: np.ndarray, theta: float, c: float, iters: int = 60) -> float:
-    """Minimax-optimal height for fixed (theta, offset).
+def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[float]:
+    """Minimax-optimal height of each line (thetas[i], offsets[i]).
 
     max_i d(p_i, L_h) is quasiconvex in h (each d^4 is jointly convex in
     (t, h)), so golden-section over the hull of the per-point zero-mismatch
-    heights finds the optimum.
+    heights finds the optimum.  All lines search in lockstep, one broadcast
+    per step, with golden_min's update arithmetic row by row; a line whose
+    bracket is a single height returns it unsearched.
     """
-    cs, sn = math.cos(theta), math.sin(theta)
+    cs, sn = directions(thetas)
+    off = np.asarray(offsets, dtype=float)[:, None]
     px = cs * arr[:, 0] + sn * arr[:, 1]
     py = -sn * arr[:, 0] + cs * arr[:, 1]
-    w = arr[:, 2] + 2.0 * px * (c - py)       # z of the co-horizontal foot
-    targets = w + 2.0 * c * px                # h with zero mismatch at the foot
-    a = float(targets.min())
-    b = float(targets.max())
-    if a == b:
-        return a
+    tz = 2.0 * off * px
+    w = arr[:, 2] + 2.0 * px * (off - py)     # z of the co-horizontal foot
+    targets = w + tz                          # h with zero mismatch at the foot
+    a = targets.min(axis=1)
+    b = targets.max(axis=1)
+    out = a.copy()
+    rows = np.flatnonzero(a != b)
+    if rows.size == 0:
+        return out.tolist()
+    a, b = a[rows], b[rows]
+    # line_dists_arr's canonical coordinates, less the height
+    xt, yt, z0 = px[rows], (py - off)[rows], (arr[:, 2] + tz)[rows]
 
-    def f(h: float) -> float:
-        return float(line_dists_arr(arr, HorizontalLine(theta, c, h)).max())
+    def f(h: np.ndarray) -> np.ndarray:
+        return quartic_dists(xt, yt, z0 - h[:, None]).max(axis=1)
 
-    return golden_min(f, a, b, iters)[0]
+    c1 = b - _INV_GOLDEN * (b - a)
+    c2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(iters):
+        left = f1 <= f2
+        a = np.where(left, a, c1)
+        b = np.where(left, c2, b)
+        step = _INV_GOLDEN * (b - a)
+        t = np.where(left, b - step, a + step)
+        ft = f(t)
+        c1, f1, c2, f2 = (np.where(left, t, c2), np.where(left, ft, f2),
+                          np.where(left, c1, t), np.where(left, f1, ft))
+    out[rows] = np.where(f1 <= f2, c1, c2)
+    return out.tolist()
 
 
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
@@ -246,6 +280,96 @@ def _line_of(p: HeisPoint, q: HeisPoint) -> tuple[float, float, float]:
     return (ln.theta, ln.offset, ln.height)
 
 
+def _max_dists(arr: np.ndarray, params) -> np.ndarray:
+    """max_i d(p_i, L) for each line (theta, offset, height) of params."""
+    return line_dists_many(arr, params).max(axis=1)
+
+
+#: Nelder-Mead initial simplex: x0 plus these steps along each axis, at
+#: canonical-frame scales (scipy's default steps a zero coordinate by
+#: 2.5e-4, far too timid for theta/offset)
+_NM_STEPS = (0.25, 0.2, 0.3)
+
+#: scipy's Nelder-Mead coefficients: reflection, expansion, contraction, shrink
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+#: trial point k of an iteration is _TRIAL_A[k] * xbar - _TRIAL_B[k] * worst:
+#: reflection, expansion, outside and inside contraction.  scipy writes the
+#: inside contraction (1 - psi) * xbar + psi * worst, which rounds exactly as
+#: subtracting -psi * worst does.
+_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
+_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
+
+
+def _nelder_mead(arr: np.ndarray, x0s, maxiter: int, xatol: float,
+                 fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
+    """(min, argmin) of the max line distance to arr from each start in x0s.
+
+    A lockstep replay of scipy 1.17.1's _minimize_neldermead (default
+    coefficients, maxiter given, no bounds) from the simplex x0 + diag(_NM_STEPS).
+    Every start keeps its own simplex, arithmetic, argsort and convergence
+    test; the iteration counter they share starts at 1 as scipy's does, and a
+    start that converges leaves the lockstep.  The four trial points of an
+    iteration depend only on xbar and the worst vertex, so one broadcast
+    evaluates them for all starts; shrinks take a second one.
+    """
+    x0 = np.array(x0s, dtype=float).reshape(-1, 3)
+    n = x0.shape[1]
+    sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(_NM_STEPS)], axis=1)
+    fsim = _max_dists(arr, sim.reshape(-1, n)).reshape(-1, n + 1)
+    out: list = [None] * len(x0)
+    live = list(range(len(x0)))      # the start of each row of sim and fsim
+
+    def sort(sim, fsim):
+        ind = np.array([f.argsort() for f in fsim], dtype=np.intp).reshape(fsim.shape)
+        rows = np.arange(len(fsim))[:, None]
+        return sim[rows, ind], fsim[rows, ind]
+
+    sim, fsim = sort(*sort(sim, fsim))   # scipy sorts twice before its first iteration
+    iterations = 1
+    while live:
+        if iterations < maxiter:
+            done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
+                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+        else:
+            done = np.ones(len(live), dtype=bool)
+        if done.any():
+            for r in np.flatnonzero(done).tolist():
+                out[live[r]] = (float(np.min(fsim[r])), tuple(sim[r, 0].tolist()))
+            keep = ~done
+            sim, fsim = sim[keep], fsim[keep]
+            live = [s for s, k in zip(live, keep.tolist()) if k]
+            if not live:
+                break
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
+        ftrial = _max_dists(arr, trial.reshape(-1, n)).reshape(-1, 4)
+        moved, picks, shrink = [], [], []
+        for r, ((fxr, fxe, fxc, fxcc), f) in enumerate(zip(ftrial.tolist(), fsim.tolist())):
+            if fxr < f[0]:
+                pick = 1 if fxe < fxr else 0
+            elif fxr < f[-2]:
+                pick = 0
+            elif fxr < f[-1]:
+                pick = 2 if fxc <= fxr else -1
+            else:
+                pick = 3 if fxcc < f[-1] else -1
+            if pick < 0:
+                shrink.append(r)
+            else:
+                moved.append(r)
+                picks.append(pick)
+        if moved:
+            sim[moved, -1] = trial[moved, picks]
+            fsim[moved, -1] = ftrial[moved, picks]
+        if shrink:
+            best = sim[shrink, :1]
+            sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
+            fsim[shrink, 1:] = _max_dists(arr, sim[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+        iterations += 1
+        sim, fsim = sort(sim, fsim)
+    return out
+
+
 def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
               budget: BetaBudget | None = None, seed: int = 0) -> BetaResult:
     """Minimax horizontal-line fit of E & B, normalized by diam(B).
@@ -264,36 +388,31 @@ def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     if canon.shape[0] > budget.max_members:
         # deterministic farthest-point subsample, kept in row order
         sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
+    sub = np.asfortranarray(sub)   # contiguous columns for the (lines x members) broadcasts
 
+    # stage A: direct candidates, scored together; the best few get their height refit
     cands: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0)]
     _, th_s, off_s = min_width_strip(sub[:, :2])
-    cands.append((th_s, off_s, _best_height(sub, th_s, off_s)))
-    for i, j in _pair_candidates(sub, budget, seed):
-        if not np.allclose(sub[i, :2], sub[j, :2]):
-            cands.append(_line_of(HeisPoint(*sub[i]), HeisPoint(*sub[j])))
-
-    scored = sorted(((_maxdist(sub, *c)[0], c) for c in cands), key=lambda t: (t[0], t[1]))
-    for _, (th, c_, _h) in scored[:budget.refine_starts]:
-        h2 = _best_height(sub, th, c_)
-        scored.append((_maxdist(sub, th, c_, h2)[0], (th, c_, h2)))
+    cands.append((th_s, off_s, _best_heights(sub, [th_s], [off_s])[0]))
+    pairs = _pair_candidates(sub, budget, seed)
+    if pairs:
+        ii, jj = np.array(pairs).T
+        same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
+        cands += [_line_of(HeisPoint(*sub[i]), HeisPoint(*sub[j]))
+                  for (i, j), skip in zip(pairs, same.tolist()) if not skip]
+    scored = sorted(zip(_max_dists(sub, cands).tolist(), cands), key=lambda t: (t[0], t[1]))
+    top = [c for _, c in scored[:budget.refine_starts]]
+    heights = _best_heights(sub, [c[0] for c in top], [c[1] for c in top])
+    refit = [(th, c_, h2) for (th, c_, _), h2 in zip(top, heights)]
+    scored += zip(_max_dists(sub, refit).tolist(), refit)
     scored.sort(key=lambda t: (t[0], t[1]))
     stage_a = scored[0][0] / 2.0
 
-    def objective(x: np.ndarray) -> float:
-        return float(line_dists_arr(sub, HorizontalLine(x[0], x[1], x[2])).max())
-
+    # stage B: Nelder-Mead polish from the best few
     best_val, best_params = scored[0]
-    for _, params in scored[:budget.nm_starts]:
-        x0 = np.array(params)
-        # explicit simplex at canonical-frame scales; the scipy default
-        # steps a zero coordinate by 2.5e-4, far too timid for theta/offset
-        simplex = np.vstack([x0, x0 + np.diag([0.25, 0.2, 0.3])])
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": budget.nm_iter, "xatol": 1e-10,
-                                "fatol": 1e-13, "disp": False,
-                                "initial_simplex": simplex})
-        cand = (float(res.fun), tuple(float(v) for v in res.x))
-        if (cand[0], cand[1]) < (best_val, best_params):
+    for cand in _nelder_mead(sub, [p for _, p in scored[:budget.nm_starts]],
+                             budget.nm_iter, 1e-10, 1e-13):
+        if cand < (best_val, best_params):
             best_val, best_params = cand
     stage_b = best_val / 2.0
     return _witness_result(members, ball, best_params, max(budget.gap_floor, stage_a - stage_b))
@@ -323,9 +442,9 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
                                   "the cost guard" % (resolution ** 3, n))
 
     # incumbent from the two center lines fixes the search box
-    d0 = min(_maxdist(canon, 0.0, 0.0, _best_height(canon, 0.0, 0.0))[0],
-             _maxdist(canon, 0.5 * math.pi, 0.0, _best_height(canon, 0.5 * math.pi, 0.0))[0],
-             _maxdist(canon, 0.0, 0.0, 0.0)[0])
+    h0, h1 = _best_heights(canon, [0.0, 0.5 * math.pi], [0.0, 0.0])
+    d0 = min(_max_dists(canon, [(0.0, 0.0, h0), (0.5 * math.pi, 0.0, h1),
+                                (0.0, 0.0, 0.0)]).tolist())
     rmax = float(norm_arr(canon).max())
     c_max = rmax + d0 + 1e-9
     # any line beating the incumbent has a foot point within 4*d0 of some
@@ -336,7 +455,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     offsets = np.linspace(-c_max, c_max, resolution)
     heights = np.linspace(-h_max, h_max, resolution)
 
-    best = (d0, (0.0, 0.0, _best_height(canon, 0.0, 0.0)))
+    best = (d0, (0.0, 0.0, h0))
     for th in thetas:
         cs, sn = math.cos(th), math.sin(th)
         px = cs * canon[:, 0] + sn * canon[:, 1]
@@ -353,7 +472,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
 
     grid_val = best[0] / 2.0
     th, c_, h = best[1]
-    h = _best_height(canon, th, c_)
+    h = _best_heights(canon, [th], [c_])[0]
     refined = [(th, c_, h)]
 
     def objective(x: np.ndarray) -> float:

@@ -43,7 +43,6 @@ from .multiscale import (
     UnionFind,
     build_nets,
     carleson_sum,
-    default_scale_range,
     _term_seed,
 )
 
@@ -311,8 +310,8 @@ def _build(points: Sequence[HeisPoint],
     if len(pts) == 1:
         return PolygonalCurve(pts), ledger, None
     arr = as_array(pts)
-    k_min, k_max = default_scale_range(arr)
-    hierarchy = build_nets(arr, k_min, k_max)
+    hierarchy = build_nets(arr)
+    k_min, k_max = hierarchy.k_min, hierarchy.k_max
     missed = arr.shape[0] - len(hierarchy.nets[k_max])
     if missed:
         raise ScaleRangeError("%d points lie within 2^-%d of another point, finer than the "

@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 from .core import HeisPoint, as_array, dist_point_arr, heis_point
 from .beta import Ball, BetaBudget, ResourceBudgetError, beta_heis
 from .builder import BuilderConfig, ScaleRangeError, TheoremAResult, theorem_a_check
-# not called here: kept importable because the benchmark's tracer wraps it here
+# not called here: kept importable because the benchmark's tracer wraps them here
 from .builder import build_curve  # noqa: F401
 from .curves import PolygonalCurve, resample_curve
-from .multiscale import build_nets, carleson_sum, default_scale_range, theorem_b_check
+from .multiscale import build_nets, carleson_sum, theorem_b_check
+from .multiscale import default_scale_range  # noqa: F401
 from .verify import EXACT_CHECK_IDS, report_dict, run_suite, suite_passed
 
 
@@ -150,9 +151,18 @@ def _enclosing_ball(points: list[HeisPoint]) -> Ball:
     return Ball(HeisPoint(*arr[best[1]]), radius)
 
 
+#: the largest --budget level.  Level L scores L pair candidates and runs
+#: max(2, L // 8) Nelder-Mead starts of 5 L iterations per beta evaluation,
+#: each iteration one broadcast over 4 lines per start; above the cap a run
+#: exits 3.
+MAX_BUDGET_LEVEL = 200
+
+
 def _budget_from_level(level: int) -> BetaBudget:
     if level < 2:
         raise InputError("--budget must be at least 2")
+    if level > MAX_BUDGET_LEVEL:
+        raise ResourceBudgetError("--budget %d exceeds the cap of %d" % (level, MAX_BUDGET_LEVEL))
     return BetaBudget(pair_starts=level, refine_starts=max(2, level // 6),
                       nm_starts=max(2, level // 8), nm_iter=5 * level)
 
@@ -257,9 +267,7 @@ def cmd_carleson(args) -> int:
     else:
         length = None
         arr = as_array(pset.points)
-    k_min, k_max = default_scale_range(arr)
-    report = carleson_sum(build_nets(arr, k_min, k_max), args.r, args.a,
-                          budget, seed=args.seed)
+    report = carleson_sum(build_nets(arr), args.r, args.a, budget, seed=args.seed)
     if length is not None:
         ratio = report.total / length if length > 0.0 else math.inf
         extra = ["length,,,,,%s" % _fmt(length), "ratio,,,,,%s" % _fmt(ratio)]
@@ -389,7 +397,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except ResourceBudgetError as exc:
-        sys.stderr.write("resource error: %s\n" % exc)
+        # notes name where the error arose, such as carleson_sum's scale and net point
+        notes = "".join("\n  %s" % n for n in getattr(exc, "__notes__", ()))
+        sys.stderr.write("resource error: %s%s\n" % (exc, notes))
         return 3
 
 

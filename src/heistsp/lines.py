@@ -104,26 +104,21 @@ def foot_params_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
     return c * arr[:, 0] + s * arr[:, 1]
 
 
-def _cubic_min_param(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """Minimizer t of f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2.
+def _cubic_shift(yt: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Real root u of u^3 + 3 y~^2 u + q, where q = y~ (2 x~ y~ - z~).
 
-    f'(t)/4 = u^3 + 3 y~^2 u + y~ (2 x~ y~ - z~) with u = t - x~, a
-    depressed cubic with nonnegative linear coefficient, hence a single
-    real root (hyperbolic Cardano form).
+    f'(t)/4 = u^3 + 3 y~^2 u + q with u = t - x~ for the quartic profile
+    f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2: a depressed cubic with
+    nonnegative linear coefficient, hence a single real root (hyperbolic
+    Cardano form).  Where that form overflows the root is taken as -cbrt(q);
+    where y~ = 0, u = 0.
     """
     ay = np.abs(yt)
-    q = yt * (2.0 * xt * yt - zt)
-    u = np.zeros_like(xt)
-    nz = ay > 0.0
-    if np.any(nz):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            ratio = q[nz] / (2.0 * ay[nz] ** 3)
-            u_nz = -2.0 * ay[nz] * np.sinh(np.arcsinh(ratio) / 3.0)
-        bad = ~np.isfinite(u_nz)
-        if np.any(bad):
-            u_nz[bad] = -np.cbrt(q[nz][bad])
-        u[nz] = u_nz
-    return xt + u
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = q / (2.0 * ay ** 3)
+        u = -2.0 * ay * np.sinh(np.arcsinh(ratio) / 3.0)
+    u = np.where(np.isfinite(u), u, -np.cbrt(q))
+    return np.where(ay > 0.0, u, 0.0)
 
 
 def _canon_arr(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,9 +138,10 @@ def _quartic(t, xt, yt, zt):
 def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     """Koranyi distance to the line from canonical coordinates: f at its
     minimizer, the cubic root (broadcasts over matching shapes)."""
-    f = _quartic(_cubic_min_param(xt, yt, zt), xt, yt, zt)
+    drop = 2.0 * xt * yt - zt          # minus the z mismatch at the vertical drop t = x~
+    f = _quartic(xt + _cubic_shift(yt, yt * drop), xt, yt, zt)
     # insurance candidate at the vertical drop t = x~ (free; same min in exact math)
-    f_alt = (yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2
+    f_alt = (yt * yt) ** 2 + drop ** 2
     return np.minimum(f, f_alt) ** 0.25
 
 
@@ -153,6 +149,25 @@ def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
     """Koranyi distance of every row to the line."""
     return quartic_dists(*_canon_arr(arr, math.cos(line.theta), math.sin(line.theta),
                                      line.offset, line.height))
+
+
+def directions(thetas) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each theta as (L, 1) columns, taken with math.cos and
+    math.sin as line_dists_arr takes them, so broadcasts match it bit for bit."""
+    ts = np.asarray(thetas, dtype=float).tolist()
+    return (np.fromiter(map(math.cos, ts), float, len(ts))[:, None],
+            np.fromiter(map(math.sin, ts), float, len(ts))[:, None])
+
+
+def line_dists_many(arr: np.ndarray, params) -> np.ndarray:
+    """Koranyi distance of every row to each of L lines in one broadcast.
+
+    params holds one (theta, offset, height) per line; the result is
+    (L, len(arr)) and row i equals line_dists_arr(arr, HorizontalLine(*params[i])).
+    """
+    params = np.asarray(params, dtype=float).reshape(-1, 3)
+    c, s = directions(params[:, 0])
+    return quartic_dists(*_canon_arr(arr, c, s, params[:, 1:2], params[:, 2:3]))
 
 
 def line_dist(p: HeisPoint, line: HorizontalLine) -> float:

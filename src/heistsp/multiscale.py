@@ -46,16 +46,28 @@ class NetHierarchy:
     k_max: int
     nets: dict[int, list[int]]         # scale -> point indices in net order
     parent_links: dict[int, dict[int, int]]  # scale k+1 -> {index: covering index at k}
+    diam: float | None = None          # diam(E), when the scale range was derived from it
 
 
-def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int, k_max: int) -> NetHierarchy:
-    """Nested 2^-k nets for k in [k_min, k_max]."""
+def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int | None = None,
+               k_max: int | None = None) -> NetHierarchy:
+    """Nested 2^-k nets for k in [k_min, k_max].
+
+    Without k_min and k_max the range is default_scale_range's, taken from
+    the same traversal and diameter that the nets use.
+    """
     arr = points if isinstance(points, np.ndarray) else as_array(points)
     if arr.shape[0] == 0:
         raise ValueError("cannot build nets of an empty set")
+    order, radii = farthest_point_order(arr)
+    diam = None
+    if k_min is None and k_max is None:
+        diam = diameter(arr)
+        k_min, k_max = _scale_range(diam, radii)
+    elif k_min is None or k_max is None:
+        raise ValueError("give both k_min and k_max, or neither")
     if k_max < k_min:
         raise ValueError("k_max < k_min")
-    order, radii = farthest_point_order(arr)
     nets: dict[int, list[int]] = {}
     for k in range(k_min, k_max + 1):
         cut = 2.0 ** (-k)
@@ -73,7 +85,7 @@ def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int, k_max: int)
                 d = dist_point_arr(HeisPoint(*arr[i]), carr)
                 links[i] = coarse[int(np.argmin(d))]
         parent_links[k + 1] = links
-    return NetHierarchy(arr, k_min, k_max, nets, parent_links)
+    return NetHierarchy(arr, k_min, k_max, nets, parent_links, diam)
 
 
 def delta_components(points: Sequence[HeisPoint] | np.ndarray, delta: float) -> list[list[int]]:
@@ -128,11 +140,14 @@ def carleson_sum(hierarchy: NetHierarchy, r: float, a: float,
                 res = beta_heis(arr, ball, beta_budget,
                                 seed=_term_seed(seed, k - hierarchy.k_min, pos))
             except Exception as exc:
-                raise type(exc)("scale k=%d net point %r: %s" % (k, p, exc)) from exc
+                if hasattr(exc, "add_note"):   # Python 3.11+
+                    exc.add_note("in carleson_sum at scale k=%d, net point %r" % (k, p))
+                raise
             terms.append(CarlesonTerm(k, p, res.beta, res.beta ** r * 2.0 ** (-k),
                                       res.certified_gap))
     total = math.fsum(t.contribution for t in terms)
-    return CarlesonReport(r, a, terms, total, diameter(arr))
+    diam = diameter(arr) if hierarchy.diam is None else hierarchy.diam
+    return CarlesonReport(r, a, terms, total, diam)
 
 
 def _term_seed(seed: int, level: int, pos: int) -> int:
@@ -153,12 +168,16 @@ def default_scale_range(arr: np.ndarray) -> tuple[int, int]:
     net then misses a point of the set.
     """
     diam = diameter(arr)
+    return _scale_range(diam, farthest_point_order(arr)[1] if diam > 0.0 else [])
+
+
+def _scale_range(diam: float, radii: Sequence[float]) -> tuple[int, int]:
+    """default_scale_range from diam(E) and the insertion radii of the traversal."""
     if diam == 0.0:
         return 0, 0
     k_min = math.floor(-math.log2(diam))
     while 2.0 ** (-k_min) < diam:
         k_min -= 1
-    _, radii = farthest_point_order(arr)
     sep = min(r for r in radii[1:] if r > 0.0)
     k_max = k_min
     while 2.0 ** (-k_max) >= sep and k_max - k_min < MAX_LEVELS:
@@ -179,9 +198,6 @@ def theorem_b_check(curve: PolygonalCurve, sample_density: float, r: float = 4.0
         raise ValueError("curve needs at least 2 vertices")
     length = curve_length(curve)
     samples = resample_curve(curve, spacing=1.0 / sample_density)
-    arr = as_array(samples)
-    k_min, k_max = default_scale_range(arr)
-    hierarchy = build_nets(arr, k_min, k_max)
-    report = carleson_sum(hierarchy, r, a, beta_budget, seed=seed)
+    report = carleson_sum(build_nets(as_array(samples)), r, a, beta_budget, seed=seed)
     ratio = report.total / length if length > 0.0 else math.inf
     return report.total, length, ratio

@@ -1,11 +1,14 @@
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heistsp.cli
+import heistsp.multiscale
+from heistsp.beta import ResourceBudgetError
 from heistsp.cli import InputError, PointSetFile, load_points, main, save_points
 from heistsp.verify import run_suite
 from heistsp.core import HeisPoint
@@ -236,6 +239,31 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, cmd, *([] if cmd == "verify" else [path]), *flags)
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["beta", "build", "carleson", "theorem-a", "theorem-b"])
+def test_budget_above_cap_exits_3(cmd, tmp_path, capsys):
+    path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
+    level = heistsp.cli.MAX_BUDGET_LEVEL
+    assert heistsp.cli._budget_from_level(level).pair_starts == level
+    code, out, err = run_cli(capsys, cmd, path, "--budget", str(level + 1),
+                             "--out", str(tmp_path / "run"))
+    assert code == 3
+    assert "exceeds the cap" in err and "Traceback" not in err
+    assert out == "" and os.listdir(tmp_path) == ["tri.txt"]
+
+
+def test_budget_error_inside_carleson_exits_3(tmp_path, capsys, monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise ResourceBudgetError("beta over its cost guard")
+
+    monkeypatch.setattr(heistsp.multiscale, "beta_heis", over_budget)
+    path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
+    code, _, err = run_cli(capsys, "carleson", path)
+    assert code == 3
+    assert "over its cost guard" in err and "Traceback" not in err
+    if sys.version_info >= (3, 11):
+        assert "in carleson_sum at scale k=" in err
 
 
 def test_unresolvable_close_pair_exits_2(tmp_path, capsys):

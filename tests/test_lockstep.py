@@ -1,0 +1,240 @@
+"""The lockstep beta engine against the sequential references it replays.
+
+Every comparison here is exact: the batched distance kernel, the lockstep
+golden-section height search and the lockstep Nelder-Mead must reproduce
+line_dists_arr, golden_min and scipy.optimize.minimize bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize
+
+import heistsp.beta
+from heistsp.core import ORIGIN, HeisPoint, sample_box
+from heistsp.lines import (
+    HorizontalLine,
+    _quartic,
+    golden_min,
+    line_dists_arr,
+    line_dists_many,
+    quartic_dists,
+)
+from heistsp.beta import (
+    BUILDER_BUDGET,
+    Ball,
+    BetaBudget,
+    _NM_STEPS,
+    _best_heights,
+    _nelder_mead,
+    beta_heis,
+)
+
+
+def _masked_quartic_dists(xt, yt, zt):
+    """quartic_dists with the cubic root taken on the y~ != 0 rows only."""
+    ay = np.abs(yt)
+    q = yt * (2.0 * xt * yt - zt)
+    u = np.zeros_like(xt)
+    nz = ay > 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u_nz = -2.0 * ay[nz] * np.sinh(np.arcsinh(q[nz] / (2.0 * ay[nz] ** 3)) / 3.0)
+    bad = ~np.isfinite(u_nz)
+    u_nz[bad] = -np.cbrt(q[nz][bad])
+    u[nz] = u_nz
+    f = _quartic(xt + u, xt, yt, zt)
+    f_alt = (yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2
+    return np.minimum(f, f_alt) ** 0.25
+
+
+@pytest.mark.parametrize("shape", [(50,), (3, 50), (1, 18), (40, 96)])
+def test_cubic_root_matches_masked_form(shape):
+    rng = np.random.default_rng(7)
+    for scale in (1e-30, 1e-3, 1.0, 1e3, 1e30, 1e200):
+        xt, yt, zt = (scale * rng.standard_normal(shape) for _ in range(3))
+        flat = yt.reshape(-1)
+        flat[::7] = 0.0
+        flat[3::11] = 1e-300
+        with np.errstate(over="ignore", invalid="ignore"):
+            zt *= scale            # z scales as the square; inf at the largest scale
+            assert np.array_equal(quartic_dists(xt, yt, zt), _masked_quartic_dists(xt, yt, zt),
+                                  equal_nan=True), scale
+
+
+def test_batched_kernel_rows_equal_one_line_kernel():
+    rng = np.random.default_rng(8)
+    arr = sample_box(rng, 37, 0.9)
+    arr[5, 1] = 0.0        # a member on the projection of the theta = 0 lines
+    params = np.column_stack([rng.uniform(-7.0, 7.0, 30), rng.uniform(-2.0, 2.0, 30),
+                              rng.uniform(-3.0, 3.0, 30)])
+    params[:4] = [(0.0, 0.0, 0.0), (math.pi, 0.0, 1.0), (-1e-300, 1e8, -1e8), (1e5, 0.0, 0.0)]
+    got = line_dists_many(arr, params)
+    assert got.shape == (30, 37)
+    for row, p in zip(got, params):
+        assert np.array_equal(row, line_dists_arr(arr, HorizontalLine(*p)))
+
+
+def _best_height_reference(arr, theta, c, iters=60):
+    """One line's minimax height by golden_min, one distance call per probe."""
+    cs, sn = math.cos(theta), math.sin(theta)
+    px = cs * arr[:, 0] + sn * arr[:, 1]
+    py = -sn * arr[:, 0] + cs * arr[:, 1]
+    targets = arr[:, 2] + 2.0 * px * (c - py) + 2.0 * c * px
+    a, b = float(targets.min()), float(targets.max())
+    if a == b:
+        return a
+    return golden_min(lambda h: float(line_dists_arr(arr, HorizontalLine(theta, c, h)).max()),
+                      a, b, iters)[0]
+
+
+def test_lockstep_heights_equal_golden_min():
+    rng = np.random.default_rng(9)
+    horizontal = np.column_stack([np.linspace(-0.8, 0.8, 9), np.zeros(9), np.zeros(9)])
+    for arr in (sample_box(rng, 24, 0.8), horizontal):
+        thetas = [0.0, 0.5 * math.pi, 2.1, -0.4, 3.5]
+        offsets = [0.0, 0.0, 0.3, -0.2, 0.05]
+        got = _best_heights(arr, thetas, offsets)
+        want = [_best_height_reference(arr, t, c) for t, c in zip(thetas, offsets)]
+        assert got == want
+    # the horizontal set's own line has a one-point bracket and skips the search
+    assert _best_heights(horizontal, [0.0], [0.0]) == [0.0]
+
+
+def _scipy_polish(arr, x0, maxiter):
+    def objective(x):
+        return float(line_dists_arr(arr, HorizontalLine(x[0], x[1], x[2])).max())
+
+    x0 = np.array(x0)
+    simplex = np.vstack([x0, x0 + np.diag(_NM_STEPS)])
+    return minimize(objective, x0, method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-13,
+                             "disp": False, "initial_simplex": simplex})
+
+
+STARTS = [(0.5 * math.pi, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3, 0.1, -0.2)]
+
+
+@pytest.mark.parametrize("n_starts", [1, 2, 3])
+@pytest.mark.parametrize("case", ["three-point", "cloud", "shrink"])
+def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
+    maxiter = 120
+    if case == "three-point":
+        arr = np.array([(-0.5, 0.0, 0.0), (0.0, 0.0, 0.05), (0.5, 0.0, 0.0)])
+        maxiter = 400
+    elif case == "cloud":
+        arr = sample_box(np.random.default_rng(10), 40, 0.7)
+    else:   # the first start shrinks its simplex once
+        arr = sample_box(np.random.default_rng(21), 3, 0.7)
+    rows = []
+
+    def spy(arr, params):
+        rows.append(len(params))
+        return line_dists_many(arr, params)
+
+    monkeypatch.setattr(heistsp.beta, "line_dists_many", spy)
+    starts = STARTS[:n_starts]
+    got = _nelder_mead(arr, starts, maxiter, 1e-10, 1e-13)
+    assert len(got) == n_starts
+    for (fun, x), x0 in zip(got, starts):
+        ref = _scipy_polish(arr, x0, maxiter)
+        assert fun == float(ref.fun)
+        assert x == tuple(float(v) for v in ref.x)
+        if case == "three-point":
+            assert ref.nit < maxiter      # converged early
+    # after the initial simplex, trial steps evaluate 4 points per start
+    # and shrinks 3, so with at most 3 starts a shrink is a call of 3k rows
+    if case == "shrink":
+        assert any(r % 4 for r in rows[1:]), "no shrink step was exercised"
+
+
+def _table():
+    """Fixed beta_heis inputs of 2 to 120 points (clouds, helix arcs, parabolas)
+    under the default and the builder budget; 120 exceeds both subsample sizes."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for t, m in enumerate((2, 3, 5, 9, 12, 30, 50, 120)):
+        if t % 3 == 0:
+            pts = sample_box(rng, m, 0.8)
+        elif t % 3 == 1:
+            ts = np.linspace(0.0, 1.5 * math.pi, m)
+            pts = np.column_stack([np.cos(ts), np.sin(ts), 2.0 * ts])
+        else:
+            ts = np.linspace(-1.0, 1.0, m)
+            pts = np.column_stack([ts, ts * ts, (2.0 / 3.0) * ts ** 3])
+        c = HeisPoint(*(float(v) for v in pts[m // 2]))
+        for budget in (BetaBudget(), BUILDER_BUDGET):
+            out.append((pts, Ball(c, 1.5), budget, t))
+    return out
+
+
+def _fields(res):
+    vals = (res.beta, *res.line, *res.achieving_point, res.certified_gap)
+    return tuple(float(v).hex() for v in vals) + (res.vacuous,)
+
+
+#: _fields of every _table() case, recorded with the sequential engine
+#: (scipy.optimize.minimize polish) under numpy 2.4.6 and scipy 1.17.1
+FROZEN = [
+    ('0x1.22ddfff426d61p-6', '0x1.170d99a1e75adp+1', '-0x1.7f62e340d3540p-7',
+     '0x1.851e82a7edc82p-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
+     '0x1.d694f8e68e4acp-2', '0x1.c059630d36454p-4', False),
+    ('0x1.23241ad50b963p-6', '0x1.1709b11245a98p+1', '-0x1.81c8cd1223c70p-7',
+     '0x1.8528f251c179cp-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
+     '0x1.d694f8e68e4acp-2', '0x1.c047dc54fd151p-4', False),
+    ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1',
+     '0x1.db2f8fe6643a4p+1', '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1',
+     '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
+    ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1',
+     '0x1.db2f8fe6643a4p+1', '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1',
+     '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
+    ('0x1.cb0ec439327b0p-3', '0x1.921fb52269d60p+1', '-0x1.4f8e755478302p-2',
+     '0x1.5b8dc9abdf96dp-28', '-0x1.0000000000000p-1', '0x1.0000000000000p-2',
+     '-0x1.5555555555555p-4', '0x1.0defad7baeac0p-5', False),
+    ('0x1.cb2d837bdb2a1p-3', '0x1.921c565a13b8ep+1', '-0x1.4f7bef0be0358p-2',
+     '-0x1.bc210df0f177cp-13', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '0x1.5555555555555p-1', '0x1.0d74b0710bf04p-5', False),
+    ('0x1.cae00a5c69597p-3', '0x1.ef85dd1946487p+0', '-0x1.0c1fbe61cc68ap-4',
+     '-0x1.1d6bcd861bc1dp-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
+     '-0x1.49b2c7f3ccf06p-2', '0x1.25e4165270d18p-4', False),
+    ('0x1.cdc9942e4831fp-3', '0x1.f28c8beb42024p+0', '-0x1.0f232dcfe2f58p-4',
+     '-0x1.0e970ee9c36d8p-3', '-0x1.a00cc0ec6688ap-2', '-0x1.380f712193c9cp-1',
+     '-0x1.24e6ac916608ap-1', '0x1.201102aeb3208p-4', False),
+    ('0x1.5d333adf13f78p-3', '0x1.ffcb44b1a6d4bp-1', '0x1.93e36bd8e6e45p-1',
+     '0x1.4902a9ee0a8bep+2', '-0x1.eb42a9bcd5058p-1', '-0x1.207e7fd768dbap-2',
+     '0x1.b6ae3a1bebcd4p+2', '0x1.b8f57e2ab3d78p-5', False),
+    ('0x1.5de3a612fa100p-3', '0x1.001360d7aefa8p+0', '0x1.94bbd311758b9p-1',
+     '0x1.48b1127c0e4cap+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
+     '0x1.4902ab94f0d9fp+1', '0x1.b633d15b1b770p-5', False),
+    ('0x1.d296129efe263p-3', '0x1.921fb35a2b75fp+1', '-0x1.452feab34ae27p-2',
+     '-0x1.23a99c70c0000p-19', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '0x1.5555555555555p-1', '0x1.8225760cb776ap-4', False),
+    ('0x1.e75432a311788p-3', '0x1.7ecb5c965eb59p-5', '0x1.5788080f47ff0p-2',
+     '0x1.7fcc4bfb3db00p-5', '-0x1.2c234f72c2350p-1', '0x1.5fe2c713c9356p-2',
+     '-0x1.13098700c093ap-3', '0x1.58a9360490d14p-4', False),
+    ('0x1.1aeff1c7a03d2p-2', '0x1.48a7049a3feb1p-2', '0x1.c6733a7acd65ap-3',
+     '0x1.434cde40d712ap-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
+     '0x1.42ad0e694ae7cp-1', '0x1.ec68d505b7e80p-7', False),
+    ('0x1.1d477dd63e45dp-2', '0x1.8e0cdae11d221p-3', '0x1.05d7fd21b0e82p-2',
+     '0x1.0e0db2875a400p-12', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
+     '0x1.42ad0e694ae7cp-1', '0x1.a1775331f6d20p-7', False),
+    ('0x1.e7cb30797a187p-3', '0x1.9c42ed7be8924p-1', '0x1.751419acdafd7p-1',
+     '0x1.302095fd092f2p+2', '-0x1.fff494cb43a57p-1', '0x1.b08626b060d9cp-7',
+     '0x1.906f2be664f53p+2', '0x1.00f993fce8f60p-7', False),
+    ('0x1.eb946b9433a5cp-3', '0x1.9c884c4ad4219p-1', '0x1.7468422bc1d00p-1',
+     '0x1.2fe47db78ad6bp+2', '-0x1.fff494cb43a57p-1', '0x1.b08626b060d9cp-7',
+     '0x1.906f2be664f53p+2', '0x1.a2c539d38f4a8p-6', False),
+]
+
+
+def test_beta_heis_field_equal_on_fixed_table():
+    got = [_fields(beta_heis(pts, ball, budget, seed=seed))
+           for pts, ball, budget, seed in _table()]
+    assert got == FROZEN
+
+
+def test_budget_without_refits_or_polish():
+    pts = [ORIGIN, HeisPoint(0.0, 0.0, 1.0)]
+    res = beta_heis(pts, Ball(ORIGIN, 1.0), BetaBudget(refine_starts=0, nm_starts=0))
+    assert res.beta > 0.0
+    assert _nelder_mead(np.zeros((2, 3)), [], 10, 1e-10, 1e-13) == []

@@ -1,8 +1,10 @@
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import heistsp.multiscale
 from heistsp.core import HeisPoint, ORIGIN, as_array, diameter, dist, dist_matrix
 from heistsp.curves import PolygonalCurve, curve_length, resample_curve
 from heistsp.multiscale import (
@@ -87,6 +89,25 @@ class TestNets:
             h = build_nets(pts, 0, 2)
         assert h.nets[0] == [0]
 
+    def test_default_range_from_one_traversal(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        arr = rng.uniform(-0.5, 0.5, (60, 3))
+        ref = build_nets(arr, *default_scale_range(arr))
+        calls = []
+        for name in ("farthest_point_order", "diameter"):
+            orig = getattr(heistsp.multiscale, name)
+            monkeypatch.setattr(heistsp.multiscale, name,
+                                lambda *a, _n=name, _f=orig: calls.append(_n) or _f(*a))
+        h = build_nets(arr)
+        assert sorted(calls) == ["diameter", "farthest_point_order"]
+        assert (h.k_min, h.k_max, h.nets, h.parent_links) == (
+            ref.k_min, ref.k_max, ref.nets, ref.parent_links)
+        assert h.diam == diameter(arr) and ref.diam is None
+        assert carleson_sum(h, 3.0, 2.0).diam_e == h.diam
+        assert build_nets([HeisPoint(1, 2, 3)] * 2).nets == {0: [0]}
+        with pytest.raises(ValueError):
+            build_nets(arr, 0)
+
     def test_farthest_order_prefix(self):
         rng = np.random.default_rng(35)
         pts = rng.uniform(-1, 1, (40, 3))
@@ -164,6 +185,23 @@ class TestCarleson:
             carleson_sum(h, 9.0, 2.0)
         with pytest.raises(ValueError):
             carleson_sum(h, 3.0, 0.5)
+
+    def test_beta_failure_keeps_its_exception(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, code, detail):
+                super().__init__(code, detail)
+
+        err = TwoArgError(7, "no fit")
+
+        def fail(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(heistsp.multiscale, "beta_heis", fail)
+        with pytest.raises(TwoArgError) as info:
+            carleson_sum(build_nets([ORIGIN, HeisPoint(1, 0, 0)], 0, 2), 3.0, 2.0)
+        assert info.value is err and err.args == (7, "no fit")
+        if sys.version_info >= (3, 11):
+            assert err.__notes__ == ["in carleson_sum at scale k=0, net point %r" % (ORIGIN,)]
 
     def test_unnormalized_minimax_monotone_in_a(self):
         # beta * diam is monotone under ball enlargement (superset of points,
