@@ -38,6 +38,7 @@ from .beta import (
     ResourceBudgetError,
     beta_euclidean_2d,
     beta_heis,
+    beta_heis_many,
     beta_heis_oracle,
 )
 from .curves import PolygonalCurve, curve_length, resample_curve
@@ -71,7 +72,7 @@ __all__ = [
     "HorizontalLine", "LineFoot", "horizontal_line", "line_from_point_direction",
     "line_point_at", "foot", "line_dist", "sigma_l", "trapezoid_area",
     "Ball", "BetaBudget", "BetaResult", "ResourceBudgetError",
-    "beta_heis", "beta_heis_oracle", "beta_euclidean_2d",
+    "beta_heis", "beta_heis_many", "beta_heis_oracle", "beta_euclidean_2d",
     "PolygonalCurve", "curve_length", "resample_curve",
     "NetHierarchy", "CarlesonReport", "build_nets", "delta_components",
     "carleson_sum", "theorem_b_check",

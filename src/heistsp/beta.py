@@ -9,14 +9,22 @@ few are polished with Nelder-Mead over (theta, offset, height).  The
 returned beta is always the exact sup over members evaluated at the
 returned witness line, hence an upper bound on the true infimum.
 
-The engine runs in lockstep: every step evaluates all the lines it needs
-in one (lines x members) broadcast (lines.line_dists_many).  All candidates
-are scored in one call; the golden-section height searches run side by
-side, first for the strip line and then for every refit candidate; and the
-Nelder-Mead starts advance together, each iteration evaluating the four
-trial points of every start in one call (a shrink takes a second).  Each
-search replays its sequential form bit for bit (golden_min, and scipy
-1.17.1's Nelder-Mead), so results equal the one-line-at-a-time engine's.
+The engine runs in lockstep, over many balls at once: beta_heis_many takes
+(point set, ball) items, and beta_heis is its one-item case.  Every step
+evaluates all the lines it needs, for all balls, in one (lines x members)
+broadcast (lines.line_dists_many), each line against its own ball's
+members.  All candidates are scored in one call; the golden-section height
+searches run side by side, first for the strip lines and then for every
+refit candidate; and the Nelder-Mead starts of all balls advance together,
+each iteration evaluating the four trial points of every start in one call
+(a shrink takes a second).  Each search replays its sequential form bit for
+bit (golden_min, and scipy 1.17.1's Nelder-Mead), so results equal the
+one-line-at-a-time engine's.  The balls' subsamples share one
+(balls, members, 3) array, a short one padded by repeating one of its own
+members: the engine reads the members only through maxima and minima over
+them, which a repeated member leaves unchanged, so padding is exact and a
+ball's result does not depend on the batch it runs in.  A batch runs in
+chunks under BATCH_PAIRS line-member pairs per broadcast.
 beta_heis_oracle keeps scipy.optimize.minimize as an independent reference.
 
 certified_gap is the improvement the polish stage achieved over the best
@@ -113,7 +121,8 @@ def members_in_ball(arr: np.ndarray, ball: Ball) -> np.ndarray:
 
 
 def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[float]:
-    """Minimax-optimal height of each line (thetas[i], offsets[i]).
+    """Minimax-optimal height of each line (thetas[i], offsets[i]) over the
+    members arr: one (m, 3) array shared by all lines, or one per line, (L, m, 3).
 
     max_i d(p_i, L_h) is quasiconvex in h (each d^4 is jointly convex in
     (t, h)), so golden-section over the hull of the per-point zero-mismatch
@@ -123,10 +132,10 @@ def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[flo
     """
     cs, sn = directions(thetas)
     off = np.asarray(offsets, dtype=float)[:, None]
-    px = cs * arr[:, 0] + sn * arr[:, 1]
-    py = -sn * arr[:, 0] + cs * arr[:, 1]
+    px = cs * arr[..., 0] + sn * arr[..., 1]
+    py = -sn * arr[..., 0] + cs * arr[..., 1]
     tz = 2.0 * off * px
-    w = arr[:, 2] + 2.0 * px * (off - py)     # z of the co-horizontal foot
+    w = arr[..., 2] + 2.0 * px * (off - py)   # z of the co-horizontal foot
     targets = w + tz                          # h with zero mismatch at the foot
     a = targets.min(axis=1)
     b = targets.max(axis=1)
@@ -136,7 +145,7 @@ def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[flo
         return out.tolist()
     a, b = a[rows], b[rows]
     # line_dists_arr's canonical coordinates, less the height
-    xt, yt, z0 = px[rows], (py - off)[rows], (arr[:, 2] + tz)[rows]
+    xt, yt, z0 = px[rows], (py - off)[rows], (arr[..., 2] + tz)[rows]
 
     def f(h: np.ndarray) -> np.ndarray:
         return quartic_dists(xt, yt, z0 - h[:, None]).max(axis=1)
@@ -281,8 +290,9 @@ def _line_of(p: HeisPoint, q: HeisPoint) -> tuple[float, float, float]:
 
 
 def _max_dists(arr: np.ndarray, params) -> np.ndarray:
-    """max_i d(p_i, L) for each line (theta, offset, height) of params."""
-    return line_dists_many(arr, params).max(axis=1)
+    """max_i d(p_i, L) for each line (theta, offset, height) of params, over
+    members arr shared or per line as in line_dists_many."""
+    return line_dists_many(arr, params).max(axis=-1)
 
 
 #: Nelder-Mead initial simplex: x0 plus these steps along each axis, at
@@ -302,72 +312,192 @@ _TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
 
 def _nelder_mead(arr: np.ndarray, x0s, maxiter: int, xatol: float,
                  fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
-    """(min, argmin) of the max line distance to arr from each start in x0s.
+    """(min, argmin) of the max line distance to the members from each start in x0s.
 
-    A lockstep replay of scipy 1.17.1's _minimize_neldermead (default
-    coefficients, maxiter given, no bounds) from the simplex x0 + diag(_NM_STEPS).
-    Every start keeps its own simplex, arithmetic, argsort and convergence
-    test; the iteration counter they share starts at 1 as scipy's does, and a
-    start that converges leaves the lockstep.  The four trial points of an
-    iteration depend only on xbar and the worst vertex, so one broadcast
-    evaluates them for all starts; shrinks take a second one.
+    arr is one (m, 3) member array shared by all starts, or one per start,
+    (starts, m, 3).  A lockstep replay of scipy 1.17.1's _minimize_neldermead
+    (default coefficients, maxiter given, no bounds) from the simplex
+    x0 + diag(_NM_STEPS).  Every start keeps its own simplex, arithmetic,
+    argsort and convergence test; the iteration counter they share starts at
+    1 as scipy's does, whatever ball a start belongs to, and a start that
+    converges leaves the lockstep.  The four trial points of an iteration
+    depend only on xbar and the worst vertex, so one broadcast evaluates them
+    for all starts; shrinks take a second one.
     """
     x0 = np.array(x0s, dtype=float).reshape(-1, 3)
     n = x0.shape[1]
+    arr = np.broadcast_to(arr, (len(x0),) + arr.shape[-2:])
     sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(_NM_STEPS)], axis=1)
-    fsim = _max_dists(arr, sim.reshape(-1, n)).reshape(-1, n + 1)
+    fsim = _max_dists(arr[:, None], sim)
     out: list = [None] * len(x0)
-    live = list(range(len(x0)))      # the start of each row of sim and fsim
+    live = np.arange(len(x0))        # the start of each row of sim, fsim and arr
 
     def sort(sim, fsim):
-        ind = np.array([f.argsort() for f in fsim], dtype=np.intp).reshape(fsim.shape)
+        ind = np.argsort(fsim, axis=1)
         rows = np.arange(len(fsim))[:, None]
         return sim[rows, ind], fsim[rows, ind]
 
     sim, fsim = sort(*sort(sim, fsim))   # scipy sorts twice before its first iteration
     iterations = 1
-    while live:
+    while live.size:
         if iterations < maxiter:
             done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
                     & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
         else:
-            done = np.ones(len(live), dtype=bool)
+            done = np.ones(live.size, dtype=bool)
         if done.any():
             for r in np.flatnonzero(done).tolist():
                 out[live[r]] = (float(np.min(fsim[r])), tuple(sim[r, 0].tolist()))
             keep = ~done
-            sim, fsim = sim[keep], fsim[keep]
-            live = [s for s, k in zip(live, keep.tolist()) if k]
-            if not live:
+            sim, fsim, arr, live = sim[keep], fsim[keep], arr[keep], live[keep]
+            if not live.size:
                 break
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
-        ftrial = _max_dists(arr, trial.reshape(-1, n)).reshape(-1, 4)
-        moved, picks, shrink = [], [], []
-        for r, ((fxr, fxe, fxc, fxcc), f) in enumerate(zip(ftrial.tolist(), fsim.tolist())):
-            if fxr < f[0]:
-                pick = 1 if fxe < fxr else 0
-            elif fxr < f[-2]:
-                pick = 0
-            elif fxr < f[-1]:
-                pick = 2 if fxc <= fxr else -1
-            else:
-                pick = 3 if fxcc < f[-1] else -1
-            if pick < 0:
-                shrink.append(r)
-            else:
-                moved.append(r)
-                picks.append(pick)
-        if moved:
-            sim[moved, -1] = trial[moved, picks]
-            fsim[moved, -1] = ftrial[moved, picks]
-        if shrink:
+        ftrial = _max_dists(arr[:, None], trial)
+        fxr, fxe, fxc, fxcc = ftrial.T
+        # scipy's branches: expand or reflect, reflect, contract outside or
+        # inside, else shrink (-1)
+        pick = np.where(fxr < fsim[:, 0], np.where(fxe < fxr, 1, 0),
+                        np.where(fxr < fsim[:, -2], 0,
+                                 np.where(fxr < fsim[:, -1], np.where(fxc <= fxr, 2, -1),
+                                          np.where(fxcc < fsim[:, -1], 3, -1))))
+        moved = np.flatnonzero(pick >= 0)
+        if moved.size:
+            sim[moved, -1] = trial[moved, pick[moved]]
+            fsim[moved, -1] = ftrial[moved, pick[moved]]
+        shrink = np.flatnonzero(pick < 0)
+        if shrink.size:
             best = sim[shrink, :1]
             sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = _max_dists(arr, sim[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            fsim[shrink, 1:] = _max_dists(arr[shrink, None], sim[shrink, 1:])
         iterations += 1
         sim, fsim = sort(sim, fsim)
     return out
+
+
+#: the most (line, member) pairs one broadcast of beta_heis_many evaluates:
+#: a batch runs in chunks of balls under this bound (a ball that exceeds it
+#: alone runs alone).  One scale of a 50-point build at --budget 24 fits.
+BATCH_PAIRS = 1 << 17
+
+
+class _Fit:
+    """One ball with two or more members on its way through the engine: its
+    members, optimisation subsample, strip fit and pair candidate lines."""
+
+    def __init__(self, members: np.ndarray, canon: np.ndarray, ball: Ball,
+                 budget: BetaBudget, seed: int):
+        self.members, self.ball = members, ball
+        sub = canon
+        if canon.shape[0] > budget.max_members:
+            # deterministic farthest-point subsample, kept in row order
+            sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
+        self.sub = sub
+        _, self.th_s, self.off_s = min_width_strip(sub[:, :2])
+        self.pair_lines = []
+        pairs = _pair_candidates(sub, budget, seed)
+        if pairs:
+            ii, jj = np.array(pairs).T
+            same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
+            self.pair_lines = [_line_of(HeisPoint(*sub[i]), HeisPoint(*sub[j]))
+                               for (i, j), skip in zip(pairs, same.tolist()) if not skip]
+        # lines of the largest broadcast: all candidates, or the Nelder-Mead trials
+        self.lines = max(3 + len(self.pair_lines), 4 * budget.nm_starts)
+        self.result: BetaResult | None = None
+
+
+def _chunks(fits: list[_Fit]) -> list[list[_Fit]]:
+    """Consecutive runs of fits whose broadcasts stay within BATCH_PAIRS."""
+    chunks: list[list[_Fit]] = []
+    lines = m = 0
+    for f in fits:
+        if chunks and (lines + f.lines) * max(m, len(f.sub)) <= BATCH_PAIRS:
+            chunks[-1].append(f)
+            lines, m = lines + f.lines, max(m, len(f.sub))
+        else:
+            chunks.append([f])
+            lines, m = f.lines, len(f.sub)
+    return chunks
+
+
+def _per_line(subs: np.ndarray, groups: list[list]) -> tuple[np.ndarray, list, list[int]]:
+    """The lines of every ball as one flat list, each with its ball's member
+    array: (member arrays, lines, lines per ball)."""
+    counts = [len(g) for g in groups]
+    return subs[np.repeat(np.arange(len(groups)), counts)], [x for g in groups for x in g], counts
+
+
+def _split(values: list, counts: list[int]) -> list[list]:
+    """values cut back into consecutive runs of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [values[e - c:e] for c, e in zip(counts, ends)]
+
+
+def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, float, float], float]]:
+    """(witness params, certified gap) of every fit, each step one broadcast
+    across all balls.
+
+    Each ball's subsample gets its own rows of one (balls, m, 3) array; a
+    shorter one is padded by repeating its first member, which leaves every
+    max and min over the members, and so every result, unchanged.
+    """
+    m = max(len(f.sub) for f in fits)
+    # each ball's (m, 3) block column-contiguous, as the kernels read columns
+    subs = np.empty((len(fits), 3, m)).transpose(0, 2, 1)
+    for row, f in zip(subs, fits):
+        row[:len(f.sub)] = f.sub
+        row[len(f.sub):] = f.sub[0]
+
+    # stage A: direct candidates, scored together; the best few get their height refit
+    strip_h = _best_heights(subs, [f.th_s for f in fits], [f.off_s for f in fits])
+    cands = [[(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0), (f.th_s, f.off_s, h)] + f.pair_lines
+             for f, h in zip(fits, strip_h)]
+    arr, flat, counts = _per_line(subs, cands)
+    scored = [sorted(zip(v, c))     # by value, ties by line
+              for v, c in zip(_split(_max_dists(arr, flat).tolist(), counts), cands)]
+    arr, top, counts = _per_line(subs, [[c for _, c in s[:budget.refine_starts]] for s in scored])
+    heights = _best_heights(arr, [c[0] for c in top], [c[1] for c in top])
+    refit = [(th, c_, h2) for (th, c_, _), h2 in zip(top, heights)]
+    for s, v, r in zip(scored, _split(_max_dists(arr, refit).tolist(), counts),
+                       _split(refit, counts)):
+        s += zip(v, r)
+        s.sort()
+
+    # stage B: Nelder-Mead polish from the best few
+    arr, starts, counts = _per_line(subs, [[p for _, p in s[:budget.nm_starts]] for s in scored])
+    polished = _split(_nelder_mead(arr, starts, budget.nm_iter, 1e-10, 1e-13), counts)
+    out = []
+    for s, polished_b in zip(scored, polished):
+        best = s[0]
+        for cand in polished_b:
+            if cand < best:
+                best = cand
+        out.append((best[1], max(budget.gap_floor, s[0][0] / 2.0 - best[0] / 2.0)))
+    return out
+
+
+def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]],
+                   budget: BetaBudget | None = None,
+                   seeds: Sequence[int] | None = None) -> list[BetaResult]:
+    """beta_heis of every (points, ball) item, item i with seed seeds[i] (all
+    0 when seeds is None), with all balls in lockstep: each step of the engine
+    is one broadcast over the balls of a chunk (see BATCH_PAIRS).  Each result
+    equals the one beta_heis gives for its item alone.
+    """
+    if budget is None:
+        budget = BetaBudget()
+    seeds = [0] * len(items) if seeds is None else list(seeds)
+    if len(seeds) != len(items):
+        raise ValueError("got %d seeds for %d items" % (len(seeds), len(items)))
+    out: list[BetaResult | _Fit] = []
+    for (points, ball), seed in zip(items, seeds):
+        setup = _setup(points, ball)
+        out.append(setup if isinstance(setup, BetaResult) else _Fit(*setup, ball, budget, seed))
+    for chunk in _chunks([f for f in out if isinstance(f, _Fit)]):
+        for f, (params, gap) in zip(chunk, _solve(chunk, budget)):
+            f.result = _witness_result(f.members, f.ball, params, gap)
+    return [f.result if isinstance(f, _Fit) else f for f in out]
 
 
 def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
@@ -378,44 +508,7 @@ def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     (an upper bound on the true infimum); certified_gap estimates the
     optimization slack.  Empty intersections give beta 0 flagged vacuous.
     """
-    if budget is None:
-        budget = BetaBudget()
-    setup = _setup(points, ball)
-    if isinstance(setup, BetaResult):
-        return setup
-    members, canon = setup
-    sub = canon
-    if canon.shape[0] > budget.max_members:
-        # deterministic farthest-point subsample, kept in row order
-        sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
-    sub = np.asfortranarray(sub)   # contiguous columns for the (lines x members) broadcasts
-
-    # stage A: direct candidates, scored together; the best few get their height refit
-    cands: list[tuple[float, float, float]] = [(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0)]
-    _, th_s, off_s = min_width_strip(sub[:, :2])
-    cands.append((th_s, off_s, _best_heights(sub, [th_s], [off_s])[0]))
-    pairs = _pair_candidates(sub, budget, seed)
-    if pairs:
-        ii, jj = np.array(pairs).T
-        same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
-        cands += [_line_of(HeisPoint(*sub[i]), HeisPoint(*sub[j]))
-                  for (i, j), skip in zip(pairs, same.tolist()) if not skip]
-    scored = sorted(zip(_max_dists(sub, cands).tolist(), cands), key=lambda t: (t[0], t[1]))
-    top = [c for _, c in scored[:budget.refine_starts]]
-    heights = _best_heights(sub, [c[0] for c in top], [c[1] for c in top])
-    refit = [(th, c_, h2) for (th, c_, _), h2 in zip(top, heights)]
-    scored += zip(_max_dists(sub, refit).tolist(), refit)
-    scored.sort(key=lambda t: (t[0], t[1]))
-    stage_a = scored[0][0] / 2.0
-
-    # stage B: Nelder-Mead polish from the best few
-    best_val, best_params = scored[0]
-    for cand in _nelder_mead(sub, [p for _, p in scored[:budget.nm_starts]],
-                             budget.nm_iter, 1e-10, 1e-13):
-        if cand < (best_val, best_params):
-            best_val, best_params = cand
-    stage_b = best_val / 2.0
-    return _witness_result(members, ball, best_params, max(budget.gap_floor, stage_a - stage_b))
+    return beta_heis_many([(points, ball)], budget, [seed])[0]
 
 
 def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,

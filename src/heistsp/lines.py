@@ -123,9 +123,9 @@ def _cubic_shift(yt: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _canon_arr(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """canon_coords of every row, given cos and sin of the line direction."""
-    px = c * arr[:, 0] + s * arr[:, 1]
-    py = -s * arr[:, 0] + c * arr[:, 1]
-    return px, py - offset, arr[:, 2] + 2.0 * offset * px - height
+    px = c * arr[..., 0] + s * arr[..., 1]
+    py = -s * arr[..., 0] + c * arr[..., 1]
+    return px, py - offset, arr[..., 2] + 2.0 * offset * px - height
 
 
 def _quartic(t, xt, yt, zt):
@@ -152,22 +152,29 @@ def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
 
 
 def directions(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each theta as (L, 1) columns, taken with math.cos and
-    math.sin as line_dists_arr takes them, so broadcasts match it bit for bit."""
-    ts = np.asarray(thetas, dtype=float).tolist()
-    return (np.fromiter(map(math.cos, ts), float, len(ts))[:, None],
-            np.fromiter(map(math.sin, ts), float, len(ts))[:, None])
+    """cos and sin of each theta, shaped thetas.shape + (1,), taken with math.cos
+    and math.sin as line_dists_arr takes them, so broadcasts match it bit for bit."""
+    ts = np.asarray(thetas, dtype=float)
+    flat = ts.ravel().tolist()
+    shape = ts.shape + (1,)
+    return (np.fromiter(map(math.cos, flat), float, len(flat)).reshape(shape),
+            np.fromiter(map(math.sin, flat), float, len(flat)).reshape(shape))
 
 
 def line_dists_many(arr: np.ndarray, params) -> np.ndarray:
-    """Koranyi distance of every row to each of L lines in one broadcast.
+    """Koranyi distance of every member to each line in one broadcast.
 
-    params holds one (theta, offset, height) per line; the result is
-    (L, len(arr)) and row i equals line_dists_arr(arr, HorizontalLine(*params[i])).
+    params holds one (theta, offset, height) per line, shaped (..., 3) (a flat
+    sequence of lines is (L, 3)).  arr is one (m, 3) member array shared by
+    all lines, or one member array per line, broadcast against params.shape[:-1]
+    + (m, 3).  The result is params.shape[:-1] + (m,), and the row of a line
+    equals line_dists_arr(its members, HorizontalLine(*line)) bit for bit.
     """
-    params = np.asarray(params, dtype=float).reshape(-1, 3)
-    c, s = directions(params[:, 0])
-    return quartic_dists(*_canon_arr(arr, c, s, params[:, 1:2], params[:, 2:3]))
+    params = np.asarray(params, dtype=float)
+    if params.ndim == 1:      # one line, or no lines
+        params = params.reshape(-1, 3)
+    c, s = directions(params[..., 0])
+    return quartic_dists(*_canon_arr(arr, c, s, params[..., 1:2], params[..., 2:3]))
 
 
 def line_dist(p: HeisPoint, line: HorizontalLine) -> float:

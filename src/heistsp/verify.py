@@ -45,7 +45,7 @@ from .lines import (
     line_point_at,
     line_dist,
 )
-from .beta import Ball, BUILDER_BUDGET, beta_euclidean_2d, beta_heis
+from .beta import Ball, BUILDER_BUDGET, beta_euclidean_2d, beta_heis, beta_heis_many
 from .builder import excess
 
 RELATIVE_SLACK = 1e-9
@@ -327,7 +327,8 @@ def check_angle_improvement_dichotomy(seed: int, n: int) -> LemmaCheck:
             dz = (0.5 * delta) ** 2
             zs = np.arange(dz, zeta + dz, dz)
             base = line_point_at(line, 0.0)
-            climb = np.array([[base.x, base.y, base.z + z] for z in zs])
+            climb = np.column_stack([np.full(zs.size, base.x), np.full(zs.size, base.y),
+                                     base.z + zs])
             pts = np.concatenate([
                 _lift_many(line, ts_floor, np.zeros(ts_floor.size)),
                 climb,
@@ -400,7 +401,7 @@ def check_excess_vs_beta_squared(seed: int, n: int,
     """Empirical curvature constant: excess <= D * beta^2 * diam over
     well-spread near-flat triples; the max ratio D is recorded."""
     rng = _rng(seed, 41)
-    ratios = []
+    triples = []     # (points, ball) of every draw; the draws do not depend on beta
     for _ in range(n):
         th, off, hgt = (float(v[0]) for v in _sample_lines(rng, 1))
         line = horizontal_line(th, off, hgt)
@@ -420,12 +421,13 @@ def check_excess_vs_beta_squared(seed: int, n: int,
         pts = [group_mul(HeisPoint(*raw[i]), HeisPoint(*bump[i])) for i in range(3)]
         center = pts[0]
         rad = max(dist(center, q) for q in pts) * 1.05
-        ball = Ball(center, rad)
-        res = beta_heis(pts, ball, BUILDER_BUDGET, seed=seed)
+        triples.append((pts, Ball(center, rad)))
+    ratios = []
+    for (pts, ball), res in zip(triples, beta_heis_many(triples, BUILDER_BUDGET, [seed] * n)):
         if res.beta <= 0.0 or res.beta > eps0:
             continue
         exc = excess(*pts)
-        ratios.append(exc / (res.beta ** 2 * 2.0 * rad))
+        ratios.append(exc / (res.beta ** 2 * 2.0 * ball.radius))
     ratios = np.asarray(ratios)
     d_emp = float(ratios.max()) if ratios.size else 0.0
     frozen_bound = 150.0          # observed maximum near 32

@@ -257,7 +257,7 @@ def test_budget_error_inside_carleson_exits_3(tmp_path, capsys, monkeypatch):
     def over_budget(*args, **kwargs):
         raise ResourceBudgetError("beta over its cost guard")
 
-    monkeypatch.setattr(heistsp.multiscale, "beta_heis", over_budget)
+    monkeypatch.setattr(heistsp.multiscale, "beta_heis_many", over_budget)
     path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
     code, _, err = run_cli(capsys, "carleson", path)
     assert code == 3

@@ -2,17 +2,22 @@
 
 Every comparison here is exact: the batched distance kernel, the lockstep
 golden-section height search and the lockstep Nelder-Mead must reproduce
-line_dists_arr, golden_min and scipy.optimize.minimize bit for bit.
+line_dists_arr, golden_min and scipy.optimize.minimize bit for bit, and a
+batch of balls must give each ball the result it gets alone.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import heistsp.beta
-from heistsp.core import ORIGIN, HeisPoint, sample_box
+from heistsp.core import ORIGIN, HeisPoint, as_array, sample_box
+from heistsp.multiscale import build_nets, carleson_sum
 from heistsp.lines import (
     HorizontalLine,
     _quartic,
@@ -29,7 +34,9 @@ from heistsp.beta import (
     _best_heights,
     _nelder_mead,
     beta_heis,
+    beta_heis_many,
 )
+from conftest import lifted_circle, lifted_parabola, lifted_sine
 
 
 def _masked_quartic_dists(xt, yt, zt):
@@ -129,7 +136,7 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
     rows = []
 
     def spy(arr, params):
-        rows.append(len(params))
+        rows.append(int(np.prod(np.shape(params)[:-1])))   # lines in the call
         return line_dists_many(arr, params)
 
     monkeypatch.setattr(heistsp.beta, "line_dists_many", spy)
@@ -238,3 +245,114 @@ def test_budget_without_refits_or_polish():
     res = beta_heis(pts, Ball(ORIGIN, 1.0), BetaBudget(refine_starts=0, nm_starts=0))
     assert res.beta > 0.0
     assert _nelder_mead(np.zeros((2, 3)), [], 10, 1e-10, 1e-13) == []
+
+
+def test_kernels_take_one_member_array_per_line():
+    rng = np.random.default_rng(11)
+    sets = [sample_box(rng, 9, 0.8) for _ in range(4)]
+    params = np.column_stack([rng.uniform(0.0, 3.0, 4), rng.uniform(-0.5, 0.5, 4),
+                              rng.uniform(-0.5, 0.5, 4)])
+    got = line_dists_many(np.array(sets), params)
+    for row, pts, p in zip(got, sets, params):
+        assert np.array_equal(row, line_dists_arr(pts, HorizontalLine(*p)))
+    thetas, offsets = params[:, 0], params[:, 1]
+    assert _best_heights(np.array(sets), thetas, offsets) == \
+        [_best_heights(pts, [t], [c])[0] for pts, t, c in zip(sets, thetas, offsets)]
+    starts = [tuple(p) for p in params]
+    assert _nelder_mead(np.array(sets), starts, 60, 1e-10, 1e-13) == \
+        [_nelder_mead(pts, [x0], 60, 1e-10, 1e-13)[0] for pts, x0 in zip(sets, starts)]
+
+
+def _mixed_table():
+    """(points, ball, seed) with 0, 1, 2, 3, 50 and 120 members (above both
+    budgets' max_members), repeated points, balls centred on a member and off
+    the set, and one set seen through two balls."""
+    rng = np.random.default_rng(20261019)
+    cloud = sample_box(rng, 120, 1.0)
+    ts = np.linspace(0.0, 1.5 * math.pi, 50)
+    helix = np.column_stack([np.cos(ts), np.sin(ts), 2.0 * ts])
+    repeated = cloud[rng.integers(0, 4, 30)]
+    far = Ball(HeisPoint(9.0, 9.0, 9.0), 1.0)
+    return [
+        (cloud, far, 1),                                         # no members
+        (cloud, Ball(HeisPoint(*cloud[0]), 1e-9), 2),            # one member
+        (cloud[:2], Ball(HeisPoint(*cloud[0]), 3.0), 3),         # two
+        (cloud[:3], Ball(HeisPoint(0.3, -0.2, 0.1), 3.0), 4),    # three
+        (helix, Ball(HeisPoint(0.1, 0.2, 4.0), 20.0), 5),        # 50
+        (cloud, Ball(HeisPoint(*cloud[7]), 3.0), 6),             # 120
+        (repeated, Ball(HeisPoint(*repeated[0]), 3.0), 7),       # repeated points
+        (helix, Ball(HeisPoint(0.9, 0.4, 1.0), 1.0), 8),         # a part of the helix
+        (cloud[:3], Ball(HeisPoint(*cloud[1]), 3.0), 9),         # an item again, new seed
+    ]
+
+
+@pytest.mark.parametrize("budget", [BetaBudget(), BUILDER_BUDGET], ids=["default", "builder"])
+def test_batch_equals_one_at_a_time(budget):
+    table = _mixed_table()
+    got = beta_heis_many([(p, b) for p, b, _ in table], budget, [s for _, _, s in table])
+    want = [beta_heis(p, b, budget, seed=s) for p, b, s in table]
+    assert [_fields(r) for r in got] == [_fields(r) for r in want]
+    assert got[0].vacuous and not any(r.vacuous for r in got[1:])
+
+
+def test_chunk_boundaries_do_not_change_results(monkeypatch):
+    table = _mixed_table()
+    items, seeds = [(p, b) for p, b, _ in table], [s for _, _, s in table]
+    chunks = []
+    solve = heistsp.beta._solve
+
+    def spy(fits, budget):
+        chunks.append(len(fits))
+        return solve(fits, budget)
+
+    monkeypatch.setattr(heistsp.beta, "_solve", spy)
+    whole = beta_heis_many(items, BUILDER_BUDGET, seeds)
+    assert chunks == [7]           # every ball with two or more members, in one chunk
+    monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", 1)
+    one_by_one = beta_heis_many(items, BUILDER_BUDGET, seeds)
+    assert chunks[1:] == [1] * 7
+    assert [_fields(r) for r in one_by_one] == [_fields(r) for r in whole]
+
+
+def test_seed_count_must_match():
+    with pytest.raises(ValueError):
+        beta_heis_many([([ORIGIN], Ball(ORIGIN, 1.0))], None, [0, 1])
+
+
+#: (terms, total as hex, SHA-1 of the terms as hex) of carleson_sum at r = 3,
+#: a = 4, seed 0 and the default budget (the effort of build's default
+#: --budget 24) on the 50-point lifted fixtures, recorded with the
+#: one-ball-at-a-time engine
+FROZEN_CARLESON = {
+    "circle": (103, "0x1.79fa3f8bb1582p-4", "0367c8636a27df2961f3b4406b1bff9e428ca899"),
+    "sine": (92, "0x1.3843d9724115ap-5", "5549d119308603536960d19ca7d27fb8e5af8e4c"),
+    "parabola": (122, "0x1.6cc4f3b49520dp-6", "b8086c41ead036b618d14c1b21e28838d7b8971e"),
+}
+
+
+@pytest.mark.parametrize("name, make", [("circle", lifted_circle), ("sine", lifted_sine),
+                                        ("parabola", lifted_parabola)])
+def test_carleson_terms_frozen_on_lifted_fixtures(name, make):
+    rep = carleson_sum(build_nets(as_array(make(50))), 3.0, 4.0, BetaBudget(), seed=0)
+    lines = ["%d %s %s %s %s" % (t.k, float(t.beta).hex(), float(t.contribution).hex(),
+                                 float(t.gap).hex(), " ".join(float(v).hex() for v in t.point))
+             for t in rep.terms]
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert (len(rep.terms), float(rep.total).hex(), digest) == FROZEN_CARLESON[name]
+
+
+coords = st.floats(-1.0, 1.0, allow_nan=False)
+small_sets = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=12)
+
+
+@given(st.lists(st.tuples(small_sets, st.tuples(coords, coords, coords), st.floats(0.05, 3.0),
+                          st.integers(0, 2 ** 31 - 1)), min_size=1, max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_batch_equals_one_at_a_time_on_random_sets(cases):
+    items, seeds = [], []
+    for pts, center, radius, seed in cases:
+        items.append((np.array(pts), Ball(HeisPoint(*center), radius)))
+        seeds.append(seed)
+    got = beta_heis_many(items, BUILDER_BUDGET, seeds)
+    want = [beta_heis(arr, ball, BUILDER_BUDGET, seed=s) for (arr, ball), s in zip(items, seeds)]
+    assert [_fields(r) for r in got] == [_fields(r) for r in want]

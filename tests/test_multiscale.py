@@ -196,12 +196,29 @@ class TestCarleson:
         def fail(*args, **kwargs):
             raise err
 
-        monkeypatch.setattr(heistsp.multiscale, "beta_heis", fail)
+        monkeypatch.setattr(heistsp.multiscale, "beta_heis_many", fail)
         with pytest.raises(TwoArgError) as info:
             carleson_sum(build_nets([ORIGIN, HeisPoint(1, 0, 0)], 0, 2), 3.0, 2.0)
         assert info.value is err and err.args == (7, "no fit")
         if sys.version_info >= (3, 11):
             assert err.__notes__ == ["in carleson_sum at scale k=0, net point %r" % (ORIGIN,)]
+
+    def test_beta_failure_in_a_batch_names_the_scale(self, monkeypatch):
+        err = RuntimeError("no fit")
+        batches = []
+
+        def fail_on_two(items, budget, seeds):
+            batches.append(len(items))
+            if len(items) > 1:
+                raise err
+            return [heistsp.multiscale.beta_heis(*items[0], budget, seeds[0])]
+
+        monkeypatch.setattr(heistsp.multiscale, "beta_heis_many", fail_on_two)
+        with pytest.raises(RuntimeError) as info:
+            carleson_sum(build_nets([ORIGIN, HeisPoint(1, 0, 0)], 0, 2), 3.0, 2.0)
+        assert info.value is err and batches == [1, 2]
+        if sys.version_info >= (3, 11):
+            assert err.__notes__ == ["in carleson_sum at scale k=1, 2 net points"]
 
     def test_unnormalized_minimax_monotone_in_a(self):
         # beta * diam is monotone under ball enlargement (superset of points,
