@@ -18,8 +18,9 @@ searches run side by side, first for the strip lines and then for every
 refit candidate; and the Nelder-Mead starts of all balls advance together,
 each iteration evaluating the four trial points of every start in one call
 (a shrink takes a second).  Each search replays its sequential form bit for
-bit (golden_min, and scipy 1.17.1's Nelder-Mead), so results equal the
-one-line-at-a-time engine's.  The balls' subsamples share one
+bit (golden_min, through lines.golden_min_many, and scipy 1.17.1's
+Nelder-Mead), so results equal the one-line-at-a-time engine's.  The
+balls' subsamples share one
 (balls, members, 3) array, a short one padded by repeating one of its own
 members: the engine reads the members only through maxima and minima over
 them, which a repeated member leaves unchanged, so padding is exact and a
@@ -28,7 +29,7 @@ chunks under BATCH_PAIRS line-member pairs per broadcast.
 beta_heis_oracle keeps scipy.optimize.minimize as an independent reference.
 
 certified_gap is the improvement the polish stage achieved over the best
-direct candidate (floored at 1e-9): a self-consistency estimate of the
+direct candidate (floored at GAP_FLOOR): a self-consistency estimate of the
 remaining optimization slack, not a global certificate.
 """
 
@@ -54,9 +55,10 @@ from .core import (
     within,
 )
 from .lines import (
-    _INV_GOLDEN,
     HorizontalLine,
+    _canon_arr,
     directions,
+    golden_min_many,
     horizontal_line,
     line_dists_arr,
     line_dists_many,
@@ -98,8 +100,10 @@ class BetaBudget:
     nm_starts: int = 3         # Nelder-Mead polish runs
     nm_iter: int = 120
     max_members: int = 96      # optimization subsample; final eval uses all
-    gap_floor: float = 1e-9
 
+
+#: the least certified_gap reported by beta_heis and beta_heis_oracle
+GAP_FLOOR = 1e-9
 
 #: lighter budget for the inner loops of the curve builder
 BUILDER_BUDGET = BetaBudget(pair_starts=10, refine_starts=2, nm_starts=2,
@@ -126,43 +130,25 @@ def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[flo
 
     max_i d(p_i, L_h) is quasiconvex in h (each d^4 is jointly convex in
     (t, h)), so golden-section over the hull of the per-point zero-mismatch
-    heights finds the optimum.  All lines search in lockstep, one broadcast
-    per step, with golden_min's update arithmetic row by row; a line whose
-    bracket is a single height returns it unsearched.
+    heights finds the optimum.  All lines search in lockstep
+    (golden_min_many), one broadcast per step; a line whose bracket is a
+    single height returns it unsearched.
     """
     cs, sn = directions(thetas)
     off = np.asarray(offsets, dtype=float)[:, None]
-    px = cs * arr[..., 0] + sn * arr[..., 1]
-    py = -sn * arr[..., 0] + cs * arr[..., 1]
-    tz = 2.0 * off * px
-    w = arr[..., 2] + 2.0 * px * (off - py)   # z of the co-horizontal foot
-    targets = w + tz                          # h with zero mismatch at the foot
+    # line_dists_arr's canonical coordinates at height 0
+    xt, yt, z0 = _canon_arr(arr, cs, sn, off, 0.0)
+    # h with zero mismatch at the co-horizontal foot
+    targets = arr[..., 2] - 2.0 * xt * yt + 2.0 * off * xt
     a = targets.min(axis=1)
     b = targets.max(axis=1)
     out = a.copy()
     rows = np.flatnonzero(a != b)
     if rows.size == 0:
         return out.tolist()
-    a, b = a[rows], b[rows]
-    # line_dists_arr's canonical coordinates, less the height
-    xt, yt, z0 = px[rows], (py - off)[rows], (arr[..., 2] + tz)[rows]
-
-    def f(h: np.ndarray) -> np.ndarray:
-        return quartic_dists(xt, yt, z0 - h[:, None]).max(axis=1)
-
-    c1 = b - _INV_GOLDEN * (b - a)
-    c2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        left = f1 <= f2
-        a = np.where(left, a, c1)
-        b = np.where(left, c2, b)
-        step = _INV_GOLDEN * (b - a)
-        t = np.where(left, b - step, a + step)
-        ft = f(t)
-        c1, f1, c2, f2 = (np.where(left, t, c2), np.where(left, ft, f2),
-                          np.where(left, c1, t), np.where(left, f1, ft))
-    out[rows] = np.where(f1 <= f2, c1, c2)
+    xt, yt, z0 = xt[rows], yt[rows], z0[rows]
+    out[rows] = golden_min_many(lambda h: quartic_dists(xt, yt, z0 - h[:, None]).max(axis=1),
+                                a[rows], b[rows], iters)[0]
     return out.tolist()
 
 
@@ -227,15 +213,18 @@ def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> f
 
     Half the minimal strip width containing pi(E & B), divided by diam(B)
     (the projected diameter is taken equal to the Koranyi diameter by
-    convention; the projection is 1-Lipschitz).
+    convention; the projection is 1-Lipschitz).  The strip is fitted in the
+    ball's canonical frame, pi(E & B) moved to the unit disc at the origin,
+    so the value is covariant under left translation and dilation.
     """
     arr = points if isinstance(points, np.ndarray) else as_array(points)
     idx = members_in_ball(arr, ball)
     if idx.size == 0:
         warnings.warn("beta_euclidean_2d: empty intersection, vacuous 0")
         return 0.0
-    width, _, _ = min_width_strip(arr[idx][:, :2])
-    return 0.5 * width / ball_diam(ball)
+    c = ball.center
+    width, _, _ = min_width_strip((arr[idx][:, :2] - (c.x, c.y)) / ball.radius)
+    return width / 4.0
 
 
 def _setup(points: Sequence[HeisPoint] | np.ndarray,
@@ -473,7 +462,7 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
         for cand in polished_b:
             if cand < best:
                 best = cand
-        out.append((best[1], max(budget.gap_floor, s[0][0] / 2.0 - best[0] / 2.0)))
+        out.append((best[1], max(GAP_FLOOR, s[0][0] / 2.0 - best[0] / 2.0)))
     return out
 
 
@@ -551,14 +540,9 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     best = (d0, (0.0, 0.0, h0))
     for th in thetas:
         cs, sn = math.cos(th), math.sin(th)
-        px = cs * canon[:, 0] + sn * canon[:, 1]
-        py = -sn * canon[:, 0] + cs * canon[:, 1]
         for c_ in offsets:
-            zt0 = canon[:, 2] + 2.0 * c_ * px
-            zt = zt0[None, :] - heights[:, None]          # (res_h, n)
-            xt = np.broadcast_to(px, zt.shape)
-            yt = np.broadcast_to(py - c_, zt.shape)
-            dmax = quartic_dists(xt, yt, zt).max(axis=1)  # (res_h,)
+            # (res_h, n): every grid height against every member
+            dmax = quartic_dists(*_canon_arr(canon, cs, sn, c_, heights[:, None])).max(axis=1)
             j = int(np.argmin(dmax))
             if dmax[j] < best[0]:
                 best = (float(dmax[j]), (float(th), float(c_), float(heights[j])))
@@ -580,4 +564,4 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     cand = [(objective(np.array(refined[0])), refined[0]),
             (float(res.fun), tuple(float(v) for v in res.x))]
     cand.sort(key=lambda t: (t[0], t[1]))
-    return _witness_result(members, ball, cand[0][1], max(1e-9, grid_val - cand[0][0] / 2.0))
+    return _witness_result(members, ball, cand[0][1], max(GAP_FLOOR, grid_val - cand[0][0] / 2.0))

@@ -33,6 +33,7 @@ from .beta import (
     Ball,
     BetaBudget,
     beta_heis,
+    beta_heis_many,
     scale_ball,
 )
 from .curves import PolygonalCurve, curve_length
@@ -247,16 +248,17 @@ def curve_ball_components(curve: PolygonalCurve, member_points: Sequence[HeisPoi
     return len(roots)
 
 
-def _enforce_local_connectivity(path: _Path, arr: np.ndarray, net_ids: list[int],
+def _enforce_local_connectivity(path: _Path, arr: np.ndarray, balls: list[tuple[int, list[int]]],
                                 k: int, c1: float, ledger: BuildLedger) -> None:
-    """Bridge detours until each C1-ball's net members share a path component."""
+    """Bridge detours until each C1-ball's net members share a path component.
+
+    balls holds (anchor, net members of its C1-ball) for every net point of
+    scale k."""
     radius = c1 * 2.0 ** (-k)
-    for anchor in net_ids:
-        center = HeisPoint(*arr[anchor])
-        d = dist_point_arr(center, arr[net_ids])
-        members = [net_ids[j] for j in np.flatnonzero(within(d, radius))]
+    for anchor, members in balls:
         if len(members) <= 1:
             continue
+        center = HeisPoint(*arr[anchor])
         for _ in range(len(members)):
             root_of, groups = _ball_member_roots(path, center, radius)
             roots = {root_of[m] for m in members}
@@ -325,10 +327,12 @@ def _build(points: Sequence[HeisPoint],
         net_k = hierarchy.nets[k]
         net_arr = arr[net_k]
         radius = cfg.c1 * 2.0 ** (-k)
+        balls = []
         for pos, anchor in enumerate(net_k):
             center = HeisPoint(*arr[anchor])
             d = dist_point_arr(center, net_arr)
             members = [net_k[j] for j in np.flatnonzero(within(d, radius))]
+            balls.append((anchor, members))
             fresh = [i for i in members if i not in in_path]
             if not fresh:
                 continue
@@ -348,7 +352,7 @@ def _build(points: Sequence[HeisPoint],
                     op, cost, deleted = path.insert_near(i)
                     ledger.entries.append(LedgerEntry(k, anchor, case, op, i, cost, deleted))
                     in_path.add(i)
-        _enforce_local_connectivity(path, arr, net_k, k, cfg.c1, ledger)
+        _enforce_local_connectivity(path, arr, balls, k, cfg.c1, ledger)
         ledger.snapshots[k] = list(path.seq)
 
     curve = PolygonalCurve([point_of(arr[i]) for i in path.seq])
@@ -450,24 +454,16 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
         step = math.ceil(len(centers) * len(levels) / max_candidates)
         centers = centers[::step]
 
-    log: list[tuple[Ball, float]] = []
-    best: tuple[float, int, int] | None = None
-    best_ball: Ball | None = None
-    for li, rho in enumerate(levels):
-        for ci in centers:
-            if not within(d_centers[ci] + rho, big_r):
-                continue
-            cand = Ball(point_of(arr[ci]), rho)
-            res = beta_heis(arr, cand, cfg.beta_budget, seed=cfg.seed)
-            score = res.beta ** cfg.p * (2.0 * rho)
-            log.append((cand, score))
-            key = (-score, li, int(ci))
-            if best is None or key < best:
-                best = key
-                best_ball = cand
-    if best_ball is None:
+    cands = [Ball(point_of(arr[ci]), rho) for rho in levels for ci in centers
+             if within(d_centers[ci] + rho, big_r)]
+    if not cands:
         return bail("no candidate ball fits inside the enlarged source", q)
-    found = best_ball
+    results = beta_heis_many([(arr, cand) for cand in cands], cfg.beta_budget,
+                             [cfg.seed] * len(cands))
+    log = [(cand, res.beta ** cfg.p * (2.0 * cand.radius)) for cand, res in zip(cands, results)]
+    # log runs coarse to fine and by center index, so the first highest score
+    # breaks ties toward the coarser level, then the smaller center index
+    found = max(log, key=lambda entry: entry[1])[0]
     # the reported inequalities live on the d7 enlargement of the winner
     beta_found = beta_heis(arr, scale_ball(d7, found), cfg.beta_budget, seed=cfg.seed).beta
     at2 = exc <= cfg.d1 * beta_found ** cfg.p * (2.0 * d7 * found.radius)

@@ -8,8 +8,10 @@ d(g, h) = N(g^-1 h) which scales linearly under the anisotropic dilations
 z axis.
 
 All operations here are pure; values are immutable after construction.
-Array helpers operate on float64 arrays of shape (n, 3) and mirror the
-scalar functions exactly.
+Array helpers operate on float64 arrays of shape (n, 3) and repeat the
+scalar functions' arithmetic operation for operation; dist_arr is the one
+array form of the distance.  numpy's vectorised power may round a fourth
+root one ulp away from the scalar one.
 """
 
 from __future__ import annotations
@@ -148,13 +150,18 @@ def rotate_arr(theta: float, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def dist_point_arr(p: HeisPoint, arr: np.ndarray) -> np.ndarray:
-    """d(p, row) for every row."""
-    dx = arr[:, 0] - p.x
-    dy = arr[:, 1] - p.y
-    dz = arr[:, 2] - p.z - 2.0 * (p.x * arr[:, 1] - arr[:, 0] * p.y)
+def dist_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d(a, b) over rows (..., 3) of a and b broadcast against each other."""
+    dx = b[..., 0] - a[..., 0]
+    dy = b[..., 1] - a[..., 1]
+    dz = b[..., 2] - a[..., 2] - 2.0 * (a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1])
     r2 = dx * dx + dy * dy
     return (r2 * r2 + dz * dz) ** 0.25
+
+
+def dist_point_arr(p: HeisPoint, arr: np.ndarray) -> np.ndarray:
+    """d(p, row) for every row."""
+    return dist_arr(np.array(p), arr)
 
 
 def within(d: np.ndarray, radius: float) -> np.ndarray:
@@ -162,23 +169,9 @@ def within(d: np.ndarray, radius: float) -> np.ndarray:
     return d <= radius * (1.0 + 1e-12)
 
 
-def dist_pairwise_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d(a_i, b_i) row by row (same length)."""
-    dx = b[:, 0] - a[:, 0]
-    dy = b[:, 1] - a[:, 1]
-    dz = b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
-    r2 = dx * dx + dy * dy
-    return (r2 * r2 + dz * dz) ** 0.25
-
-
 def dist_matrix(arr: np.ndarray) -> np.ndarray:
     """Full pairwise distance matrix; O(n^2) memory."""
-    x, y, z = arr[:, 0], arr[:, 1], arr[:, 2]
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
-    dz = z[None, :] - z[:, None] - 2.0 * (x[:, None] * y[None, :] - x[None, :] * y[:, None])
-    r2 = dx * dx + dy * dy
-    return (r2 * r2 + dz * dz) ** 0.25
+    return dist_arr(arr[:, None], arr[None, :])
 
 
 def diameter(arr: np.ndarray) -> float:
@@ -188,8 +181,7 @@ def diameter(arr: np.ndarray) -> float:
         return 0.0
     best = 0.0
     for i in range(n - 1):
-        p = HeisPoint(arr[i, 0], arr[i, 1], arr[i, 2])
-        best = max(best, float(dist_point_arr(p, arr[i + 1:]).max()))
+        best = max(best, float(dist_arr(arr[i], arr[i + 1:]).max()))
     return best
 
 
@@ -201,12 +193,12 @@ def farthest_point_order(arr: np.ndarray, m: int | None = None) -> tuple[list[in
     n = arr.shape[0] if m is None else min(m, arr.shape[0])
     order = [0]
     radii = [math.inf]
-    d = dist_point_arr(HeisPoint(*arr[0]), arr)
+    d = dist_arr(arr[0], arr)
     for _ in range(n - 1):
         i = int(np.argmax(d))
         order.append(i)
         radii.append(float(d[i]))
-        d = np.minimum(d, dist_point_arr(HeisPoint(*arr[i]), arr))
+        d = np.minimum(d, dist_arr(arr[i], arr))
     return order, radii
 
 

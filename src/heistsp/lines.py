@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import HeisPoint, koranyi_norm, rotate_z, sigma
+from .core import HeisPoint, koranyi_norm, norm_arr, rotate_z, sigma
 
 
 class HorizontalLine(NamedTuple):
@@ -145,20 +145,11 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return np.minimum(f, f_alt) ** 0.25
 
 
-def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
-    """Koranyi distance of every row to the line."""
-    return quartic_dists(*_canon_arr(arr, math.cos(line.theta), math.sin(line.theta),
-                                     line.offset, line.height))
-
-
 def directions(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each theta, shaped thetas.shape + (1,), taken with math.cos
-    and math.sin as line_dists_arr takes them, so broadcasts match it bit for bit."""
-    ts = np.asarray(thetas, dtype=float)
-    flat = ts.ravel().tolist()
-    shape = ts.shape + (1,)
-    return (np.fromiter(map(math.cos, flat), float, len(flat)).reshape(shape),
-            np.fromiter(map(math.sin, flat), float, len(flat)).reshape(shape))
+    """cos and sin of each theta, shaped thetas.shape + (1,) to broadcast
+    against members."""
+    ts = np.asarray(thetas, dtype=float)[..., None]
+    return np.cos(ts), np.sin(ts)
 
 
 def line_dists_many(arr: np.ndarray, params) -> np.ndarray:
@@ -175,6 +166,11 @@ def line_dists_many(arr: np.ndarray, params) -> np.ndarray:
         params = params.reshape(-1, 3)
     c, s = directions(params[..., 0])
     return quartic_dists(*_canon_arr(arr, c, s, params[..., 1:2], params[..., 2:3]))
+
+
+def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
+    """Koranyi distance of every row to the line: line_dists_many's row of the line."""
+    return line_dists_many(arr, line)[0]
 
 
 def line_dist(p: HeisPoint, line: HorizontalLine) -> float:
@@ -225,33 +221,33 @@ def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> f
     return golden_min(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
-def line_dists_bracket_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
-                               heights: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Golden-section distances for matched rows; oracle for the cubic solve.
-
-    The vectorised bulk form of golden_min: every row narrows its own
-    bracket in lockstep.
-    """
-    xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
-    r2 = xt * xt + yt * yt
-    n4 = (r2 * r2 + zt * zt) ** 0.25
-    hi = 4.0 * (n4 + 1.0)
-    a, b = -hi, hi
-
-    def f(t: np.ndarray) -> np.ndarray:
-        return _quartic(t, xt, yt, zt)
-
+def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
+                    iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """golden_min of every row in lockstep: f maps one probe per row to the
+    row's values, one call per step.  Each row replays golden_min's update
+    arithmetic bit for bit."""
     c1 = b - _INV_GOLDEN * (b - a)
     c2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)
     for _ in range(iters):
         left = f1 <= f2
-        b = np.where(left, c2, b)
         a = np.where(left, a, c1)
-        c1 = b - _INV_GOLDEN * (b - a)
-        c2 = a + _INV_GOLDEN * (b - a)
-        f1, f2 = f(c1), f(c2)
-    return np.minimum(f1, f2) ** 0.25
+        b = np.where(left, c2, b)
+        step = _INV_GOLDEN * (b - a)
+        t = np.where(left, b - step, a + step)
+        ft = f(t)
+        c1, f1, c2, f2 = (np.where(left, t, c2), np.where(left, ft, f2),
+                          np.where(left, c1, t), np.where(left, f1, ft))
+    better = f1 <= f2
+    return np.where(better, c1, c2), np.where(better, f1, f2)
+
+
+def line_dists_bracket_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
+                               heights: np.ndarray, iters: int = 100) -> np.ndarray:
+    """Golden-section distances for matched rows; oracle for the cubic solve."""
+    xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
+    hi = 4.0 * (norm_arr(np.column_stack([xt, yt, zt])) + 1.0)
+    return golden_min_many(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
 def trapezoid_area(a: HeisPoint, b: HeisPoint, line: HorizontalLine) -> float:

@@ -47,7 +47,6 @@ class NetHierarchy:
     k_min: int
     k_max: int
     nets: dict[int, list[int]]         # scale -> point indices in net order
-    parent_links: dict[int, dict[int, int]]  # scale k+1 -> {index: covering index at k}
     diam: float | None = None          # diam(E), when the scale range was derived from it
 
 
@@ -77,17 +76,7 @@ def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int | None = Non
     if len(nets[k_min]) > 1:
         warnings.warn("the coarsest net at scale 2^-%d has %d points, not one"
                       % (k_min, len(nets[k_min])))
-    parent_links: dict[int, dict[int, int]] = {}
-    for k in range(k_min, k_max):
-        coarse = nets[k]
-        links: dict[int, int] = {}
-        if coarse:
-            carr = arr[coarse]
-            for i in nets[k + 1]:
-                d = dist_point_arr(HeisPoint(*arr[i]), carr)
-                links[i] = coarse[int(np.argmin(d))]
-        parent_links[k + 1] = links
-    return NetHierarchy(arr, k_min, k_max, nets, parent_links, diam)
+    return NetHierarchy(arr, k_min, k_max, nets, diam)
 
 
 def delta_components(points: Sequence[HeisPoint] | np.ndarray, delta: float) -> list[list[int]]:

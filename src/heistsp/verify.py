@@ -25,12 +25,14 @@ from .core import (
     HeisPoint,
     as_array,
     dist,
+    dist_arr,
     dist_point_arr,
     farthest_point_order,
     group_mul,
     left_translate_arr,
     norm_arr,
     point_of,
+    rotate_arr,
     sample_box,
     within,
 )
@@ -172,10 +174,7 @@ def check_pair_flatness_floor(seed: int, n: int) -> LemmaCheck:
     da = line_dists_rowwise(a, th, off, hgt)
     db = line_dists_rowwise(b, th, off, hgt)
     dz = np.abs(b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
-    dx = b[:, 0] - a[:, 0]
-    dy = b[:, 1] - a[:, 1]
-    r2 = dx * dx + dy * dy
-    dab = (r2 * r2 + dz * dz) ** 0.25
+    dab = dist_arr(a, b)
     keep = dab > 0.0
     rhs = dz[keep] / (16.0 * dab[keep])    # nh^2 = |z(a^-1 b)|
     lhs = np.maximum(da, db)[keep]
@@ -188,17 +187,8 @@ def check_pair_flatness_floor(seed: int, n: int) -> LemmaCheck:
 
 def _lift_many(line: HorizontalLine, ts: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Zero-mismatch points at foot parameters ts and plane offsets ys from the line."""
-    th, c, h = line.theta, line.offset, line.height
-    raw = np.empty((ts.size, 3))
-    raw[:, 0] = ts
-    raw[:, 1] = c + ys
-    raw[:, 2] = h + 2.0 * ts * (ys - c)
-    cs, sn = math.cos(th), math.sin(th)
-    out = np.empty_like(raw)
-    out[:, 0] = cs * raw[:, 0] - sn * raw[:, 1]
-    out[:, 1] = sn * raw[:, 0] + cs * raw[:, 1]
-    out[:, 2] = raw[:, 2]
-    return out
+    c, h = line.offset, line.height
+    return rotate_arr(line.theta, np.column_stack([ts, c + ys, h + 2.0 * ts * (ys - c)]))
 
 
 def check_flat_exit_spread(seed: int, n: int) -> LemmaCheck:

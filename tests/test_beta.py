@@ -3,7 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from heistsp.core import HeisPoint, ORIGIN, as_array, dilate, dist, group_mul, sample_box
+from heistsp.core import (
+    HeisPoint,
+    ORIGIN,
+    as_array,
+    dilate,
+    dilate_arr,
+    dist,
+    group_mul,
+    left_translate_arr,
+    sample_box,
+)
 from heistsp.lines import line_dist, line_dists_arr, line_from_point_direction
 from heistsp.beta import (
     BUILDER_BUDGET,
@@ -172,6 +182,23 @@ class TestBetaEuclidean:
             s = -math.sin(theta) * arr[:, 0] + math.cos(theta) * arr[:, 1]
             widths.append(s.max() - s.min())
         assert got == pytest.approx(min(widths) / 2.0 / 2.0, rel=1e-4)
+
+    def test_translate_dilate_covariance(self):
+        rng = np.random.default_rng(27)
+        arr = sample_box(rng, 40, 1.0)
+        ball = Ball(HeisPoint(0.1, -0.2, 0.05), 1.2)
+        gaps = [abs(dist(ball.center, HeisPoint(*map(float, p))) - ball.radius) for p in arr]
+        assert min(gaps) > 1e-6 * ball.radius     # no member sits on the sphere
+        base = beta_euclidean_2d(arr, ball)
+        assert 0.0 < base < 0.5
+        for lam in (1e-14, 1e-12, 1e-8, 1e-3, 1e3, 1e6):
+            got = beta_euclidean_2d(dilate_arr(lam, arr), Ball(dilate(lam, ball.center),
+                                                               lam * ball.radius))
+            assert got == pytest.approx(base, rel=1e-12, abs=0.0), lam
+        g = HeisPoint(0.7, -1.3, 2.1)
+        got = beta_euclidean_2d(left_translate_arr(g, arr), Ball(group_mul(g, ball.center),
+                                                                 ball.radius))
+        assert got == pytest.approx(base, rel=1e-12, abs=0.0)
 
     def test_vacuous_warns(self):
         with pytest.warns(UserWarning):

@@ -11,7 +11,9 @@ from heistsp.core import (
     dilate,
     dilate_arr,
     dist,
-    dist_pairwise_arr,
+    dist_arr,
+    dist_matrix,
+    dist_point_arr,
     group_inv,
     group_mul,
     heis_point,
@@ -136,6 +138,35 @@ class TestSymmetries:
             heis_point(0.0, float("inf"), 0.0)
 
 
+class TestDistanceKernel:
+    """dist_arr against the scalar dist on every shape it serves.
+
+    The array forms agree bit for bit.  A single pair is bit-equal to dist;
+    over arrays numpy's vectorised power (SIMD on AVX-512 builds) may round
+    the fourth root one ulp away from libm's, so there the check is one ulp.
+    """
+
+    def test_point_against_rows(self):
+        arr = sample_box(np.random.default_rng(108), 200)
+        for row in arr[:10]:
+            p = HeisPoint(*map(float, row))
+            want = np.array([dist(p, HeisPoint(*map(float, q))) for q in arr])
+            got = dist_arr(row, arr)
+            assert np.all(np.abs(got - want) <= np.spacing(want))
+            assert np.array_equal(dist_point_arr(p, arr), got)
+            assert [float(dist_arr(row, q)) for q in arr] == want.tolist()
+
+    def test_all_pairs(self):
+        arr = sample_box(np.random.default_rng(109), 40)
+        pts = [HeisPoint(*map(float, row)) for row in arr]
+        want = np.array([[dist(a, b) for b in pts] for a in pts])
+        got = dist_arr(arr[:, None, :], arr[None, :, :])
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+        assert np.array_equal(dist_matrix(arr), got)
+        for row, a in zip(got, arr):
+            assert np.array_equal(row, dist_arr(a, arr))
+
+
 class TestMetricProperties:
     """Seeded batch checks of the metric axioms and symmetry invariances."""
 
@@ -143,9 +174,9 @@ class TestMetricProperties:
         rng = np.random.default_rng(101)
         n = 100_000
         a, b, c = sample_box(rng, n), sample_box(rng, n), sample_box(rng, n)
-        dab = dist_pairwise_arr(a, b)
-        dbc = dist_pairwise_arr(b, c)
-        dac = dist_pairwise_arr(a, c)
+        dab = dist_arr(a, b)
+        dbc = dist_arr(b, c)
+        dac = dist_arr(a, c)
         scale = np.maximum(np.maximum(dab, dbc), dac)
         assert np.all(dac <= dab + dbc + 1e-12 * scale)
 
@@ -153,13 +184,13 @@ class TestMetricProperties:
         rng = np.random.default_rng(102)
         n = 100_000
         a, b, g = sample_box(rng, n), sample_box(rng, n), sample_box(rng, n)
-        base = dist_pairwise_arr(a, b)
+        base = dist_arr(a, b)
         moved = np.empty(n)
         # translate in blocks sharing one g to keep this vectorized
         for lo in range(0, n, 1000):
             hi = min(lo + 1000, n)
             gp = HeisPoint(*map(float, g[lo]))
-            moved[lo:hi] = dist_pairwise_arr(
+            moved[lo:hi] = dist_arr(
                 left_translate_arr(gp, a[lo:hi]), left_translate_arr(gp, b[lo:hi]))
         mask = base > 0
         assert np.all(np.abs(moved[mask] - base[mask]) <= 1e-12 * base[mask] + 1e-13)
@@ -168,18 +199,18 @@ class TestMetricProperties:
         rng = np.random.default_rng(103)
         n = 10_000
         a, b = sample_box(rng, n), sample_box(rng, n)
-        base = dist_pairwise_arr(a, b)
+        base = dist_arr(a, b)
         for lam in 10.0 ** rng.uniform(-3, 3, 8):
-            scaled = dist_pairwise_arr(dilate_arr(lam, a.copy()), dilate_arr(lam, b.copy()))
+            scaled = dist_arr(dilate_arr(lam, a.copy()), dilate_arr(lam, b.copy()))
             assert np.all(np.abs(scaled - lam * base) <= 1e-10 * lam * base + 1e-300)
 
     def test_rotation_isometry(self):
         rng = np.random.default_rng(104)
         n = 10_000
         a, b = sample_box(rng, n), sample_box(rng, n)
-        base = dist_pairwise_arr(a, b)
+        base = dist_arr(a, b)
         for theta in rng.uniform(0.0, 2.0 * math.pi, 8):
-            rotated = dist_pairwise_arr(rotate_arr(theta, a), rotate_arr(theta, b))
+            rotated = dist_arr(rotate_arr(theta, a), rotate_arr(theta, b))
             assert np.all(np.abs(rotated - base) <= 1e-12 * base + 1e-13)
 
     def test_projection_lipschitz(self):
@@ -187,14 +218,14 @@ class TestMetricProperties:
         n = 100_000
         a, b = sample_box(rng, n), sample_box(rng, n)
         planar = np.hypot(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1])
-        assert np.all(planar <= dist_pairwise_arr(a, b) * (1.0 + 1e-12))
+        assert np.all(planar <= dist_arr(a, b) * (1.0 + 1e-12))
 
     def test_nh_below_dist(self):
         rng = np.random.default_rng(106)
         n = 100_000
         a, b = sample_box(rng, n), sample_box(rng, n)
         dz = np.abs(b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
-        assert np.all(np.sqrt(dz) <= dist_pairwise_arr(a, b) * (1.0 + 1e-12))
+        assert np.all(np.sqrt(dz) <= dist_arr(a, b) * (1.0 + 1e-12))
 
     def test_norm_dilation_homogeneity(self):
         rng = np.random.default_rng(107)

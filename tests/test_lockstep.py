@@ -22,6 +22,7 @@ from heistsp.lines import (
     HorizontalLine,
     _quartic,
     golden_min,
+    golden_min_many,
     line_dists_arr,
     line_dists_many,
     quartic_dists,
@@ -73,13 +74,34 @@ def test_batched_kernel_rows_equal_one_line_kernel():
     rng = np.random.default_rng(8)
     arr = sample_box(rng, 37, 0.9)
     arr[5, 1] = 0.0        # a member on the projection of the theta = 0 lines
-    params = np.column_stack([rng.uniform(-7.0, 7.0, 30), rng.uniform(-2.0, 2.0, 30),
-                              rng.uniform(-3.0, 3.0, 30)])
+    params = np.column_stack([rng.uniform(-7.0, 7.0, 300), rng.uniform(-2.0, 2.0, 300),
+                              rng.uniform(-3.0, 3.0, 300)])
     params[:4] = [(0.0, 0.0, 0.0), (math.pi, 0.0, 1.0), (-1e-300, 1e8, -1e8), (1e5, 0.0, 0.0)]
+    params[200:, 0] = rng.uniform(-1e4, 1e4, 100)     # directions far outside [0, pi)
     got = line_dists_many(arr, params)
-    assert got.shape == (30, 37)
+    assert got.shape == (300, 37)
     for row, p in zip(got, params):
         assert np.array_equal(row, line_dists_arr(arr, HorizontalLine(*p)))
+
+
+def test_golden_min_many_rows_equal_golden_min():
+    rng = np.random.default_rng(12)
+    n = 64
+    a = rng.uniform(-5.0, 5.0, n)
+    b = a + rng.uniform(-10.0, 10.0, n)      # some brackets reversed
+    b[:4] = a[:4]                            # one-point brackets
+    xt, yt, zt = (rng.standard_normal(n) for _ in range(3))
+    w = rng.uniform(0.5, 8.0, n)
+    quartic = np.arange(n) % 2 == 0
+
+    def f(t):   # unimodal quartic profiles, and sine waves with many minima
+        return np.where(quartic, _quartic(t, xt, yt, zt), np.sin(w * t))
+
+    for iters in (0, 1, 60):
+        got_t, got_f = golden_min_many(f, a, b, iters)
+        for i in range(n):
+            t, ft = golden_min(lambda t, i=i: f(np.full(n, t))[i], a[i], b[i], iters)
+            assert (got_t[i], got_f[i]) == (t, ft)
 
 
 def _best_height_reference(arr, theta, c, iters=60):

@@ -56,17 +56,6 @@ class TestNets:
             other = 1 - cand[0]
             assert dist(pts[cand[0]], pts[other]) <= 1.0
 
-    def test_parent_links_cover(self):
-        rng = np.random.default_rng(31)
-        pts = rng.uniform(-0.5, 0.5, (60, 3))
-        h = build_nets(pts, -1, 6)
-        for k in range(h.k_min + 1, h.k_max + 1):
-            for i in h.nets[k]:
-                parent = h.parent_links[k][i]
-                assert parent in h.nets[k - 1]
-                assert dist(HeisPoint(*map(float, pts[i])),
-                            HeisPoint(*map(float, pts[parent]))) <= 2.0 ** (-(k - 1)) * (1 + 1e-12)
-
     def test_invariants_random_cloud(self):
         rng = np.random.default_rng(32)
         pts = rng.uniform(-0.5, 0.5, (100, 3))
@@ -100,8 +89,7 @@ class TestNets:
                                 lambda *a, _n=name, _f=orig: calls.append(_n) or _f(*a))
         h = build_nets(arr)
         assert sorted(calls) == ["diameter", "farthest_point_order"]
-        assert (h.k_min, h.k_max, h.nets, h.parent_links) == (
-            ref.k_min, ref.k_max, ref.nets, ref.parent_links)
+        assert (h.k_min, h.k_max, h.nets) == (ref.k_min, ref.k_max, ref.nets)
         assert h.diam == diameter(arr) and ref.diam is None
         assert carleson_sum(h, 3.0, 2.0).diam_e == h.diam
         assert build_nets([HeisPoint(1, 2, 3)] * 2).nets == {0: [0]}
