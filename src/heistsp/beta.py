@@ -25,7 +25,8 @@ balls' subsamples share one
 members: the engine reads the members only through maxima and minima over
 them, which a repeated member leaves unchanged, so padding is exact and a
 ball's result does not depend on the batch it runs in.  A batch runs in
-chunks under BATCH_PAIRS line-member pairs per broadcast.
+chunks under BATCH_PAIRS line-member pairs per broadcast, each ball set up
+just before its chunk is solved, so its memory follows the chunk.
 beta_heis_oracle keeps scipy.optimize.minimize as an independent reference.
 
 certified_gap is the improvement the polish stage achieved over the best
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 import warnings
 
 import numpy as np
@@ -153,12 +154,19 @@ def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[flo
 
 
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Andrew monotone chain; returns hull vertices in ccw order."""
-    pts = np.unique(pts.round(decimals=15), axis=0)
-    if pts.shape[0] <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    p = pts[order]
+    """Andrew monotone chain; returns hull vertices in ccw order.
+
+    The points, rounded to 15 decimals, are sorted by x then y and each one
+    equal to the one before it is dropped: the sorted distinct points of
+    np.unique(axis=0), without its structured-row sort.
+    """
+    pts = pts.round(decimals=15)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    p = pts[keep]
+    if p.shape[0] <= 2:
+        return p
 
     def half(seq):
         out = []
@@ -375,9 +383,9 @@ class _Fit:
     """One ball with two or more members on its way through the engine: its
     members, optimisation subsample, strip fit and pair candidate lines."""
 
-    def __init__(self, members: np.ndarray, canon: np.ndarray, ball: Ball,
+    def __init__(self, index: int, members: np.ndarray, canon: np.ndarray, ball: Ball,
                  budget: BetaBudget, seed: int):
-        self.members, self.ball = members, ball
+        self.index, self.members, self.ball = index, members, ball
         sub = canon
         if canon.shape[0] > budget.max_members:
             # deterministic farthest-point subsample, kept in row order
@@ -393,21 +401,21 @@ class _Fit:
                                for (i, j), skip in zip(pairs, same.tolist()) if not skip]
         # lines of the largest broadcast: all candidates, or the Nelder-Mead trials
         self.lines = max(3 + len(self.pair_lines), 4 * budget.nm_starts)
-        self.result: BetaResult | None = None
 
 
-def _chunks(fits: list[_Fit]) -> list[list[_Fit]]:
-    """Consecutive runs of fits whose broadcasts stay within BATCH_PAIRS."""
-    chunks: list[list[_Fit]] = []
+def _chunks(fits: Iterable[_Fit]) -> Iterator[list[_Fit]]:
+    """Consecutive runs of fits whose broadcasts stay within BATCH_PAIRS,
+    each yielded once the fit after it (or the end) closes it."""
+    chunk: list[_Fit] = []
     lines = m = 0
     for f in fits:
-        if chunks and (lines + f.lines) * max(m, len(f.sub)) <= BATCH_PAIRS:
-            chunks[-1].append(f)
-            lines, m = lines + f.lines, max(m, len(f.sub))
-        else:
-            chunks.append([f])
-            lines, m = f.lines, len(f.sub)
-    return chunks
+        if chunk and (lines + f.lines) * max(m, len(f.sub)) > BATCH_PAIRS:
+            yield chunk
+            chunk, lines, m = [], 0, 0
+        chunk.append(f)
+        lines, m = lines + f.lines, max(m, len(f.sub))
+    if chunk:
+        yield chunk
 
 
 def _per_line(subs: np.ndarray, groups: list[list]) -> tuple[np.ndarray, list, list[int]]:
@@ -479,14 +487,23 @@ def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]
     seeds = [0] * len(items) if seeds is None else list(seeds)
     if len(seeds) != len(items):
         raise ValueError("got %d seeds for %d items" % (len(seeds), len(items)))
-    out: list[BetaResult | _Fit] = []
-    for (points, ball), seed in zip(items, seeds):
-        setup = _setup(points, ball)
-        out.append(setup if isinstance(setup, BetaResult) else _Fit(*setup, ball, budget, seed))
-    for chunk in _chunks([f for f in out if isinstance(f, _Fit)]):
+    out: list = [None] * len(items)
+
+    def fits() -> Iterator[_Fit]:
+        for k, ((points, ball), seed) in enumerate(zip(items, seeds)):
+            setup = _setup(points, ball)
+            if isinstance(setup, BetaResult):
+                out[k] = setup
+            else:
+                yield _Fit(k, *setup, ball, budget, seed)
+
+    # each ball is set up just before its chunk is solved and dropped after
+    # it, so the members held follow BATCH_PAIRS rather than the batch
+    for chunk in _chunks(fits()):
         for f, (params, gap) in zip(chunk, _solve(chunk, budget)):
-            f.result = _witness_result(f.members, f.ball, params, gap)
-    return [f.result if isinstance(f, _Fit) else f for f in out]
+            out[f.index] = _witness_result(f.members, f.ball, params, gap)
+            f.members = None
+    return out
 
 
 def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,

@@ -185,20 +185,154 @@ def diameter(arr: np.ndarray) -> float:
     return best
 
 
-def farthest_point_order(arr: np.ndarray, m: int | None = None) -> tuple[list[int], list[float]]:
-    """Farthest-point traversal seeded at row 0, stopped after m picks (all rows
-    by default): the picked rows and their insertion radii, the first being
-    infinite.  Ties go to the smallest index.
+#: rows per leaf of the block-bounded traversal
+LEAF_ROWS = 512
+#: the least row count for which farthest_point_order runs the block-bounded
+#: traversal.  Below it one in-cache scan per pick costs less than the leaf
+#: bookkeeping: the full traversal of an 8000-point cloud takes 1.1 s by
+#: scans and 1.3 s by leaves, of a 16000-point cloud 4.6 s and 3.6 s; 48
+#: picks from 32000 rows take 0.03 s either way on a cloud and half as long
+#: by leaves on a line plus a vertical stack, 9 times less at 428,000 rows.
+BLOCK_MIN_ROWS = 1 << 15
+#: rows per step of a scan, so that the temporaries of dist_arr stay in cache
+SCAN_ROWS = 1 << 13
+
+
+def farthest_point_order(arr: np.ndarray, m: int | None = None,
+                         stop: float | None = None) -> tuple[list[int], list[float]]:
+    """Farthest-point traversal seeded at row 0: the picked rows and their
+    insertion radii, the first being infinite.  Each pick is the row farthest
+    from the rows picked so far, ties going to the smallest index, and its
+    radius is that distance.  The traversal ends after m picks (all rows by
+    default) or before the first pick whose radius is at most stop.  The
+    radii never increase, and by the triangle inequality every row lies
+    within the current radius of a pick (Gonzalez 1985), so with stop the
+    picks are a stop-net.
+
+    From BLOCK_MIN_ROWS rows on, the rows are sorted once by a Morton key
+    into leaves of LEAF_ROWS rows, each with a bounding box, and a pick p
+    rescans only the leaves it can reach.  This is exact.  A row's distance
+    to the picked set changes only when d(p, row) is below it, so a leaf
+    whose lower bound on d(p, row) over its box (_leaf_bounds, which allows
+    for rounding) exceeds its largest distance to the picked set cannot
+    change.  The rows rescanned get the arithmetic of a full scan, so the
+    picks, the radii and the ties equal the plain traversal's bit for bit.
     """
-    n = arr.shape[0] if m is None else min(m, arr.shape[0])
+    if arr.shape[0] == 0:
+        raise ValueError("no farthest-point traversal of an empty set")
+    picks = arr.shape[0] if m is None else min(m, arr.shape[0])
+    stop = -math.inf if stop is None else stop
+    if arr.shape[0] >= BLOCK_MIN_ROWS:
+        return _farthest_by_leaves(arr, picks, stop)
     order = [0]
     radii = [math.inf]
-    d = dist_arr(arr[0], arr)
-    for _ in range(n - 1):
+    d = np.empty(arr.shape[0])
+    for lo in range(0, arr.shape[0], SCAN_ROWS):
+        d[lo:lo + SCAN_ROWS] = dist_arr(arr[0], arr[lo:lo + SCAN_ROWS])
+    while len(order) < picks:
         i = int(np.argmax(d))
+        if d[i] <= stop:
+            break
         order.append(i)
         radii.append(float(d[i]))
-        d = np.minimum(d, dist_arr(arr[i], arr))
+        for lo in range(0, arr.shape[0], SCAN_ROWS):
+            part = d[lo:lo + SCAN_ROWS]
+            np.minimum(part, dist_arr(arr[i], arr[lo:lo + SCAN_ROWS]), out=part)
+    return order, radii
+
+
+def _morton_leaves(arr: np.ndarray) -> np.ndarray:
+    """Row indices of arr as (leaves, LEAF_ROWS): the rows in the order of a
+    Morton key over the bounding box, cut into leaves, each leaf in index
+    order.  The last leaf is padded with copies of one of its own rows."""
+    n = arr.shape[0]
+    lo = np.array([arr[:, c].min() for c in range(3)])
+    span = np.array([arr[:, c].max() for c in range(3)]) - lo
+    scale = ((1 << 21) - 1) / np.where(span > 0.0, span, np.inf)
+    key = np.empty(n, dtype=np.uint64)
+    for s in range(0, n, SCAN_ROWS):
+        q = ((arr[s:s + SCAN_ROWS] - lo) * scale).astype(np.uint64)
+        # spread each coordinate's 21 bits two apart, then interleave them
+        for shift, mask in ((32, 0x1F00000000FFFF), (16, 0x1F0000FF0000FF),
+                            (8, 0x100F00F00F00F00F), (4, 0x10C30C30C30C30C3),
+                            (2, 0x1249249249249249)):
+            q = (q | (q << np.uint64(shift))) & np.uint64(mask)
+        key[s:s + SCAN_ROWS] = q[:, 0] | (q[:, 1] << np.uint64(1)) | (q[:, 2] << np.uint64(2))
+    rows = np.argsort(key, kind="stable")
+    del key
+    leaves = -(-n // LEAF_ROWS)
+    rows = np.concatenate([rows, np.full(leaves * LEAF_ROWS - n, rows[-1])])
+    rows = rows.reshape(leaves, LEAF_ROWS)
+    rows.sort(axis=1)
+    return rows
+
+
+def _leaf_bounds(p: np.ndarray, box: np.ndarray) -> np.ndarray:
+    """A lower bound on dist_arr(p, q), as computed, over the rows q of each
+    leaf.  box holds one column per leaf: the least x, y, z of its rows, the
+    greatest x, y, z, and the greatest |x|, |y|, |z|.
+
+    The bound is the gauge of the xy gap between p and the box and of the
+    gap between 0 and the interval of the twisted height z - z_p - 2 (x_p y -
+    x y_p) over it: with exact arithmetic d(p, q) is at least that.  The
+    xy gaps are rounded as dist_arr rounds dx and dy, and rounding is
+    monotone, so they stay at most the computed |dx| and |dy|; the height
+    gap is reduced by 8 ulps of the magnitudes that enter the twisted
+    height, more than its rounding in dist_arr and here; and the gauge by a
+    relative 1e-12, more than the fourth root's rounding.
+    """
+    x0, y0, z0, x1, y1, z1, ax, ay, az = box
+    px, py, pz = (float(v) for v in p)
+    gx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
+    y_hi, y_lo = (y1, y0) if px >= 0.0 else (y0, y1)
+    x_lo, x_hi = (x0, x1) if py >= 0.0 else (x1, x0)
+    t_lo = z0 - pz - 2.0 * (px * y_hi) + 2.0 * (py * x_lo)
+    t_hi = z1 - pz - 2.0 * (px * y_lo) + 2.0 * (py * x_hi)
+    slack = 8.0 * np.finfo(float).eps * (az + abs(pz) + 2.0 * abs(px) * ay + 2.0 * abs(py) * ax)
+    gz = np.maximum(np.maximum(t_lo, -t_hi) - slack, 0.0)
+    r2 = gx * gx + gy * gy
+    return (r2 * r2 + gz * gz) ** 0.25 * (1.0 - 1e-12)
+
+
+def _farthest_by_leaves(arr: np.ndarray, picks: int,
+                        stop: float) -> tuple[list[int], list[float]]:
+    """farthest_point_order's traversal rescanning only the leaves a pick can reach."""
+    rows = _morton_leaves(arr)
+    leaves = rows.shape[0]
+    step = SCAN_ROWS // LEAF_ROWS              # leaves per scan step
+    d = np.empty(rows.shape)
+    box = np.empty((9, leaves))                  # as _leaf_bounds takes it
+    leaf_max = np.empty(leaves)
+    leaf_arg = np.empty(leaves, dtype=np.intp)   # smallest row index at leaf_max
+
+    def store(ls, dd: np.ndarray) -> None:
+        """Store the distances dd to the picked set of the leaves ls."""
+        d[ls] = dd
+        leaf_max[ls] = dd.max(axis=1)
+        leaf_arg[ls] = rows[ls][np.arange(dd.shape[0]), dd.argmax(axis=1)]
+
+    for s in range(0, leaves, step):
+        ls = slice(s, s + step)
+        pts = np.take(arr, rows[ls], axis=0)
+        for c in range(3):
+            box[c, ls] = pts[..., c].min(axis=1)
+            box[3 + c, ls] = pts[..., c].max(axis=1)
+        store(ls, dist_arr(arr[0], pts))
+    np.maximum(np.abs(box[:3]), np.abs(box[3:6]), out=box[6:])
+    order = [0]
+    radii = [math.inf]
+    while len(order) < picks:
+        top = leaf_max.max()
+        if top <= stop:
+            break
+        i = int(leaf_arg[leaf_max == top].min())
+        order.append(i)
+        radii.append(float(top))
+        near = np.flatnonzero(_leaf_bounds(arr[i], box) <= leaf_max)
+        for s in range(0, near.size, step):
+            ls = near[s:s + step]
+            store(ls, np.minimum(d[ls], dist_arr(arr[i], np.take(arr, rows[ls], axis=0))))
     return order, radii
 
 

@@ -460,8 +460,7 @@ def check_doubling_constant(seed: int, n: int, frozen_bound: int = 82) -> LemmaC
         u = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
         u = u[norm_arr(u) <= radius]
         pts = left_translate_arr(center, u)
-        _, radii = farthest_point_order(pts)
-        counts.append(sum(1 for r in radii if r > radius / 2.0))
+        counts.append(len(farthest_point_order(pts, stop=radius / 2.0)[1]))
     counts = np.asarray(counts)
     margins = (frozen_bound - counts).astype(float) / frozen_bound
     return _summary("doubling-constant", margins, seed,

@@ -21,11 +21,16 @@ from heistsp.beta import (
     ResourceBudgetError,
     beta_euclidean_2d,
     beta_heis,
+    beta_heis_many,
     beta_heis_oracle,
     convex_hull_2d,
     min_width_strip,
     members_in_ball,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import heistsp.beta
 from conftest import intro_triple, horizontal_points
 
 #: frozen regression: optimal beta of {0, (0,0,1)} in the unit ball at 0
@@ -161,6 +166,31 @@ class TestBetaHeis:
             assert lo.beta <= hi.beta + slack
 
 
+def hull_by_unique(pts):
+    """convex_hull_2d as it was with np.unique(axis=0) as its dedupe."""
+    pts = np.unique(pts.round(decimals=15), axis=0)
+    if pts.shape[0] <= 2:
+        return pts
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    p = pts[order]
+
+    def half(seq):
+        out = []
+        for q in seq:
+            while len(out) > 1:
+                u = out[-1] - out[-2]
+                v = q - out[-2]
+                if u[0] * v[1] - u[1] * v[0] > 0:
+                    break
+                out.pop()
+            out.append(q)
+        return out
+
+    lower = half(p)
+    upper = half(p[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
 class TestBetaEuclidean:
     def test_collinear_zero(self):
         pts = horizontal_points(7)
@@ -207,12 +237,31 @@ class TestBetaEuclidean:
 
     def test_projected_below_heis(self):
         rng = np.random.default_rng(26)
-        for trial in range(1000):
-            pts = sample_box(rng, 8, 0.8)
-            ball = Ball(ORIGIN, 1.0)
+        ball = Ball(ORIGIN, 1.0)
+        sets = [sample_box(rng, 8, 0.8) for _ in range(1000)]
+        fulls = beta_heis_many([(pts, ball) for pts in sets], BUILDER_BUDGET, range(1000))
+        for pts, full in zip(sets, fulls):
             tilde = beta_euclidean_2d(pts, ball)
-            full = beta_heis(pts, ball, BUILDER_BUDGET, seed=trial)
             assert tilde <= 2.0 * full.beta + full.certified_gap + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           zeros=st.integers(0, 12), dups=st.integers(0, 12))
+    def test_strip_matches_unique_dedupe(self, seed, n, zeros, dups):
+        """min_width_strip gives the floats it gave with np.unique(axis=0) as
+        the hull's dedupe, on points with repeats, including coordinates
+        that round to +0.0 and -0.0 (equal, so merged by either dedupe)."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (n, 2))
+        # coordinates within 1e-16 of 0 that round(15) sends to +-0.0
+        tiny = rng.choice([-1e-16, -0.0, 0.0, 1e-16], (zeros, 2))
+        tiny[:, rng.integers(0, 2)] = rng.choice(pts.ravel(), zeros)
+        pts = np.concatenate([pts, tiny, pts[rng.integers(0, n, dups)]])
+        pts = pts[rng.permutation(pts.shape[0])]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heistsp.beta, "convex_hull_2d", hull_by_unique)
+            reference = min_width_strip(pts)
+        assert min_width_strip(pts) == reference
 
     def test_hull_degenerates(self):
         assert convex_hull_2d(np.array([[0.0, 0.0]])).shape[0] == 1

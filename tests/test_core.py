@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heistsp
 from heistsp.core import (
     HeisPoint,
     ORIGIN,
@@ -234,3 +238,16 @@ class TestMetricProperties:
         for lam in (0.001, 0.1, 7.0, 1000.0):
             scaled = norm_arr(dilate_arr(lam, arr.copy()))
             assert np.allclose(scaled, lam * base, rtol=1e-12)
+
+
+def test_import_loads_no_scipy():
+    """Importing heistsp loads no scipy module: scipy is imported on first
+    use only (the Nelder-Mead oracle), which keeps the set-up cost of every
+    command that does not need it low."""
+    src = os.path.dirname(os.path.dirname(heistsp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = "import sys, heistsp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
