@@ -189,12 +189,15 @@ def diameter(arr: np.ndarray) -> float:
 LEAF_ROWS = 512
 #: the least row count for which farthest_point_order runs the block-bounded
 #: traversal.  Below it one in-cache scan per pick costs less than the leaf
-#: bookkeeping: the full traversal of an 8000-point cloud takes 1.1 s by
-#: scans and 1.3 s by leaves, of a 16000-point cloud 4.6 s and 3.6 s; 48
-#: picks from 32000 rows take 0.03 s either way on a cloud and half as long
-#: by leaves on a line plus a vertical stack, 9 times less at 428,000 rows.
-BLOCK_MIN_ROWS = 1 << 15
-#: rows per step of a scan, so that the temporaries of dist_arr stay in cache
+#: bookkeeping (timed on a 2-vCPU virtual machine): 48 picks from an
+#: 8000-point cloud take 0.004 s by scans and 0.010 s by leaves, from 12000
+#: points 0.006 and 0.016 s; from 16384 points 0.014 and 0.012 s, and from
+#: 16384 points on a line plus a vertical stack 0.014 and 0.005 s.  Full
+#: traversals cross over sooner (12000-point cloud: 1.95 s by scans, 1.23 s
+#: by leaves; 8000 points: 0.70 and 0.88 s).
+BLOCK_MIN_ROWS = 1 << 14
+#: rows per step of the block-bounded traversal's scans and of its Morton
+#: keys, which bounds their temporaries at any row count
 SCAN_ROWS = 1 << 13
 
 
@@ -226,18 +229,14 @@ def farthest_point_order(arr: np.ndarray, m: int | None = None,
         return _farthest_by_leaves(arr, picks, stop)
     order = [0]
     radii = [math.inf]
-    d = np.empty(arr.shape[0])
-    for lo in range(0, arr.shape[0], SCAN_ROWS):
-        d[lo:lo + SCAN_ROWS] = dist_arr(arr[0], arr[lo:lo + SCAN_ROWS])
+    d = dist_arr(arr[0], arr)
     while len(order) < picks:
         i = int(np.argmax(d))
         if d[i] <= stop:
             break
         order.append(i)
         radii.append(float(d[i]))
-        for lo in range(0, arr.shape[0], SCAN_ROWS):
-            part = d[lo:lo + SCAN_ROWS]
-            np.minimum(part, dist_arr(arr[i], arr[lo:lo + SCAN_ROWS]), out=part)
+        d = np.minimum(d, dist_arr(arr[i], arr))
     return order, radii
 
 
