@@ -47,7 +47,6 @@ from .multiscale import (
     NetHierarchy,
     build_nets,
     carleson_sum,
-    delta_components,
     theorem_b_check,
 )
 from .builder import (
@@ -74,8 +73,8 @@ __all__ = [
     "Ball", "BetaBudget", "BetaResult", "ResourceBudgetError",
     "beta_heis", "beta_heis_many", "beta_heis_oracle", "beta_euclidean_2d",
     "PolygonalCurve", "curve_length", "resample_curve",
-    "NetHierarchy", "CarlesonReport", "build_nets", "delta_components",
-    "carleson_sum", "theorem_b_check",
+    "NetHierarchy", "CarlesonReport", "build_nets", "carleson_sum",
+    "theorem_b_check",
     "BuilderConfig", "ExcessReport", "FutureBallReport", "ScaleRangeError",
     "build_curve", "excess", "excess_report", "future_ball_search",
     "theorem_a_check",

@@ -2,7 +2,7 @@
 
 The builder walks the net hierarchy coarse to fine, keeping one open
 polygonal path.  For every net point P at scale k it inspects the ball
-B(P, C1 * 2^-k):
+B(P, C1 * 2^-k), fitting all balls of a scale in one beta_heis_many call:
 
 * non-flat ball (beta >= eps0): each new net point is joined next to its
   nearest existing path vertex (cost bounded by the covering radius);
@@ -14,7 +14,9 @@ B(P, C1 * 2^-k):
 After each scale a connectivity repair pass restores the local invariant
 that the net points of every ball are connected by the path restricted to
 that ball, inserting short detours where the path only connects them via
-arcs outside the ball.  Every length change is logged in a ledger entry.
+arcs outside the ball; a detour only merges components, so each ball's
+components are computed once.  Every length change is logged in a ledger
+entry.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import HeisPoint, as_array, dist, dist_point_arr, point_of, within
+from .core import HeisPoint, as_array, dist, dist_arr, dist_point_arr, point_of, within
 # not called here: kept importable because the benchmark's tracer wraps them here
 from .core import diameter, farthest_point_order  # noqa: F401
 from .beta import (
+    BATCH_PAIRS,
     BUILDER_BUDGET,
     Ball,
     BetaBudget,
@@ -41,7 +44,6 @@ from .lines import foot
 from .multiscale import (
     MAX_LEVELS,
     NetHierarchy,
-    UnionFind,
     build_nets,
     carleson_sum,
     _term_seed,
@@ -198,54 +200,41 @@ class _Path:
         return 2.0 * duw
 
 
-def _ball_member_roots(path: _Path, center: HeisPoint,
-                       radius: float) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """Components of the path restricted to the ball, keyed by vertex id.
+def _ball_components(path: _Path, center: HeisPoint,
+                     radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the path restricted to the ball.
 
-    Consecutive path positions whose vertices both lie in the ball are
-    joined; returns (vertex id -> root, root -> vertex ids).
+    Returns the sorted vertex ids inside the ball and a component label for
+    each: consecutive in-ball path positions form a run, and runs that share
+    a vertex id (the path revisits a vertex) are one component.
     """
-    coords = path._coords()
-    inside = within(dist_point_arr(center, coords), radius)
-    ids = sorted({path.seq[p] for p in np.flatnonzero(inside)})
-    idx_of = {v: i for i, v in enumerate(ids)}
-    uf = UnionFind(len(ids))
-    for p in range(len(path.seq) - 1):
-        if inside[p] and inside[p + 1]:
-            uf.union(idx_of[path.seq[p]], idx_of[path.seq[p + 1]])
-    root_of = {v: uf.find(idx_of[v]) for v in ids}
-    groups: dict[int, list[int]] = {}
-    for v in ids:
-        groups.setdefault(root_of[v], []).append(v)
-    return root_of, groups
+    seq = np.asarray(path.seq)
+    pos = np.flatnonzero(within(dist_point_arr(center, path.arr[seq]), radius))
+    run = np.cumsum(np.diff(pos, prepend=-2) != 1) - 1
+    ids, vert = np.unique(seq[pos], return_inverse=True)
+    # each run takes the least label among the runs it shares a vertex with,
+    # until no label moves
+    label = np.arange(run[-1] + 1)
+    while True:
+        comp = np.full(len(ids), len(label))
+        np.minimum.at(comp, vert, label[run])
+        merged = np.full(len(label), len(label))
+        np.minimum.at(merged, run, comp[vert])
+        if np.array_equal(merged, label):
+            return ids, comp
+        label = merged
 
 
-def curve_ball_components(curve: PolygonalCurve, member_points: Sequence[HeisPoint],
-                          ball: Ball) -> int:
-    """Number of ball-restricted curve components covering the given members.
-
-    Revisited vertices are identified (the curve is one point set), edges
-    count only when both endpoints lie inside the ball.  Returns -1 when a
-    member is not a curve vertex inside the ball.
-    """
-    verts = curve.vertices
-    key_of = {}
-    for v in verts:
-        key_of.setdefault((v.x, v.y, v.z), len(key_of))
-    arr = as_array(list(key_of))
-    inside = within(dist_point_arr(ball.center, arr), ball.radius)
-    uf = UnionFind(len(key_of))
-    for a, b in zip(verts, verts[1:]):
-        ia, ib = key_of[(a.x, a.y, a.z)], key_of[(b.x, b.y, b.z)]
-        if inside[ia] and inside[ib]:
-            uf.union(ia, ib)
-    roots = set()
-    for p in member_points:
-        i = key_of.get((p.x, p.y, p.z))
-        if i is None or not inside[i]:
-            return -1
-        roots.add(uf.find(i))
-    return len(roots)
+def _nearest(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each vertex id in rows, the distance to its nearest id in cols
+    (ascending) and that id, the smallest one on a tie; at most BATCH_PAIRS
+    distances per broadcast."""
+    d, near = np.empty(len(rows)), np.empty(len(rows), dtype=cols.dtype)
+    step = max(1, BATCH_PAIRS // len(cols))
+    for a in range(0, len(rows), step):
+        block = dist_arr(arr[rows[a:a + step], None], arr[cols])
+        d[a:a + step], near[a:a + step] = block.min(axis=1), cols[block.argmin(axis=1)]
+    return d, near
 
 
 def _enforce_local_connectivity(path: _Path, arr: np.ndarray, balls: list[tuple[int, list[int]]],
@@ -253,34 +242,34 @@ def _enforce_local_connectivity(path: _Path, arr: np.ndarray, balls: list[tuple[
     """Bridge detours until each C1-ball's net members share a path component.
 
     balls holds (anchor, net members of its C1-ball) for every net point of
-    scale k."""
+    scale k.  Each bridge is a detour u -> w -> u from the component of the
+    first member (the base) to the closest vertex w of another member's
+    component, the least (d(w, u), u, w).  It adds only the edge u-w, so it
+    merges w's component into the base and splits none: the components are
+    computed once per ball, and only the nearest base vertex of each
+    remaining vertex is updated after a bridge.
+    """
     radius = c1 * 2.0 ** (-k)
     for anchor, members in balls:
         if len(members) <= 1:
             continue
-        center = HeisPoint(*arr[anchor])
-        for _ in range(len(members)):
-            root_of, groups = _ball_member_roots(path, center, radius)
-            roots = {root_of[m] for m in members}
-            if len(roots) == 1:
-                break
-            base_root = root_of[members[0]]
-            base = groups[base_root]
-            rest = [v for m in members if root_of[m] != base_root
-                    for v in groups[root_of[m]]]
-            rest = sorted(set(rest))
-            base_arr = arr[base]
-            best = (math.inf, -1, -1)
-            for w in rest:
-                dd = dist_point_arr(HeisPoint(*arr[w]), base_arr)
-                j = int(np.argmin(dd))
-                cand = (float(dd[j]), base[j], w)
-                if cand < best:
-                    best = cand
-            _, u, w = best
-            pos = path.seq.index(u)
-            cost = path.detour(pos, w)
+        ids, comp = _ball_components(path, HeisPoint(*arr[anchor]), radius)
+        member_comp = comp[np.searchsorted(ids, members)]
+        base_comp = member_comp[0]
+        outside = np.isin(comp, member_comp) & (comp != base_comp)
+        rest, rest_comp = ids[outside], comp[outside]
+        d, u = _nearest(arr, rest, ids[comp == base_comp])
+        while len(rest):
+            b = np.lexsort((rest, u, d))[0]
+            w = int(rest[b])
+            cost = path.detour(path.seq.index(int(u[b])), w)
             ledger.entries.append(LedgerEntry(k, anchor, "bridge", "detour", w, cost))
+            joined = rest_comp == rest_comp[b]
+            moved, keep = rest[joined], ~joined
+            rest, rest_comp, d, u = rest[keep], rest_comp[keep], d[keep], u[keep]
+            d2, u2 = _nearest(arr, rest, moved)
+            closer = (d2 < d) | ((d2 == d) & (u2 < u))
+            d, u = np.where(closer, d2, d), np.where(closer, u2, u)
 
 
 def _dedup_exact(points: Sequence[HeisPoint]) -> list[HeisPoint]:
@@ -321,37 +310,38 @@ def _build(points: Sequence[HeisPoint],
                               "dropped from the curve" % (missed, k_max, MAX_LEVELS))
 
     path = _Path(arr, hierarchy.nets[k_min][0])
-    in_path = set(path.seq)
     ledger.snapshots[k_min] = list(path.seq)
     for k in range(k_min + 1, k_max + 1):
         net_k = hierarchy.nets[k]
         net_arr = arr[net_k]
         radius = cfg.c1 * 2.0 ** (-k)
-        balls = []
+        # a ball's fresh members are those neither on the path nor fresh in
+        # an earlier ball of the scale; the fits do not read the path, so
+        # every ball with fresh members is fitted in one batch
+        balls, fits = [], []
+        claimed = set(path.seq)
         for pos, anchor in enumerate(net_k):
             center = HeisPoint(*arr[anchor])
             d = dist_point_arr(center, net_arr)
             members = [net_k[j] for j in np.flatnonzero(within(d, radius))]
             balls.append((anchor, members))
-            fresh = [i for i in members if i not in in_path]
-            if not fresh:
-                continue
-            ball = Ball(center, radius)
-            res = beta_heis(arr, ball, cfg.beta_budget,
-                            seed=_term_seed(cfg.seed, k - k_min, pos))
+            fresh = [i for i in members if i not in claimed]
+            if fresh:
+                claimed.update(fresh)
+                fits.append((anchor, Ball(center, radius), fresh,
+                             _term_seed(cfg.seed, k - k_min, pos)))
+        results = beta_heis_many([(arr, ball) for _, ball, _, _ in fits], cfg.beta_budget,
+                                 [seed for *_, seed in fits])
+        for (anchor, _, fresh, _), res in zip(fits, results):
             if res.beta < cfg.eps0:
-                case = "flat"
-                keyed = sorted(((foot(HeisPoint(*arr[i]), res.line).param, i) for i in fresh))
-                for _, i in keyed:
-                    op, cost, deleted = path.insert_cheapest(i)
-                    ledger.entries.append(LedgerEntry(k, anchor, case, op, i, cost, deleted))
-                    in_path.add(i)
+                case, insert = "flat", path.insert_cheapest
+                fresh = [i for _, i in sorted((foot(HeisPoint(*arr[i]), res.line).param, i)
+                                              for i in fresh)]
             else:
-                case = "nonflat"
-                for i in fresh:
-                    op, cost, deleted = path.insert_near(i)
-                    ledger.entries.append(LedgerEntry(k, anchor, case, op, i, cost, deleted))
-                    in_path.add(i)
+                case, insert = "nonflat", path.insert_near
+            for i in fresh:
+                op, cost, deleted = insert(i)
+                ledger.entries.append(LedgerEntry(k, anchor, case, op, i, cost, deleted))
         _enforce_local_connectivity(path, arr, balls, k, cfg.c1, ledger)
         ledger.snapshots[k] = list(path.seq)
 

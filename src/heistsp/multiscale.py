@@ -1,4 +1,4 @@
-"""Net hierarchies, delta-connectivity, and discrete Carleson sums.
+"""Net hierarchies and discrete Carleson sums.
 
 Nets come from one farthest-point traversal of the input: point i gets the
 insertion radius r_i = d(p_i, {p_1..p_{i-1}}) (the seed gets infinity), and
@@ -16,29 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HeisPoint, as_array, diameter, dist_point_arr, farthest_point_order, point_of
+from .core import HeisPoint, as_array, diameter, farthest_point_order, point_of
 from .beta import Ball, BetaBudget, beta_heis_many
-# not called here: kept importable because the benchmark's tracer wraps it here
+# not called here: kept importable because the benchmark's tracer wraps them here
+from .core import dist_point_arr  # noqa: F401
 from .beta import beta_heis  # noqa: F401
 from .curves import PolygonalCurve, curve_length, resample_curve
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = i
-        while p != self.parent[p]:
-            p = self.parent[p]
-        while i != p:
-            self.parent[i], i = p, self.parent[i]
-        return p
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 @dataclass
@@ -77,23 +60,6 @@ def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int | None = Non
         warnings.warn("the coarsest net at scale 2^-%d has %d points, not one"
                       % (k_min, len(nets[k_min])))
     return NetHierarchy(arr, k_min, k_max, nets, diam)
-
-
-def delta_components(points: Sequence[HeisPoint] | np.ndarray, delta: float) -> list[list[int]]:
-    """Partition indices into chains of hops strictly shorter than delta."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    arr = points if isinstance(points, np.ndarray) else as_array(points)
-    n = arr.shape[0]
-    uf = UnionFind(n)
-    for i in range(n - 1):
-        d = dist_point_arr(HeisPoint(*arr[i]), arr[i + 1:])
-        for j in np.flatnonzero(d < delta):
-            uf.union(i, i + 1 + int(j))
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
 
 
 @dataclass

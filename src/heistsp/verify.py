@@ -46,6 +46,7 @@ from .lines import (
     line_from_point_direction,
     line_point_at,
     line_dist,
+    quartic_dists,
 )
 from .beta import Ball, BUILDER_BUDGET, beta_euclidean_2d, beta_heis, beta_heis_many
 from .builder import excess
@@ -114,7 +115,7 @@ def check_shortest_to_line(seed: int, n: int) -> LemmaCheck:
     dpl = np.abs(yt)                         # d(p, p_L)
     dll = np.sqrt(np.abs(zt - 2.0 * xt * yt))  # d(p_L, L)
     mix = (dpl ** 4 + dll ** 4) ** 0.25
-    d = line_dists_rowwise(pts, th, off, hgt)
+    d = quartic_dists(xt, yt, zt)
     scale = mix + 1e-300
     lower = (d - 0.5 * mix) / scale
     upper = (2.0 * mix - d) / scale
@@ -128,7 +129,7 @@ def check_foot_point_factor(seed: int, n: int) -> LemmaCheck:
     th, off, hgt = _sample_lines(rng, n)
     xt, yt, zt = canon_coords_rowwise(pts, th, off, hgt)
     d_vert = ((yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2) ** 0.25  # d(p, P_L(p))
-    d = line_dists_rowwise(pts, th, off, hgt)
+    d = quartic_dists(xt, yt, zt)
     margins = (4.0 * d - d_vert) / (d_vert + 1e-300)
     return _summary("foot-point-factor", margins, seed)
 

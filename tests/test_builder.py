@@ -4,21 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from heistsp.core import HeisPoint, ORIGIN, as_array, dilate, dist
+import heistsp.builder
+from heistsp.core import HeisPoint, ORIGIN, as_array, dilate, dist, dist_point_arr, within
 from heistsp.beta import Ball, beta_heis
 from heistsp.curves import PolygonalCurve, curve_length
 from heistsp.builder import (
     BuilderConfig,
+    LedgerEntry,
     ScaleRangeError,
     build_curve,
-    curve_ball_components,
     excess,
     excess_report,
     future_ball_search,
     theorem_a_check,
     _build,
 )
-from heistsp.multiscale import delta_components
 from conftest import (
     horizontal_points,
     intro_triple,
@@ -28,6 +28,81 @@ from conftest import (
 
 #: frozen regression: theorem-a ratio of the 100-point lifted circle
 CIRCLE_RATIO = 1.3447
+
+
+def curve_ball_components(curve: PolygonalCurve, member_points, ball: Ball) -> int:
+    """Number of ball-restricted curve components covering the given members.
+
+    Revisited vertices are identified (the curve is one point set), edges
+    count only when both endpoints lie inside the ball.  Returns -1 when a
+    member is not a curve vertex inside the ball.  A plain search over the
+    in-ball edges, independent of the builder's repair code.
+    """
+    keys = [(v.x, v.y, v.z) for v in curve.vertices]
+    inside = {key: dist(ball.center, HeisPoint(*key)) <= ball.radius * (1.0 + 1e-12)
+              for key in keys}
+    nbrs = {key: set() for key in keys}
+    for a, b in zip(keys, keys[1:]):
+        if inside[a] and inside[b]:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    label = {}
+    for start in keys:
+        if start in label:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            for nxt in nbrs[stack.pop()] - label.keys():
+                label[nxt] = start
+                stack.append(nxt)
+    labels = set()
+    for p in member_points:
+        key = (p.x, p.y, p.z)
+        if not inside.get(key, False):
+            return -1
+        labels.add(label[key])
+    return len(labels)
+
+
+def reference_repair(path, arr, balls, k, c1, ledger):
+    """The builder's repair pass as first written, for comparison: the
+    ball's components are recomputed from scratch before every bridge, and
+    every vertex of another member component is scanned against the whole
+    sorted base; the bridge is the least (distance, base vertex, vertex)."""
+    radius = c1 * 2.0 ** (-k)
+    for anchor, members in balls:
+        center = HeisPoint(*arr[anchor])
+        while True:
+            inside = within(dist_point_arr(center, arr[path.seq]), radius)
+            nbrs = {v: set() for v, ok in zip(path.seq, inside) if ok}
+            for p in range(len(path.seq) - 1):
+                if inside[p] and inside[p + 1]:
+                    a, b = path.seq[p], path.seq[p + 1]
+                    nbrs[a].add(b)
+                    nbrs[b].add(a)
+            comp = {}
+            for start in sorted(nbrs):
+                if start not in comp:
+                    comp[start] = start
+                    stack = [start]
+                    while stack:
+                        for nxt in nbrs[stack.pop()] - comp.keys():
+                            comp[nxt] = start
+                            stack.append(nxt)
+            labels = {comp[m] for m in members}
+            if len(labels) == 1:
+                break
+            base_label = comp[members[0]]
+            base = sorted(v for v in nbrs if comp[v] == base_label)
+            best = (math.inf, -1, -1)
+            for w in sorted(v for v in nbrs if comp[v] in labels and comp[v] != base_label):
+                d = dist_point_arr(HeisPoint(*arr[w]), arr[base])
+                j = int(np.argmin(d))
+                best = min(best, (float(d[j]), base[j], w))
+            _, u, w = best
+            cost = path.detour(path.seq.index(u), w)
+            ledger.entries.append(LedgerEntry(k, anchor, "bridge", "detour", w, cost))
 
 
 class TestExcess:
@@ -167,38 +242,21 @@ class TestBuildCurve:
                            if dist(center, HeisPoint(*map(float, arr[i]))) <= radius]
                 assert curve_ball_components(gk, members, Ball(center, radius)) == 1
 
-    def test_local_connectivity_via_delta_components(self):
-        # the same invariant expressed through metric chaining of the
-        # ball-restricted vertices at hop size = the longest in-ball edge
-        rng = np.random.default_rng(67)
-        pts = [HeisPoint(*map(float, r)) for r in rng.uniform(-1, 1, (30, 3))]
-        cfg = BuilderConfig()
-        curve, ledger, hierarchy = _build(pts, cfg)
-        arr = hierarchy.points
-        k = max(ledger.snapshots)
-        seq = ledger.snapshots[k]
-        radius = cfg.c1 * 2.0 ** (-k)
-        for anchor in hierarchy.nets[k][:10]:
-            center = HeisPoint(*map(float, arr[anchor]))
-            inside = [i for i in seq if dist(center, HeisPoint(*map(float, arr[i]))) <= radius]
-            if len(set(inside)) <= 1:
-                continue
-            verts = [HeisPoint(*map(float, arr[i])) for i in sorted(set(inside))]
-            hops = [dist(HeisPoint(*map(float, arr[a])), HeisPoint(*map(float, arr[b])))
-                    for a, b in zip(seq, seq[1:])
-                    if a in set(inside) and b in set(inside)]
-            if not hops:
-                continue
-            delta = max(hops) * (1.0 + 1e-9) + 1e-15
-            members = [HeisPoint(*map(float, arr[i])) for i in hierarchy.nets[k]
-                       if dist(center, HeisPoint(*map(float, arr[i]))) <= radius]
-            parts = delta_components(verts, delta)
-            vert_keys = [(v.x, v.y, v.z) for v in verts]
-            label = {}
-            for gi, grp in enumerate(parts):
-                for i in grp:
-                    label[vert_keys[i]] = gi
-            assert len({label[(m.x, m.y, m.z)] for m in members}) == 1
+
+    def test_repair_matches_recomputing_reference(self, monkeypatch):
+        # the repair computes components once per ball and updates only
+        # nearest base vertices after a bridge; ledger and snapshots must
+        # equal those of the recompute-everything reference bit for bit
+        rng = np.random.default_rng(68)
+        for n in (30, 100):
+            pts = [HeisPoint(*map(float, r)) for r in rng.uniform(-1, 1, (n, 3))]
+            _, fast, _ = _build(pts, BuilderConfig())
+            with monkeypatch.context() as m:
+                m.setattr(heistsp.builder, "_enforce_local_connectivity", reference_repair)
+                _, ref, _ = _build(pts, BuilderConfig())
+            assert any(e.case == "bridge" for e in ref.entries)
+            assert fast.entries == ref.entries
+            assert fast.snapshots == ref.snapshots
 
 
 class TestTheoremA:

@@ -241,13 +241,20 @@ class TestMetricProperties:
 
 
 def test_import_loads_no_scipy():
-    """Importing heistsp loads no scipy module: scipy is imported on first
-    use only (the Nelder-Mead oracle), which keeps the set-up cost of every
-    command that does not need it low."""
+    """Importing heistsp, or building a curve that needs connectivity repair,
+    loads no scipy module: scipy is imported on first use only (the
+    Nelder-Mead oracle), which keeps the set-up cost of every command that
+    does not need it low."""
     src = os.path.dirname(os.path.dirname(heistsp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = "import sys, heistsp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert out.stdout.strip() == "[]"
+    build = ("import random; from heistsp import HeisPoint, build_curve; "
+             "rnd = random.Random(1); "
+             "_, ledger = build_curve([HeisPoint(*(rnd.uniform(-1, 1) for _ in range(3))) "
+             "for _ in range(40)]); "
+             "assert sum(e.case == 'bridge' for e in ledger.entries) >= 2")
+    for work in ("import heistsp", build):
+        code = work + "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]", work

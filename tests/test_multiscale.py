@@ -12,7 +12,6 @@ from heistsp.multiscale import (
     build_nets,
     carleson_sum,
     default_scale_range,
-    delta_components,
     farthest_point_order,
     theorem_b_check,
 )
@@ -109,38 +108,6 @@ class TestNets:
         _, radii = farthest_point_order(pts)
         finite = radii[1:]
         assert all(x >= y for x, y in zip(finite, finite[1:]))
-
-
-class TestDeltaComponents:
-    def test_one_part_when_delta_large(self):
-        pts = [ORIGIN, HeisPoint(1, 0, 0), HeisPoint(0, 1, 0)]
-        parts = delta_components(pts, diameter(as_array(pts)) + 1.0)
-        assert len(parts) == 1
-
-    def test_two_points_split(self):
-        parts = delta_components([ORIGIN, HeisPoint(1, 0, 0)], 0.5)
-        assert sorted(map(sorted, parts)) == [[0], [1]]
-
-    def test_chain_threshold(self):
-        chain = [HeisPoint(0.1 * i, 0, 0) for i in range(11)]
-        assert len(delta_components(chain, 0.11)) == 1
-        assert len(delta_components(chain, 0.09)) == 11
-
-    def test_strictness(self):
-        # hops of exactly delta do not connect
-        assert len(delta_components([ORIGIN, HeisPoint(1, 0, 0)], 1.0)) == 2
-
-    def test_refinement(self):
-        rng = np.random.default_rng(34)
-        pts = rng.uniform(-1, 1, (40, 3))
-        small = delta_components(pts, 0.3)
-        large = delta_components(pts, 0.8)
-        label_large = {}
-        for gi, grp in enumerate(large):
-            for i in grp:
-                label_large[i] = gi
-        for grp in small:
-            assert len({label_large[i] for i in grp}) == 1
 
 
 class TestCarleson:
