@@ -10,24 +10,25 @@ returned beta is always the exact sup over members evaluated at the
 returned witness line, hence an upper bound on the true infimum.
 
 The engine runs in lockstep, over many balls at once: beta_heis_many takes
-(point set, ball) items, and beta_heis is its one-item case.  Every step
-evaluates all the lines it needs, for all balls, in one (lines x members)
-broadcast (lines.line_dists_many), each line against its own ball's
-members.  All candidates are scored in one call; the golden-section height
-searches run side by side, first for the strip lines and then for every
-refit candidate; and the Nelder-Mead starts of all balls advance together,
-each iteration evaluating the four trial points of every start in one call
-(a shrink takes a second).  Each search replays its sequential form bit for
-bit (golden_min, through lines.golden_min_many, and scipy 1.17.1's
-Nelder-Mead), so results equal the one-line-at-a-time engine's.  The
-balls' subsamples share one
-(balls, members, 3) array, a short one padded by repeating one of its own
-members: the engine reads the members only through maxima and minima over
-them, which a repeated member leaves unchanged, so padding is exact and a
-ball's result does not depend on the batch it runs in.  A batch runs in
-chunks under BATCH_PAIRS line-member pairs per broadcast, each ball set up
-just before its chunk is solved, so its memory follows the chunk.
-beta_heis_oracle keeps scipy.optimize.minimize as an independent reference.
+(point set, ball) items, and beta_heis is its one-item case.  The balls'
+optimisation subsamples are ragged member rows, one flat (R, 3) array with
+each ball's rows consecutive (_Rows), and each step evaluates all the lines
+it needs, for all balls, in one kernel call: every line is paired with its
+own ball's rows only, the distances of all pairs come from one
+lines.quartic_dists call, and each line's max (or min) is one
+np.maximum.reduceat over the line starts.  All candidates are scored in one
+call; the golden-section height searches run side by side, first for the
+strip lines and then for every refit candidate; and the Nelder-Mead starts
+of all balls advance together, each iteration evaluating the four trial
+points of every start in one call (a shrink takes a second).  Each search
+replays its sequential form bit for bit (golden_min, through
+lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line reads
+no row but its ball's, so a ball's result does not depend on the batch it
+runs in.  A batch runs in chunks under BATCH_PAIRS real line-member pairs
+per kernel call, each ball set up just before its chunk is solved, so its
+memory follows the chunk.  beta_heis_oracle runs its height searches
+through the same one-ball rows and keeps scipy.optimize.minimize as an
+independent reference.
 
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate (floored at GAP_FLOOR): a self-consistency estimate of the
@@ -62,7 +63,6 @@ from .lines import (
     golden_min_many,
     horizontal_line,
     line_dists_arr,
-    line_dists_many,
     line_through_two,
     quartic_dists,
     transform_line,
@@ -125,31 +125,75 @@ def members_in_ball(arr: np.ndarray, ball: Ball) -> np.ndarray:
     return np.flatnonzero(within(dist_point_arr(ball.center, arr), ball.radius))
 
 
-def _best_heights(arr: np.ndarray, thetas, offsets, iters: int = 60) -> list[float]:
-    """Minimax-optimal height of each line (thetas[i], offsets[i]) over the
-    members arr: one (m, 3) array shared by all lines, or one per line, (L, m, 3).
+class _Lines(NamedTuple):
+    """Lines in ragged member rows: row j holds a member of line line[j]'s
+    ball, each line's rows run consecutively from first[line]."""
+    members: np.ndarray     # (P, 3), column-contiguous, as the kernels read columns
+    line: np.ndarray        # (P,) the line of each row
+    first: np.ndarray       # (L,) the first row of each line
+
+
+class _Rows:
+    """The optimisation subsamples of many balls as one (R, 3) array of
+    member rows, ball b's rows at start[b]:start[b] + count[b]."""
+
+    def __init__(self, subs: Sequence[np.ndarray]):
+        self.count = np.array([len(s) for s in subs], dtype=np.intp)
+        self.start = np.cumsum(self.count) - self.count
+        self.cols = np.concatenate(subs).T.copy()
+
+    def lines(self, balls) -> _Lines:
+        """The lines of the given balls, one per entry: each line's rows are
+        its ball's member rows."""
+        balls = np.asarray(balls, dtype=np.intp)
+        count = self.count[balls]
+        first = np.cumsum(count) - count
+        idx = np.arange(count.sum()) + np.repeat(self.start[balls] - first, count)
+        return _Lines(self.cols[:, idx].T, np.repeat(np.arange(len(balls)), count), first)
+
+
+def _max_dists(lines: _Lines, params) -> np.ndarray:
+    """max_i d(p_i, L) over each line's members, for the line (theta,
+    offset, height) of each row of params, shaped (L, 3)."""
+    params = np.asarray(params, dtype=float).reshape(-1, 3)
+    c, s = directions(params[:, 0])
+    j = lines.line
+    d = quartic_dists(*_canon_arr(lines.members, c[j, 0], s[j, 0], params[j, 1], params[j, 2]))
+    return np.maximum.reduceat(d, lines.first)
+
+
+def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float]:
+    """Minimax-optimal height of each line (thetas[i], offsets[i]) over its
+    members.
 
     max_i d(p_i, L_h) is quasiconvex in h (each d^4 is jointly convex in
     (t, h)), so golden-section over the hull of the per-point zero-mismatch
     heights finds the optimum.  All lines search in lockstep
-    (golden_min_many), one broadcast per step; a line whose bracket is a
+    (golden_min_many), one kernel call per step; a line whose bracket is a
     single height returns it unsearched.
     """
     cs, sn = directions(thetas)
-    off = np.asarray(offsets, dtype=float)[:, None]
+    off = np.asarray(offsets, dtype=float)
+    j = lines.line
+    off_j = off[j]
     # line_dists_arr's canonical coordinates at height 0
-    xt, yt, z0 = _canon_arr(arr, cs, sn, off, 0.0)
+    xt, yt, z0 = _canon_arr(lines.members, cs[j, 0], sn[j, 0], off_j, 0.0)
     # h with zero mismatch at the co-horizontal foot
-    targets = arr[..., 2] - 2.0 * xt * yt + 2.0 * off * xt
-    a = targets.min(axis=1)
-    b = targets.max(axis=1)
+    targets = lines.members[:, 2] - 2.0 * xt * yt + 2.0 * off_j * xt
+    a = np.minimum.reduceat(targets, lines.first)
+    b = np.maximum.reduceat(targets, lines.first)
     out = a.copy()
-    rows = np.flatnonzero(a != b)
-    if rows.size == 0:
+    search = a != b
+    if not search.any():
         return out.tolist()
-    xt, yt, z0 = xt[rows], yt[rows], z0[rows]
-    out[rows] = golden_min_many(lambda h: quartic_dists(xt, yt, z0 - h[:, None]).max(axis=1),
-                                a[rows], b[rows], iters)[0]
+    keep = search[j]
+    xt, yt, z0 = xt[keep], yt[keep], z0[keep]
+    count = np.diff(lines.first, append=len(j))[search]
+    first = np.cumsum(count) - count
+    j = np.repeat(np.arange(len(count)), count)
+    out[search] = golden_min_many(
+        lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - h[j]), first),
+        a[search], b[search], iters)[0]
     return out.tolist()
 
 
@@ -169,19 +213,21 @@ def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
         return p
 
     def half(seq):
+        # on Python floats: the same IEEE operations as on numpy rows, without
+        # a numpy call per step
         out = []
-        for q in seq:
+        for qx, qy in seq:
             while len(out) > 1:
-                u = out[-1] - out[-2]
-                v = q - out[-2]
-                if u[0] * v[1] - u[1] * v[0] > 0:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) > 0:
                     break
                 out.pop()
-            out.append(q)
+            out.append((qx, qy))
         return out
 
-    lower = half(p)
-    upper = half(p[::-1])
+    seq = p.tolist()
+    lower = half(seq)
+    upper = half(seq[::-1])
     return np.array(lower[:-1] + upper[:-1])
 
 
@@ -286,12 +332,6 @@ def _line_of(p: HeisPoint, q: HeisPoint) -> tuple[float, float, float]:
     return (ln.theta, ln.offset, ln.height)
 
 
-def _max_dists(arr: np.ndarray, params) -> np.ndarray:
-    """max_i d(p_i, L) for each line (theta, offset, height) of params, over
-    members arr shared or per line as in line_dists_many."""
-    return line_dists_many(arr, params).max(axis=-1)
-
-
 #: Nelder-Mead initial simplex: x0 plus these steps along each axis, at
 #: canonical-frame scales (scipy's default steps a zero coordinate by
 #: 2.5e-4, far too timid for theta/offset)
@@ -307,27 +347,29 @@ _TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, N
 _TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
 
 
-def _nelder_mead(arr: np.ndarray, x0s, maxiter: int, xatol: float,
+def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
                  fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
-    """(min, argmin) of the max line distance to the members from each start in x0s.
+    """(min, argmin) of the max line distance to its ball's members from each
+    start in x0s, start i in ball balls[i] of rows.
 
-    arr is one (m, 3) member array shared by all starts, or one per start,
-    (starts, m, 3).  A lockstep replay of scipy 1.17.1's _minimize_neldermead
-    (default coefficients, maxiter given, no bounds) from the simplex
+    A lockstep replay of scipy 1.17.1's _minimize_neldermead (default
+    coefficients, maxiter given, no bounds) from the simplex
     x0 + diag(_NM_STEPS).  Every start keeps its own simplex, arithmetic,
     argsort and convergence test; the iteration counter they share starts at
     1 as scipy's does, whatever ball a start belongs to, and a start that
     converges leaves the lockstep.  The four trial points of an iteration
-    depend only on xbar and the worst vertex, so one broadcast evaluates them
-    for all starts; shrinks take a second one.
+    depend only on xbar and the worst vertex, so one kernel call evaluates
+    them for all starts; shrinks take a second one.
     """
     x0 = np.array(x0s, dtype=float).reshape(-1, 3)
     n = x0.shape[1]
-    arr = np.broadcast_to(arr, (len(x0),) + arr.shape[-2:])
+    balls = np.asarray(balls, dtype=np.intp)    # the ball of each row of sim and fsim
+    live = np.arange(len(x0))                   # the start of each row of sim and fsim
+    # n + 1 lines per start: the initial simplex, then the four trial points
+    lines = rows.lines(np.repeat(balls, n + 1))
     sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(_NM_STEPS)], axis=1)
-    fsim = _max_dists(arr[:, None], sim)
+    fsim = _max_dists(lines, sim).reshape(-1, n + 1)
     out: list = [None] * len(x0)
-    live = np.arange(len(x0))        # the start of each row of sim, fsim and arr
 
     def sort(sim, fsim):
         ind = np.argsort(fsim, axis=1)
@@ -346,12 +388,13 @@ def _nelder_mead(arr: np.ndarray, x0s, maxiter: int, xatol: float,
             for r in np.flatnonzero(done).tolist():
                 out[live[r]] = (float(np.min(fsim[r])), tuple(sim[r, 0].tolist()))
             keep = ~done
-            sim, fsim, arr, live = sim[keep], fsim[keep], arr[keep], live[keep]
+            sim, fsim, balls, live = sim[keep], fsim[keep], balls[keep], live[keep]
             if not live.size:
                 break
+            lines = rows.lines(np.repeat(balls, n + 1))
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
-        ftrial = _max_dists(arr[:, None], trial)
+        ftrial = _max_dists(lines, trial).reshape(-1, 4)
         fxr, fxe, fxc, fxcc = ftrial.T
         # scipy's branches: expand or reflect, reflect, contract outside or
         # inside, else shrink (-1)
@@ -367,16 +410,17 @@ def _nelder_mead(arr: np.ndarray, x0s, maxiter: int, xatol: float,
         if shrink.size:
             best = sim[shrink, :1]
             sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = _max_dists(arr[shrink, None], sim[shrink, 1:])
+            fsim[shrink, 1:] = _max_dists(rows.lines(np.repeat(balls[shrink], n)),
+                                          sim[shrink, 1:]).reshape(-1, n)
         iterations += 1
         sim, fsim = sort(sim, fsim)
     return out
 
 
-#: the most (line, member) pairs one broadcast of beta_heis_many evaluates:
-#: a batch runs in chunks of balls under this bound (a ball that exceeds it
-#: alone runs alone).  One scale of a 50-point build at --budget 24 fits.
-BATCH_PAIRS = 1 << 17
+#: the most (line, member) pairs one kernel call of beta_heis_many evaluates,
+#: each line counted against its own ball's subsample: a batch runs in
+#: chunks of balls under this bound (a ball that exceeds it alone runs alone)
+BATCH_PAIRS = 1 << 14
 
 
 class _Fit:
@@ -399,30 +443,24 @@ class _Fit:
             same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
             self.pair_lines = [_line_of(HeisPoint(*sub[i]), HeisPoint(*sub[j]))
                                for (i, j), skip in zip(pairs, same.tolist()) if not skip]
-        # lines of the largest broadcast: all candidates, or the Nelder-Mead trials
-        self.lines = max(3 + len(self.pair_lines), 4 * budget.nm_starts)
+        # (line, member) pairs of its largest kernel call: all candidates,
+        # or the Nelder-Mead trials
+        self.pairs = max(3 + len(self.pair_lines), 4 * budget.nm_starts) * len(sub)
 
 
 def _chunks(fits: Iterable[_Fit]) -> Iterator[list[_Fit]]:
-    """Consecutive runs of fits whose broadcasts stay within BATCH_PAIRS,
+    """Consecutive runs of fits whose kernel calls stay within BATCH_PAIRS,
     each yielded once the fit after it (or the end) closes it."""
     chunk: list[_Fit] = []
-    lines = m = 0
+    pairs = 0
     for f in fits:
-        if chunk and (lines + f.lines) * max(m, len(f.sub)) > BATCH_PAIRS:
+        if chunk and pairs + f.pairs > BATCH_PAIRS:
             yield chunk
-            chunk, lines, m = [], 0, 0
+            chunk, pairs = [], 0
         chunk.append(f)
-        lines, m = lines + f.lines, max(m, len(f.sub))
+        pairs += f.pairs
     if chunk:
         yield chunk
-
-
-def _per_line(subs: np.ndarray, groups: list[list]) -> tuple[np.ndarray, list, list[int]]:
-    """The lines of every ball as one flat list, each with its ball's member
-    array: (member arrays, lines, lines per ball)."""
-    counts = [len(g) for g in groups]
-    return subs[np.repeat(np.arange(len(groups)), counts)], [x for g in groups for x in g], counts
 
 
 def _split(values: list, counts: list[int]) -> list[list]:
@@ -432,38 +470,36 @@ def _split(values: list, counts: list[int]) -> list[list]:
 
 
 def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, float, float], float]]:
-    """(witness params, certified gap) of every fit, each step one broadcast
-    across all balls.
+    """(witness params, certified gap) of every fit, each step one kernel
+    call across all balls, each line over its own ball's member rows."""
+    rows = _Rows([f.sub for f in fits])
+    balls = np.arange(len(fits))
 
-    Each ball's subsample gets its own rows of one (balls, m, 3) array; a
-    shorter one is padded by repeating its first member, which leaves every
-    max and min over the members, and so every result, unchanged.
-    """
-    m = max(len(f.sub) for f in fits)
-    # each ball's (m, 3) block column-contiguous, as the kernels read columns
-    subs = np.empty((len(fits), 3, m)).transpose(0, 2, 1)
-    for row, f in zip(subs, fits):
-        row[:len(f.sub)] = f.sub
-        row[len(f.sub):] = f.sub[0]
+    def flatten(groups: list[list]) -> tuple[list, list[int], np.ndarray]:
+        """The groups' items as one list, the count per group and the ball of each item."""
+        counts = [len(g) for g in groups]
+        return [x for g in groups for x in g], counts, np.repeat(balls, counts)
 
     # stage A: direct candidates, scored together; the best few get their height refit
-    strip_h = _best_heights(subs, [f.th_s for f in fits], [f.off_s for f in fits])
+    strip_h = _best_heights(rows.lines(balls), [f.th_s for f in fits], [f.off_s for f in fits])
     cands = [[(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0), (f.th_s, f.off_s, h)] + f.pair_lines
              for f, h in zip(fits, strip_h)]
-    arr, flat, counts = _per_line(subs, cands)
+    flat, counts, owner = flatten(cands)
     scored = [sorted(zip(v, c))     # by value, ties by line
-              for v, c in zip(_split(_max_dists(arr, flat).tolist(), counts), cands)]
-    arr, top, counts = _per_line(subs, [[c for _, c in s[:budget.refine_starts]] for s in scored])
-    heights = _best_heights(arr, [c[0] for c in top], [c[1] for c in top])
+              for v, c in zip(_split(_max_dists(rows.lines(owner), flat).tolist(), counts),
+                              cands)]
+    top, counts, owner = flatten([[c for _, c in s[:budget.refine_starts]] for s in scored])
+    lines = rows.lines(owner)
+    heights = _best_heights(lines, [c[0] for c in top], [c[1] for c in top])
     refit = [(th, c_, h2) for (th, c_, _), h2 in zip(top, heights)]
-    for s, v, r in zip(scored, _split(_max_dists(arr, refit).tolist(), counts),
+    for s, v, r in zip(scored, _split(_max_dists(lines, refit).tolist(), counts),
                        _split(refit, counts)):
         s += zip(v, r)
         s.sort()
 
     # stage B: Nelder-Mead polish from the best few
-    arr, starts, counts = _per_line(subs, [[p for _, p in s[:budget.nm_starts]] for s in scored])
-    polished = _split(_nelder_mead(arr, starts, budget.nm_iter, 1e-10, 1e-13), counts)
+    starts, counts, owner = flatten([[p for _, p in s[:budget.nm_starts]] for s in scored])
+    polished = _split(_nelder_mead(rows, owner, starts, budget.nm_iter, 1e-10, 1e-13), counts)
     out = []
     for s, polished_b in zip(scored, polished):
         best = s[0]
@@ -541,9 +577,10 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
                                   "the cost guard" % (resolution ** 3, n))
 
     # incumbent from the two center lines fixes the search box
-    h0, h1 = _best_heights(canon, [0.0, 0.5 * math.pi], [0.0, 0.0])
-    d0 = min(_max_dists(canon, [(0.0, 0.0, h0), (0.5 * math.pi, 0.0, h1),
-                                (0.0, 0.0, 0.0)]).tolist())
+    rows = _Rows([canon])
+    h0, h1 = _best_heights(rows.lines([0, 0]), [0.0, 0.5 * math.pi], [0.0, 0.0])
+    d0 = min(_max_dists(rows.lines([0, 0, 0]), [(0.0, 0.0, h0), (0.5 * math.pi, 0.0, h1),
+                                                 (0.0, 0.0, 0.0)]).tolist())
     rmax = float(norm_arr(canon).max())
     c_max = rmax + d0 + 1e-9
     # any line beating the incumbent has a foot point within 4*d0 of some
@@ -566,7 +603,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
 
     grid_val = best[0] / 2.0
     th, c_, h = best[1]
-    h = _best_heights(canon, [th], [c_])[0]
+    h = _best_heights(rows.lines([0]), [th], [c_])[0]
     refined = [(th, c_, h)]
 
     def objective(x: np.ndarray) -> float:

@@ -2,7 +2,8 @@
 
 The builder walks the net hierarchy coarse to fine, keeping one open
 polygonal path.  For every net point P at scale k it inspects the ball
-B(P, C1 * 2^-k), fitting all balls of a scale in one beta_heis_many call:
+B(P, C1 * 2^-k); the balls of every scale are fitted in one beta_heis_many
+call before the first insertion:
 
 * non-flat ball (beta >= eps0): each new net point is joined next to its
   nearest existing path vertex (cost bounded by the covering radius);
@@ -107,9 +108,6 @@ class BuildLedger:
 
     def total_cost(self) -> float:
         return math.fsum(e.cost for e in self.entries)
-
-    def deleted_edges(self) -> list[tuple[int, tuple[int, int]]]:
-        return [(e.k, e.deleted_edge) for e in self.entries if e.deleted_edge is not None]
 
 
 def excess(a: HeisPoint, b: HeisPoint, c: HeisPoint) -> float:
@@ -237,7 +235,8 @@ def _nearest(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.nd
     return d, near
 
 
-def _enforce_local_connectivity(path: _Path, arr: np.ndarray, balls: list[tuple[int, list[int]]],
+def _enforce_local_connectivity(path: _Path, arr: np.ndarray,
+                                balls: list[tuple[int, np.ndarray]],
                                 k: int, c1: float, ledger: BuildLedger) -> None:
     """Bridge detours until each C1-ball's net members share a path component.
 
@@ -311,28 +310,37 @@ def _build(points: Sequence[HeisPoint],
 
     path = _Path(arr, hierarchy.nets[k_min][0])
     ledger.snapshots[k_min] = list(path.seq)
+    # A ball's fresh members are those neither on the path at the start of
+    # its scale nor fresh in an earlier ball of the scale.  The path holds
+    # the first net point before the first scale and the previous scale's
+    # net after it (the nets are nested and every net point is a member of
+    # its own ball), so a running claimed set gives every scale's fresh
+    # members in advance, and the fits, which read the point set and not
+    # the path, are made in one batch before the first insertion.
+    claimed = {path.seq[0]}
+    scales = []
     for k in range(k_min + 1, k_max + 1):
         net_k = hierarchy.nets[k]
-        net_arr = arr[net_k]
+        # int32 members: every scale's balls are held until that scale's repair
+        net_idx, net_arr = np.asarray(net_k, dtype=np.int32), arr[net_k]
         radius = cfg.c1 * 2.0 ** (-k)
-        # a ball's fresh members are those neither on the path nor fresh in
-        # an earlier ball of the scale; the fits do not read the path, so
-        # every ball with fresh members is fitted in one batch
         balls, fits = [], []
-        claimed = set(path.seq)
         for pos, anchor in enumerate(net_k):
             center = HeisPoint(*arr[anchor])
-            d = dist_point_arr(center, net_arr)
-            members = [net_k[j] for j in np.flatnonzero(within(d, radius))]
+            members = net_idx[within(dist_point_arr(center, net_arr), radius)]
             balls.append((anchor, members))
-            fresh = [i for i in members if i not in claimed]
+            fresh = [i for i in members.tolist() if i not in claimed]
             if fresh:
                 claimed.update(fresh)
                 fits.append((anchor, Ball(center, radius), fresh,
                              _term_seed(cfg.seed, k - k_min, pos)))
-        results = beta_heis_many([(arr, ball) for _, ball, _, _ in fits], cfg.beta_budget,
-                                 [seed for *_, seed in fits])
-        for (anchor, _, fresh, _), res in zip(fits, results):
+        scales.append((k, balls, fits))
+    fits = [f for _, _, scale_fits in scales for f in scale_fits]
+    results = iter(beta_heis_many([(arr, ball) for _, ball, _, _ in fits], cfg.beta_budget,
+                                  [seed for *_, seed in fits]))
+    for k, balls, scale_fits in scales:
+        for anchor, _, fresh, _ in scale_fits:
+            res = next(results)
             if res.beta < cfg.eps0:
                 case, insert = "flat", path.insert_cheapest
                 fresh = [i for _, i in sorted((foot(HeisPoint(*arr[i]), res.line).param, i)

@@ -22,10 +22,6 @@ class PolygonalCurve:
     def length(self) -> float:
         return math.fsum(self.edge_lengths())
 
-    def dilated(self, lam: float) -> "PolygonalCurve":
-        from .core import dilate
-        return PolygonalCurve([dilate(lam, v) for v in self.vertices])
-
 
 def curve_length(curve: PolygonalCurve) -> float:
     """Sum of Koranyi edge lengths; additive under concatenation."""

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import HeisPoint, koranyi_norm, norm_arr, rotate_z, sigma
+from .core import HeisPoint, rotate_z, sigma
 
 
 class HorizontalLine(NamedTuple):
@@ -211,16 +211,6 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
     return (c1, f1) if f1 <= f2 else (c2, f2)
 
 
-def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> float:
-    """Golden-section fallback on t in [-T, T], T = 4(N(p~)+1).
-
-    Independent of the cubic root solve; serves as the 1D oracle in tests.
-    """
-    xt, yt, zt = canon_coords(p, line)
-    hi = 4.0 * (koranyi_norm(HeisPoint(xt, yt, zt)) + 1.0)
-    return golden_min(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
-
-
 def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
                     iters: int) -> tuple[np.ndarray, np.ndarray]:
     """golden_min of every row in lockstep: f maps one probe per row to the
@@ -240,14 +230,6 @@ def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.
                           np.where(left, c1, t), np.where(left, f1, ft))
     better = f1 <= f2
     return np.where(better, c1, c2), np.where(better, f1, f2)
-
-
-def line_dists_bracket_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
-                               heights: np.ndarray, iters: int = 100) -> np.ndarray:
-    """Golden-section distances for matched rows; oracle for the cubic solve."""
-    xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
-    hi = 4.0 * (norm_arr(np.column_stack([xt, yt, zt])) + 1.0)
-    return golden_min_many(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
 def trapezoid_area(a: HeisPoint, b: HeisPoint, line: HorizontalLine) -> float:
@@ -287,13 +269,3 @@ def transform_line(line: HorizontalLine, g: HeisPoint | None = None,
         q1 = group_mul(g, q1)
     theta = math.atan2(q1.y - q0.y, q1.x - q0.x)
     return line_from_point_direction(q0, theta)
-
-
-def lines_close(l1: HorizontalLine, l2: HorizontalLine, tol: float = 1e-12) -> bool:
-    """Compare canonical fields, handling the theta wrap at pi."""
-    dt = abs(l1.theta - l2.theta)
-    if dt < tol:
-        return abs(l1.offset - l2.offset) <= tol and abs(l1.height - l2.height) <= tol
-    if abs(dt - math.pi) < tol:  # same direction mod pi, flipped frame
-        return abs(l1.offset + l2.offset) <= tol and abs(l1.height - l2.height) <= tol
-    return False

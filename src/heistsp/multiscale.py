@@ -88,21 +88,27 @@ def carleson_sum(hierarchy: NetHierarchy, r: float, a: float,
     if a < 1.0:
         raise ValueError("ball multiplier must be >= 1, got %r" % (a,))
     arr = hierarchy.points
-    terms = []
-    for k in range(hierarchy.k_min, hierarchy.k_max + 1):
-        net = hierarchy.nets[k]
-        balls = [Ball(point_of(arr[i]), a * 2.0 ** (-k)) for i in net]
-        seeds = [_term_seed(seed, k - hierarchy.k_min, pos) for pos in range(len(net))]
-        try:
-            results = beta_heis_many([(arr, ball) for ball in balls], beta_budget, seeds)
-        except Exception as exc:
-            if hasattr(exc, "add_note"):   # Python 3.11+
-                where = ("net point %r" % (balls[0].center,) if len(balls) == 1
-                         else "%d net points" % len(balls))
-                exc.add_note("in carleson_sum at scale k=%d, %s" % (k, where))
-            raise
-        terms += [CarlesonTerm(k, ball.center, res.beta, res.beta ** r * 2.0 ** (-k),
-                               res.certified_gap) for ball, res in zip(balls, results)]
+    scales = range(hierarchy.k_min, hierarchy.k_max + 1)
+    # every scale's balls in one batch, scale by scale in net order
+    balls = [(k, Ball(point_of(arr[i]), a * 2.0 ** (-k))) for k in scales
+             for i in hierarchy.nets[k]]
+    seeds = [_term_seed(seed, k - hierarchy.k_min, pos) for k in scales
+             for pos in range(len(hierarchy.nets[k]))]
+    try:
+        results = beta_heis_many([(arr, ball) for _, ball in balls], beta_budget, seeds)
+    except Exception as exc:
+        if hasattr(exc, "add_note"):   # Python 3.11+
+            if len(balls) == 1:
+                where = "scale k=%d, net point %r" % (balls[0][0], balls[0][1].center)
+            elif hierarchy.k_min == hierarchy.k_max:
+                where = "scale k=%d, %d net points" % (hierarchy.k_min, len(balls))
+            else:
+                where = "scales k=%d..%d, %d net points" % (hierarchy.k_min, hierarchy.k_max,
+                                                             len(balls))
+            exc.add_note("in carleson_sum at " + where)
+        raise
+    terms = [CarlesonTerm(k, ball.center, res.beta, res.beta ** r * 2.0 ** (-k),
+                          res.certified_gap) for (k, ball), res in zip(balls, results)]
     total = math.fsum(t.contribution for t in terms)
     diam = diameter(arr) if hierarchy.diam is None else hierarchy.diam
     return CarlesonReport(r, a, terms, total, diam)

@@ -24,7 +24,9 @@ from conftest import (
     intro_triple,
     lifted_circle,
     lifted_point_fixture,
+    lifted_sine,
 )
+from test_golden_cli import FIXTURES
 
 #: frozen regression: theorem-a ratio of the 100-point lifted circle
 CIRCLE_RATIO = 1.3447
@@ -217,7 +219,9 @@ class TestBuildCurve:
         rng = np.random.default_rng(65)
         pts = [HeisPoint(*map(float, r)) for r in rng.uniform(-1, 1, (30, 3))]
         curve, ledger, hierarchy = _build(pts, BuilderConfig())
-        for k, (u, v) in ledger.deleted_edges():
+        deleted = [(e.k, e.deleted_edge) for e in ledger.entries if e.deleted_edge is not None]
+        assert deleted
+        for k, (u, v) in deleted:
             seq = ledger.snapshots[k]
             # both endpoints remain path vertices, i.e. at distance 0 from
             # the refined curve (the (P5)-style bookkeeping is trivial here)
@@ -242,6 +246,19 @@ class TestBuildCurve:
                            if dist(center, HeisPoint(*map(float, arr[i]))) <= radius]
                 assert curve_ball_components(gk, members, Ball(center, radius)) == 1
 
+
+    @pytest.mark.parametrize("pts", [[HeisPoint(*p) for p in FIXTURES["cloud.txt"]],
+                                     lifted_sine(50)], ids=["cloud", "lifted-sine"])
+    def test_path_holds_the_previous_net_at_each_scale(self, pts):
+        # the builder fits every scale's balls before its first insertion,
+        # taking the set on the path at the start of scale k to be the first
+        # net point at k_min + 1 and set(nets[k - 1]) after that
+        _, ledger, hierarchy = _build(pts, BuilderConfig(seed=0))
+        nets, k_min = hierarchy.nets, hierarchy.k_min
+        assert hierarchy.k_max > k_min + 2
+        assert ledger.snapshots[k_min] == [nets[k_min][0]]
+        for k in range(k_min + 2, hierarchy.k_max + 1):
+            assert set(ledger.snapshots[k - 1]) == set(nets[k - 1])
 
     def test_repair_matches_recomputing_reference(self, monkeypatch):
         # the repair computes components once per ball and updates only

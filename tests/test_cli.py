@@ -263,7 +263,7 @@ def test_budget_error_inside_carleson_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert "over its cost guard" in err and "Traceback" not in err
     if sys.version_info >= (3, 11):
-        assert "in carleson_sum at scale k=" in err
+        assert "in carleson_sum at scales k=" in err
 
 
 def test_unresolvable_close_pair_exits_2(tmp_path, capsys):

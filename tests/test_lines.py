@@ -13,30 +13,57 @@ from heistsp.core import (
     group_mul,
     koranyi_norm,
     nh,
+    norm_arr,
     proj_pi,
     sample_box,
     sigma,
 )
 from heistsp.lines import (
     HorizontalLine,
+    _quartic,
+    canon_coords,
     canon_coords_rowwise,
     foot,
     foot_params_arr,
     horizontal_line,
+    golden_min,
+    golden_min_many,
     line_dist,
-    line_dist_bracket,
-    line_dists_bracket_rowwise,
     line_dists_rowwise,
     line_from_point_direction,
     line_point_at,
     line_through_two,
-    lines_close,
     sigma_l,
     transform_line,
     trapezoid_area,
 )
 
 X_AXIS = horizontal_line(0.0, 0.0, 0.0)
+
+
+def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> float:
+    """Golden-section distance on t in [-T, T], T = 4(N(p~)+1): the 1D oracle
+    for the cubic root solve of line_dist, independent of it."""
+    xt, yt, zt = canon_coords(p, line)
+    hi = 4.0 * (koranyi_norm(HeisPoint(xt, yt, zt)) + 1.0)
+    return golden_min(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
+
+
+def line_dists_bracket_rowwise(pts, thetas, offsets, heights, iters: int = 100):
+    """Golden-section distances for matched rows: the bulk oracle for the cubic solve."""
+    xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
+    hi = 4.0 * (norm_arr(np.column_stack([xt, yt, zt])) + 1.0)
+    return golden_min_many(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
+
+
+def lines_close(l1: HorizontalLine, l2: HorizontalLine, tol: float = 1e-12) -> bool:
+    """Compare canonical fields, handling the theta wrap at pi."""
+    dt = abs(l1.theta - l2.theta)
+    if dt < tol:
+        return abs(l1.offset - l2.offset) <= tol and abs(l1.height - l2.height) <= tol
+    if abs(dt - math.pi) < tol:  # same direction mod pi, flipped frame
+        return abs(l1.offset + l2.offset) <= tol and abs(l1.height - l2.height) <= tol
+    return False
 
 
 def random_lines(rng, n, s=2.0):

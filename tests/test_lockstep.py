@@ -32,10 +32,12 @@ from heistsp.beta import (
     Ball,
     BetaBudget,
     _NM_STEPS,
+    _Rows,
     _best_heights,
     _nelder_mead,
     beta_heis,
     beta_heis_many,
+    members_in_ball,
 )
 from conftest import lifted_circle, lifted_parabola, lifted_sine
 
@@ -104,6 +106,11 @@ def test_golden_min_many_rows_equal_golden_min():
             assert (got_t[i], got_f[i]) == (t, ft)
 
 
+def _one_ball(arr, n_lines):
+    """n_lines lines over the members arr, in ragged member rows."""
+    return _Rows([arr]).lines([0] * n_lines)
+
+
 def _best_height_reference(arr, theta, c, iters=60):
     """One line's minimax height by golden_min, one distance call per probe."""
     cs, sn = math.cos(theta), math.sin(theta)
@@ -123,11 +130,11 @@ def test_lockstep_heights_equal_golden_min():
     for arr in (sample_box(rng, 24, 0.8), horizontal):
         thetas = [0.0, 0.5 * math.pi, 2.1, -0.4, 3.5]
         offsets = [0.0, 0.0, 0.3, -0.2, 0.05]
-        got = _best_heights(arr, thetas, offsets)
+        got = _best_heights(_one_ball(arr, len(thetas)), thetas, offsets)
         want = [_best_height_reference(arr, t, c) for t, c in zip(thetas, offsets)]
         assert got == want
     # the horizontal set's own line has a one-point bracket and skips the search
-    assert _best_heights(horizontal, [0.0], [0.0]) == [0.0]
+    assert _best_heights(_one_ball(horizontal, 1), [0.0], [0.0]) == [0.0]
 
 
 def _scipy_polish(arr, x0, maxiter):
@@ -157,13 +164,15 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
         arr = sample_box(np.random.default_rng(21), 3, 0.7)
     rows = []
 
-    def spy(arr, params):
-        rows.append(int(np.prod(np.shape(params)[:-1])))   # lines in the call
-        return line_dists_many(arr, params)
+    max_dists = heistsp.beta._max_dists
 
-    monkeypatch.setattr(heistsp.beta, "line_dists_many", spy)
+    def spy(lines, params):
+        rows.append(int(np.prod(np.shape(params)[:-1])))   # lines in the call
+        return max_dists(lines, params)
+
+    monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
     starts = STARTS[:n_starts]
-    got = _nelder_mead(arr, starts, maxiter, 1e-10, 1e-13)
+    got = _nelder_mead(_Rows([arr]), [0] * n_starts, starts, maxiter, 1e-10, 1e-13)
     assert len(got) == n_starts
     for (fun, x), x0 in zip(got, starts):
         ref = _scipy_polish(arr, x0, maxiter)
@@ -266,7 +275,7 @@ def test_budget_without_refits_or_polish():
     pts = [ORIGIN, HeisPoint(0.0, 0.0, 1.0)]
     res = beta_heis(pts, Ball(ORIGIN, 1.0), BetaBudget(refine_starts=0, nm_starts=0))
     assert res.beta > 0.0
-    assert _nelder_mead(np.zeros((2, 3)), [], 10, 1e-10, 1e-13) == []
+    assert _nelder_mead(_Rows([np.zeros((2, 3))]), [], [], 10, 1e-10, 1e-13) == []
 
 
 def test_kernels_take_one_member_array_per_line():
@@ -277,12 +286,23 @@ def test_kernels_take_one_member_array_per_line():
     got = line_dists_many(np.array(sets), params)
     for row, pts, p in zip(got, sets, params):
         assert np.array_equal(row, line_dists_arr(pts, HorizontalLine(*p)))
+    # the engine's ragged rows: balls of 9, 2, 30 and 5 members
+    sets = [sample_box(rng, m, 0.8) for m in (9, 2, 30, 5)]
+    rows = _Rows(sets)
+    balls = [2, 0, 3, 1, 2, 0]          # lines of a ball apart, one ball twice
+    lines = rows.lines(balls)
+    params = params[[0, 1, 2, 3, 1, 3]]
+    assert np.array_equal(heistsp.beta._max_dists(lines, params),
+                          [line_dists_arr(sets[b], HorizontalLine(*p)).max()
+                           for b, p in zip(balls, params)])
     thetas, offsets = params[:, 0], params[:, 1]
-    assert _best_heights(np.array(sets), thetas, offsets) == \
-        [_best_heights(pts, [t], [c])[0] for pts, t, c in zip(sets, thetas, offsets)]
+    assert _best_heights(lines, thetas, offsets) == \
+        [_best_heights(_one_ball(sets[b], 1), [t], [c])[0]
+         for b, t, c in zip(balls, thetas, offsets)]
     starts = [tuple(p) for p in params]
-    assert _nelder_mead(np.array(sets), starts, 60, 1e-10, 1e-13) == \
-        [_nelder_mead(pts, [x0], 60, 1e-10, 1e-13)[0] for pts, x0 in zip(sets, starts)]
+    assert _nelder_mead(rows, balls, starts, 60, 1e-10, 1e-13) == \
+        [_nelder_mead(_Rows([sets[b]]), [0], [x0], 60, 1e-10, 1e-13)[0]
+         for b, x0 in zip(balls, starts)]
 
 
 def _mixed_table():
@@ -317,9 +337,18 @@ def test_batch_equals_one_at_a_time(budget):
     assert got[0].vacuous and not any(r.vacuous for r in got[1:])
 
 
+def _sizes_table():
+    """(points, ball, seed) with 2, 3, 48, 96 and 300 members: below, at and
+    above both budgets' max_members, so one batch mixes subsample lengths."""
+    rng = np.random.default_rng(20261020)
+    out = []
+    for seed, m in enumerate((2, 3, 48, 96, 300)):
+        pts = sample_box(rng, m, 0.5)
+        out.append((pts, Ball(HeisPoint(*pts[0]), 4.0), seed))
+    return out
+
+
 def test_chunk_boundaries_do_not_change_results(monkeypatch):
-    table = _mixed_table()
-    items, seeds = [(p, b) for p, b, _ in table], [s for _, _, s in table]
     chunks = []
     solve = heistsp.beta._solve
 
@@ -328,12 +357,22 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch):
         return solve(fits, budget)
 
     monkeypatch.setattr(heistsp.beta, "_solve", spy)
-    whole = beta_heis_many(items, BUILDER_BUDGET, seeds)
-    assert chunks == [7]           # every ball with two or more members, in one chunk
-    monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", 1)
-    one_by_one = beta_heis_many(items, BUILDER_BUDGET, seeds)
-    assert chunks[1:] == [1] * 7
-    assert [_fields(r) for r in one_by_one] == [_fields(r) for r in whole]
+    assert [len(members_in_ball(p, b)) for p, b, _ in _sizes_table()] == [2, 3, 48, 96, 300]
+    for table, budget in [(_mixed_table(), BUILDER_BUDGET), (_sizes_table(), BUILDER_BUDGET),
+                          (_sizes_table(), BetaBudget())]:
+        items, seeds = [(p, b) for p, b, _ in table], [s for _, _, s in table]
+        fitted = sum(len(members_in_ball(p, b)) >= 2 for p, b in items)
+        chunks.clear()
+        whole = beta_heis_many(items, budget, seeds)
+        assert chunks == [fitted]      # every ball with two or more members, in one chunk
+        with monkeypatch.context() as m:
+            m.setattr(heistsp.beta, "BATCH_PAIRS", 1)
+            one_by_one = beta_heis_many(items, budget, seeds)
+        assert chunks[1:] == [1] * fitted
+        assert [_fields(r) for r in one_by_one] == [_fields(r) for r in whole]
+        # a ragged batch of mixed subsample lengths equals one ball at a time
+        alone = [beta_heis(p, b, budget, seed=s) for (p, b), s in zip(items, seeds)]
+        assert [_fields(r) for r in alone] == [_fields(r) for r in whole]
 
 
 def test_seed_count_must_match():

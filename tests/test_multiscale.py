@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import heistsp.multiscale
-from heistsp.core import HeisPoint, ORIGIN, as_array, diameter, dist, dist_matrix
+from heistsp.core import HeisPoint, ORIGIN, as_array, diameter, dilate, dist, dist_matrix
 from heistsp.curves import PolygonalCurve, curve_length, resample_curve
 from heistsp.multiscale import (
     NetHierarchy,
@@ -152,8 +152,8 @@ class TestCarleson:
             raise err
 
         monkeypatch.setattr(heistsp.multiscale, "beta_heis_many", fail)
-        with pytest.raises(TwoArgError) as info:
-            carleson_sum(build_nets([ORIGIN, HeisPoint(1, 0, 0)], 0, 2), 3.0, 2.0)
+        with pytest.raises(TwoArgError) as info:   # one scale of one ball
+            carleson_sum(build_nets([ORIGIN, HeisPoint(1, 0, 0)], 0, 0), 3.0, 2.0)
         assert info.value is err and err.args == (7, "no fit")
         if sys.version_info >= (3, 11):
             assert err.__notes__ == ["in carleson_sum at scale k=0, net point %r" % (ORIGIN,)]
@@ -162,18 +162,26 @@ class TestCarleson:
         err = RuntimeError("no fit")
         batches = []
 
-        def fail_on_two(items, budget, seeds):
+        def fail(items, budget, seeds):
             batches.append(len(items))
-            if len(items) > 1:
-                raise err
-            return [heistsp.multiscale.beta_heis(*items[0], budget, seeds[0])]
+            raise err
 
-        monkeypatch.setattr(heistsp.multiscale, "beta_heis_many", fail_on_two)
-        with pytest.raises(RuntimeError) as info:
-            carleson_sum(build_nets([ORIGIN, HeisPoint(1, 0, 0)], 0, 2), 3.0, 2.0)
-        assert info.value is err and batches == [1, 2]
-        if sys.version_info >= (3, 11):
-            assert err.__notes__ == ["in carleson_sum at scale k=1, 2 net points"]
+        monkeypatch.setattr(heistsp.multiscale, "beta_heis_many", fail)
+        # one call for every scale (one ball at k=0, two below): the note
+        # gives the scale range and the ball count, or the scale when there is one
+        for k0, k1, n, where in [(0, 2, 5, "scales k=0..2, 5 net points"),
+                                 (0, 1, 3, "scales k=0..1, 3 net points"),
+                                 (1, 1, 2, "scale k=1, 2 net points")]:
+            batches.clear()
+            err.__notes__ = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")    # two points in the coarsest net at k0 = 1
+                h = build_nets([ORIGIN, HeisPoint(1, 0, 0)], k0, k1)
+            with pytest.raises(RuntimeError) as info:
+                carleson_sum(h, 3.0, 2.0)
+            assert info.value is err and batches == [n]
+            if sys.version_info >= (3, 11):
+                assert err.__notes__ == ["in carleson_sum at " + where]
 
     def test_unnormalized_minimax_monotone_in_a(self):
         # beta * diam is monotone under ball enlargement (superset of points,
@@ -213,7 +221,8 @@ class TestTheoremB:
         corner = PolygonalCurve(corner_curve_vertices())
         base = theorem_b_check(corner, 64.0, seed=0)
         for lam in (0.5, 2.0):
-            scaled = theorem_b_check(corner.dilated(lam), 64.0 / lam, seed=0)
+            dilated = PolygonalCurve([dilate(lam, v) for v in corner.vertices])
+            scaled = theorem_b_check(dilated, 64.0 / lam, seed=0)
             assert scaled[2] == pytest.approx(base[2], rel=0.05)
 
     def test_needs_two_vertices(self):
