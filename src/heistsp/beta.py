@@ -16,19 +16,24 @@ each ball's rows consecutive (_Rows), and each step evaluates all the lines
 it needs, for all balls, in one kernel call: every line is paired with its
 own ball's rows only, the distances of all pairs come from one
 lines.quartic_dists call, and each line's max (or min) is one
-np.maximum.reduceat over the line starts.  All candidates are scored in one
-call; the golden-section height searches run side by side, first for the
-strip lines and then for every refit candidate; and the Nelder-Mead starts
-of all balls advance together, each iteration evaluating the four trial
-points of every start in one call (a shrink takes a second).  Each search
-replays its sequential form bit for bit (golden_min, through
-lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line reads
-no row but its ball's, so a ball's result does not depend on the batch it
-runs in.  A batch runs in chunks under BATCH_PAIRS real line-member pairs
-per kernel call, each ball set up just before its chunk is solved, so its
-memory follows the chunk.  beta_heis_oracle runs its height searches
-through the same one-ball rows and keeps scipy.optimize.minimize as an
-independent reference.
+np.maximum.reduceat over the line starts.  All candidates are scored
+together; the golden-section height searches run side by side, first for
+the strip lines and then for every refit candidate; and the Nelder-Mead
+starts of all balls advance together, each iteration evaluating the
+reflections of every start in one call and then only the one further trial
+point each start's branch reads (a few small balls take all four trial
+points in one call instead; a shrink takes one more call).  Each search
+replays its sequential form bit for bit (the scalar golden-section search,
+through lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line
+reads no row but its ball's, so a ball's result does not depend on the
+batch it runs in.  A batch runs in chunks whose iterative steps (height
+searches, trials, shrinks) stay under BATCH_PAIRS line-member pairs per
+kernel call, and the one-shot calls (candidate scores, initial simplices)
+run in blocks of whole lines under the same bound.  Each ball is set up just
+before its chunk is solved and keeps only its member indices, gathered for
+its witness, so memory follows the chunk.  beta_heis_oracle runs its height
+searches through the same one-ball rows and keeps scipy.optimize.minimize
+as an independent reference.
 
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate (floored at GAP_FLOOR): a self-consistency estimate of the
@@ -65,6 +70,7 @@ from .lines import (
     line_dists_arr,
     line_through_two,
     quartic_dists,
+    theta_mod_pi,
     transform_line,
 )
 
@@ -109,6 +115,13 @@ GAP_FLOOR = 1e-9
 #: lighter budget for the inner loops of the curve builder
 BUILDER_BUDGET = BetaBudget(pair_starts=10, refine_starts=2, nm_starts=2,
                             nm_iter=60, max_members=48)
+
+#: the most (line, member) pairs one kernel call of beta_heis_many evaluates,
+#: each line counted against its own ball's subsample: a batch runs in
+#: chunks of balls whose iterative steps stay under this bound, and its
+#: one-shot calls in blocks of whole lines under it (a ball or a line that
+#: exceeds it alone runs alone)
+BATCH_PAIRS = 1 << 14
 
 
 @dataclass
@@ -160,6 +173,22 @@ def _max_dists(lines: _Lines, params) -> np.ndarray:
     j = lines.line
     d = quartic_dists(*_canon_arr(lines.members, c[j, 0], s[j, 0], params[j, 1], params[j, 2]))
     return np.maximum.reduceat(d, lines.first)
+
+
+def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
+    """_max_dists of the line params[i] over ball balls[i]'s rows, for every
+    i, in calls of whole lines under BATCH_PAIRS rows (a longer line alone)."""
+    params = np.asarray(params, dtype=float).reshape(-1, 3)
+    balls = np.asarray(balls, dtype=np.intp)
+    ends = np.cumsum(rows.count[balls])
+    out = [np.empty(0)]
+    i = 0
+    while i < len(balls):
+        j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + BATCH_PAIRS, side="right"))
+        j = max(i + 1, j)
+        out.append(_max_dists(rows.lines(balls[i:j]), params[i:j]))
+        i = j
+    return np.concatenate(out)
 
 
 def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float]:
@@ -247,19 +276,27 @@ def min_width_strip(pts: np.ndarray) -> tuple[float, float, float]:
         theta = math.atan2(d[1], d[0]) if np.any(d != 0.0) else 0.0
         s = -math.sin(theta) * pts[:, 0] + math.cos(theta) * pts[:, 1]
         return 0.0, theta, 0.5 * float(s.max() + s.min())
-    best = (math.inf, 0.0, 0.0)
+    # edge i runs from hull[i] to hull[i + 1]; its strip's signed offsets s
+    # of all hull vertices form row i, in blocks of edges under BATCH_PAIRS
+    # entries, since the hull can hold every point
     m = hull.shape[0]
-    for i in range(m):
-        d = hull[(i + 1) % m] - hull[i]
-        ln = math.hypot(d[0], d[1])
-        if ln == 0.0:
-            continue
-        theta = math.atan2(d[1], d[0])
-        s = (-d[1] * hull[:, 0] + d[0] * hull[:, 1]) / ln
-        width = float(s.max() - s.min())
-        if width < best[0]:
-            best = (width, theta, 0.5 * float(s.max() + s.min()))
-    return best
+    d = np.roll(hull, -1, axis=0) - hull
+    lns = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
+    width, edge, offset = math.inf, -1, 0.0
+    step = max(1, BATCH_PAIRS // m)
+    for start in range(0, m, step):
+        dd, ln = d[start:start + step], lns[start:start + step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (-dd[:, 1:] * hull[:, 0] + dd[:, :1] * hull[:, 1]) / ln[:, None]
+        s_max, s_min = s.max(axis=1), s.min(axis=1)
+        widths = s_max - s_min
+        widths[(ln == 0.0) | np.isnan(widths)] = math.inf   # never taken
+        k = int(np.argmin(widths))
+        if widths[k] < width:
+            width, edge, offset = float(widths[k]), start + k, 0.5 * float(s_max[k] + s_min[k])
+    if edge < 0:
+        return math.inf, 0.0, 0.0
+    return width, math.atan2(d[edge, 1], d[edge, 0]), offset
 
 
 def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> float:
@@ -282,27 +319,29 @@ def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> f
 
 
 def _setup(points: Sequence[HeisPoint] | np.ndarray,
-           ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray]:
-    """Members of E & B and their copy in the canonical frame (unit ball at
-    the origin), or the final result when fewer than two points are members."""
+           ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The point array, the indices of the members of E & B and the members'
+    copy in the canonical frame (unit ball at the origin), or the final
+    result when fewer than two points are members."""
     arr = points if isinstance(points, np.ndarray) else as_array(points)
     center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
                                  g=ball.center, lam=ball.radius)
     idx = members_in_ball(arr, ball)
     if idx.size == 0:
         return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
-    members = arr[idx]
     if idx.size == 1:
-        p = point_of(members[0])
+        p = point_of(arr[idx[0]])
         ln = line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z))
         return BetaResult(0.0, ln, p, 0.0)
-    canon = dilate_arr(1.0 / ball.radius, left_translate_arr(group_inv(ball.center), members))
-    return members, canon
+    canon = dilate_arr(1.0 / ball.radius, left_translate_arr(group_inv(ball.center), arr[idx]))
+    return arr, idx, canon
 
 
-def _witness_result(members: np.ndarray, ball: Ball, params: tuple[float, float, float],
-                    gap: float) -> BetaResult:
-    """beta at the canonical-frame line params: the exact sup over all members."""
+def _witness_result(arr: np.ndarray, idx: np.ndarray, ball: Ball,
+                    params: tuple[float, float, float], gap: float) -> BetaResult:
+    """beta at the canonical-frame line params: the exact sup over all
+    members, the rows idx of arr."""
+    members = arr[idx]
     witness = transform_line(horizontal_line(*params), g=ball.center, lam=ball.radius)
     d_all = line_dists_arr(members, witness)
     k = int(np.argmax(d_all))
@@ -313,23 +352,32 @@ def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[t
     n = canon.shape[0]
     if n <= 8:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ext = {int(np.argmin(canon[:, 0])), int(np.argmax(canon[:, 0])),
-           int(np.argmin(canon[:, 1])), int(np.argmax(canon[:, 1])),
-           int(np.argmin(canon[:, 2])), int(np.argmax(canon[:, 2])),
-           int(np.argmax(norm_arr(canon)))}
-    ext = sorted(ext)
+    ext = sorted({*canon.argmin(axis=0).tolist(), *canon.argmax(axis=0).tolist(),
+                  int(np.argmax(norm_arr(canon)))})
     pairs = [(a, b) for k, a in enumerate(ext) for b in ext[k + 1:]]
-    rng = np.random.default_rng([seed & 0xFFFFFFFF, 9463])
-    while len(pairs) < budget.pair_starts:
-        i, j = rng.integers(0, n, 2)
-        if i != j:
-            pairs.append((min(int(i), int(j)), max(int(i), int(j))))
+    if len(pairs) < budget.pair_starts:
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, 9463])
+        while len(pairs) < budget.pair_starts:
+            i, j = rng.integers(0, n, 2)
+            if i != j:
+                pairs.append((min(int(i), int(j)), max(int(i), int(j))))
     return pairs[:budget.pair_starts]
 
 
-def _line_of(p: HeisPoint, q: HeisPoint) -> tuple[float, float, float]:
-    ln = line_through_two(p, q)
-    return (ln.theta, ln.offset, ln.height)
+def _pair_lines(sub: np.ndarray, pairs: list[tuple[int, int]]) -> list[tuple[float, float, float]]:
+    """(theta, offset, height) of line_through_two(sub[i], sub[j]) for each
+    pair, with its arithmetic on Python floats."""
+    pts = sub.tolist()
+    out = []
+    for i, j in pairs:
+        ax, ay, az = pts[i]
+        bx, by, _ = pts[j]
+        theta = theta_mod_pi(math.atan2(by - ay, bx - ax))[0]
+        c, s = math.cos(theta), math.sin(theta)
+        gx = c * ax + s * ay
+        gy = -s * ax + c * ay
+        out.append((theta, gy, az + 2.0 * gx * gy))
+    return out
 
 
 #: Nelder-Mead initial simplex: x0 plus these steps along each axis, at
@@ -346,6 +394,13 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
 _TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
 
+#: member rows of a Nelder-Mead lockstep's reflections (its live starts'
+#: subsample rows) from which an iteration evaluates the reflections first
+#: and then only the trial point each start reads; below it, as for a lone
+#: small ball, the second call costs more than the rows it saves, and one
+#: call evaluates all four trial points
+REFLECT_FIRST_ROWS = 512
+
 
 def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
                  fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
@@ -357,18 +412,20 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
     x0 + diag(_NM_STEPS).  Every start keeps its own simplex, arithmetic,
     argsort and convergence test; the iteration counter they share starts at
     1 as scipy's does, whatever ball a start belongs to, and a start that
-    converges leaves the lockstep.  The four trial points of an iteration
-    depend only on xbar and the worst vertex, so one kernel call evaluates
-    them for all starts; shrinks take a second one.
+    converges leaves the lockstep.  An iteration evaluates the reflections of
+    all live starts in one kernel call and then, in a second, the one further
+    trial point that each start's branch reads (expansion, outside or inside
+    contraction, or none), so every start evaluates the points scipy does.
+    While the reflections cover fewer than REFLECT_FIRST_ROWS member rows
+    (and four times that many stay within BATCH_PAIRS), one call evaluates
+    all four trial points instead.  Shrinks take one more call.
     """
     x0 = np.array(x0s, dtype=float).reshape(-1, 3)
     n = x0.shape[1]
     balls = np.asarray(balls, dtype=np.intp)    # the ball of each row of sim and fsim
     live = np.arange(len(x0))                   # the start of each row of sim and fsim
-    # n + 1 lines per start: the initial simplex, then the four trial points
-    lines = rows.lines(np.repeat(balls, n + 1))
     sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(_NM_STEPS)], axis=1)
-    fsim = _max_dists(lines, sim).reshape(-1, n + 1)
+    fsim = _max_dists_blocked(rows, np.repeat(balls, n + 1), sim).reshape(-1, n + 1)
     out: list = [None] * len(x0)
 
     def sort(sim, fsim):
@@ -378,6 +435,7 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
 
     sim, fsim = sort(*sort(sim, fsim))   # scipy sorts twice before its first iteration
     iterations = 1
+    lines = None        # the live starts' trial lines: one per start, or four
     while live.size:
         if iterations < maxiter:
             done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
@@ -391,10 +449,27 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
             sim, fsim, balls, live = sim[keep], fsim[keep], balls[keep], live[keep]
             if not live.size:
                 break
-            lines = rows.lines(np.repeat(balls, n + 1))
+            lines = None
+        if lines is None:
+            reflected = rows.count[balls].sum()     # member rows of the reflections
+            reflect_first = reflected >= REFLECT_FIRST_ROWS or 4 * reflected > BATCH_PAIRS
+            lines = rows.lines(balls if reflect_first else np.repeat(balls, 4))
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
-        ftrial = _max_dists(lines, trial).reshape(-1, 4)
+        if reflect_first:
+            fxr = _max_dists(lines, trial[:, 0])
+            # the trial point read after the reflection: expansion (1),
+            # outside (2) or inside (3) contraction, or none (0)
+            second = np.where(fxr < fsim[:, 0], 1,
+                              np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
+            ftrial = np.full((live.size, 4), np.inf)    # the points not evaluated are not read
+            ftrial[:, 0] = fxr
+            more = np.flatnonzero(second)
+            if more.size:
+                ftrial[more, second[more]] = _max_dists(rows.lines(balls[more]),
+                                                        trial[more, second[more]])
+        else:
+            ftrial = _max_dists(lines, trial).reshape(-1, 4)
         fxr, fxe, fxc, fxcc = ftrial.T
         # scipy's branches: expand or reflect, reflect, contract outside or
         # inside, else shrink (-1)
@@ -417,35 +492,31 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
     return out
 
 
-#: the most (line, member) pairs one kernel call of beta_heis_many evaluates,
-#: each line counted against its own ball's subsample: a batch runs in
-#: chunks of balls under this bound (a ball that exceeds it alone runs alone)
-BATCH_PAIRS = 1 << 14
-
-
 class _Fit:
     """One ball with two or more members on its way through the engine: its
-    members, optimisation subsample, strip fit and pair candidate lines."""
+    member indices, optimisation subsample, strip fit and pair candidate lines."""
 
-    def __init__(self, index: int, members: np.ndarray, canon: np.ndarray, ball: Ball,
-                 budget: BetaBudget, seed: int):
-        self.index, self.members, self.ball = index, members, ball
+    def __init__(self, index: int, points: np.ndarray, idx: np.ndarray, canon: np.ndarray,
+                 ball: Ball, budget: BetaBudget, seed: int):
+        # the members are the rows idx of points, gathered only for the witness
+        self.index, self.points, self.idx, self.ball = index, points, idx, ball
         sub = canon
         if canon.shape[0] > budget.max_members:
             # deterministic farthest-point subsample, kept in row order
             sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
         self.sub = sub
         _, self.th_s, self.off_s = min_width_strip(sub[:, :2])
-        self.pair_lines = []
         pairs = _pair_candidates(sub, budget, seed)
         if pairs:
             ii, jj = np.array(pairs).T
             same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
-            self.pair_lines = [_line_of(HeisPoint(*sub[i]), HeisPoint(*sub[j]))
-                               for (i, j), skip in zip(pairs, same.tolist()) if not skip]
-        # (line, member) pairs of its largest kernel call: all candidates,
-        # or the Nelder-Mead trials
-        self.pairs = max(3 + len(self.pair_lines), 4 * budget.nm_starts) * len(sub)
+            pairs = [p for p, skip in zip(pairs, same.tolist()) if not skip]
+        self.pair_lines = _pair_lines(sub, pairs)
+        # (line, member) pairs of its largest iterative call: a height search
+        # step of the strip line or the refits, or a Nelder-Mead shrink (the
+        # reflections and the trial points after them are fewer lines, and
+        # the one-shot calls run in blocks under BATCH_PAIRS)
+        self.pairs = max(1, budget.refine_starts, 3 * budget.nm_starts) * len(sub)
 
 
 def _chunks(fits: Iterable[_Fit]) -> Iterator[list[_Fit]]:
@@ -486,7 +557,7 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
              for f, h in zip(fits, strip_h)]
     flat, counts, owner = flatten(cands)
     scored = [sorted(zip(v, c))     # by value, ties by line
-              for v, c in zip(_split(_max_dists(rows.lines(owner), flat).tolist(), counts),
+              for v, c in zip(_split(_max_dists_blocked(rows, owner, flat).tolist(), counts),
                               cands)]
     top, counts, owner = flatten([[c for _, c in s[:budget.refine_starts]] for s in scored])
     lines = rows.lines(owner)
@@ -534,11 +605,11 @@ def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]
                 yield _Fit(k, *setup, ball, budget, seed)
 
     # each ball is set up just before its chunk is solved and dropped after
-    # it, so the members held follow BATCH_PAIRS rather than the batch
+    # it, so what is held follows BATCH_PAIRS rather than the batch
     for chunk in _chunks(fits()):
         for f, (params, gap) in zip(chunk, _solve(chunk, budget)):
-            out[f.index] = _witness_result(f.members, f.ball, params, gap)
-            f.members = None
+            out[f.index] = _witness_result(f.points, f.idx, f.ball, params, gap)
+        chunk.clear()
     return out
 
 
@@ -568,7 +639,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     setup = _setup(points, ball)
     if isinstance(setup, BetaResult):
         return setup
-    members, canon = setup
+    arr, idx, canon = setup
     n = canon.shape[0]
     if n > 10_000:
         raise ResourceBudgetError("oracle limited to 1e4 members, got %d" % n)
@@ -618,4 +689,4 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     cand = [(objective(np.array(refined[0])), refined[0]),
             (float(res.fun), tuple(float(v) for v in res.x))]
     cand.sort(key=lambda t: (t[0], t[1]))
-    return _witness_result(members, ball, cand[0][1], max(GAP_FLOOR, grid_val - cand[0][0] / 2.0))
+    return _witness_result(arr, idx, ball, cand[0][1], max(GAP_FLOOR, grid_val - cand[0][0] / 2.0))

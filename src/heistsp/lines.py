@@ -37,8 +37,8 @@ class LineFoot(NamedTuple):
     param: float           # coordinate of line_point under the isometry L ~ R
 
 
-def horizontal_line(theta: float, offset: float, height: float) -> HorizontalLine:
-    """Canonicalize: reduce theta mod pi, negating offset per half turn."""
+def theta_mod_pi(theta: float) -> tuple[float, int]:
+    """(t, k): theta = t + k * pi up to rounding, with t in [0, pi)."""
     k = math.floor(theta / math.pi)
     t = theta - k * math.pi
     if t < 0.0:  # theta / pi underflowed to -0.0 for a tiny negative theta
@@ -47,6 +47,12 @@ def horizontal_line(theta: float, offset: float, height: float) -> HorizontalLin
     if t >= math.pi:  # guard against rounding at the boundary
         t -= math.pi
         k += 1
+    return t, k
+
+
+def horizontal_line(theta: float, offset: float, height: float) -> HorizontalLine:
+    """Canonicalize: reduce theta mod pi, negating offset per half turn."""
+    t, k = theta_mod_pi(theta)
     off = -offset if (k % 2) else offset
     return HorizontalLine(t, off, height)
 
@@ -75,18 +81,6 @@ def line_through_two(a: HeisPoint, b: HeisPoint) -> HorizontalLine:
     return line_from_point_direction(a, theta)
 
 
-def canon_coords(p: HeisPoint, line: HorizontalLine) -> tuple[float, float, float]:
-    """(x~, y~, z~): p in the frame where the line is {(t, 0, 0)}-like.
-
-    x~ is the foot parameter axis, y~ the signed plane offset from the
-    projected line, z~ the z mismatch against the line's profile at t = 0.
-    """
-    c, s = math.cos(line.theta), math.sin(line.theta)
-    px = c * p.x + s * p.y
-    py = -s * p.x + c * p.y
-    return px, py - line.offset, p.z + 2.0 * line.offset * px - line.height
-
-
 def foot(p: HeisPoint, line: HorizontalLine) -> LineFoot:
     """Co-horizontal foot of p over pi(L) and the line point below/above it."""
     c, s = math.cos(line.theta), math.sin(line.theta)
@@ -104,45 +98,66 @@ def foot_params_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
     return c * arr[:, 0] + s * arr[:, 1]
 
 
-def _cubic_shift(yt: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Real root u of u^3 + 3 y~^2 u + q, where q = y~ (2 x~ y~ - z~).
-
-    f'(t)/4 = u^3 + 3 y~^2 u + q with u = t - x~ for the quartic profile
-    f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2: a depressed cubic with
-    nonnegative linear coefficient, hence a single real root (hyperbolic
-    Cardano form).  Where that form overflows the root is taken as -cbrt(q);
-    where y~ = 0, u = 0.
-    """
-    ay = np.abs(yt)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = q / (2.0 * ay ** 3)
-        u = -2.0 * ay * np.sinh(np.arcsinh(ratio) / 3.0)
-    u = np.where(np.isfinite(u), u, -np.cbrt(q))
-    return np.where(ay > 0.0, u, 0.0)
-
-
 def _canon_arr(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """canon_coords of every row, given cos and sin of the line direction."""
+    """(x~, y~, z~) of every row in the frame where the line is {(t, 0, 0)}-like,
+    given cos and sin of its direction: x~ is the foot parameter axis, y~ the
+    signed plane offset from the projected line, z~ the z mismatch against
+    the line's profile at t = 0."""
     px = c * arr[..., 0] + s * arr[..., 1]
     py = -s * arr[..., 0] + c * arr[..., 1]
     return px, py - offset, arr[..., 2] + 2.0 * offset * px - height
 
 
-def _quartic(t, xt, yt, zt):
-    """f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2: the fourth power of the distance
-    from the point to the line point at parameter t."""
-    u = t - xt
-    return (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
-
-
 def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
-    """Koranyi distance to the line from canonical coordinates: f at its
-    minimizer, the cubic root (broadcasts over matching shapes)."""
-    drop = 2.0 * xt * yt - zt          # minus the z mismatch at the vertical drop t = x~
-    f = _quartic(xt + _cubic_shift(yt, yt * drop), xt, yt, zt)
-    # insurance candidate at the vertical drop t = x~ (free; same min in exact math)
-    f_alt = (yt * yt) ** 2 + drop ** 2
-    return np.minimum(f, f_alt) ** 0.25
+    """Koranyi distance to the line from canonical coordinates, broadcast
+    over the three arrays.
+
+    The fourth power of the distance from the point to the line point at
+    parameter t is f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2, and f'(t)/4 =
+    u^3 + 3 y~^2 u + q with u = t - x~ and q = y~ (2 x~ y~ - z~): a depressed
+    cubic with nonnegative linear coefficient, hence a single real root
+    (hyperbolic Cardano form).  Where that form overflows the root is taken
+    as -cbrt(q); where y~ = 0, u = 0.  f at the vertical drop t = x~ is an
+    insurance candidate (the same min in exact math).  The temporaries are
+    updated in place.
+    """
+    xt, yt, zt = np.broadcast_arrays(xt, yt, zt)
+    drop = 2.0 * xt         # minus the z mismatch at the vertical drop t = x~
+    drop *= yt
+    drop -= zt
+    q = yt * drop
+    # u = -2 |y~| sinh(arcsinh(q / (2 |y~|^3)) / 3)
+    ay = np.abs(yt)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = ay ** 3
+        u *= 2.0
+        np.divide(q, u, out=u)
+        np.arcsinh(u, out=u)
+        u /= 3.0
+        np.sinh(u, out=u)
+        ay *= -2.0          # negative exactly where |y~| > 0
+        u *= ay
+    bad = ~np.isfinite(u)
+    if bad.any():
+        u[bad] = -np.cbrt(q[bad])
+    u[~(ay < 0.0)] = 0.0
+    u += xt                 # t, the minimizer
+    f = u - xt
+    f *= f
+    yy = yt * yt
+    f += yy
+    f *= f
+    u *= 2.0
+    u *= yt
+    np.subtract(zt, u, out=u)
+    u *= u
+    f += u
+    yy *= yy                # f at t = x~
+    drop *= drop
+    yy += drop
+    np.minimum(f, yy, out=f)
+    f **= 0.25
+    return f
 
 
 def directions(thetas) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +195,7 @@ def line_dist(p: HeisPoint, line: HorizontalLine) -> float:
 
 def canon_coords_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
                          heights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """canon_coords for row i of pts against line i; all inputs length n."""
+    """Canonical coordinates of row i of pts against line i; all inputs length n."""
     return _canon_arr(pts, np.cos(thetas), np.sin(thetas), offsets, heights)
 
 
@@ -193,29 +208,14 @@ def line_dists_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_min(f: Callable[[float], float], a: float, b: float,
-               iters: int) -> tuple[float, float]:
-    """Golden-section search of a unimodal f on [a, b]: (t, f(t)) of the better final probe."""
-    c1 = b - _INV_GOLDEN * (b - a)
-    c2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _INV_GOLDEN * (b - a)
-            f1 = f(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _INV_GOLDEN * (b - a)
-            f2 = f(c2)
-    return (c1, f1) if f1 <= f2 else (c2, f2)
-
-
 def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
                     iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """golden_min of every row in lockstep: f maps one probe per row to the
-    row's values, one call per step.  Each row replays golden_min's update
-    arithmetic bit for bit."""
+    """Golden-section search of a unimodal f on [a, b], every row in lockstep:
+    (t, f(t)) of each row's better final probe.  f maps one probe per row to
+    the row's values, one call per step; each row's arithmetic is that of the
+    scalar search, which starts from the probes c1 = b - g (b - a) and
+    c2 = a + g (b - a), g = 1/golden ratio, and each step keeps the side of
+    the better probe (c1 on a tie)."""
     c1 = b - _INV_GOLDEN * (b - a)
     c2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = f(c1), f(c2)

@@ -20,13 +20,10 @@ from heistsp.core import (
 )
 from heistsp.lines import (
     HorizontalLine,
-    _quartic,
-    canon_coords,
     canon_coords_rowwise,
     foot,
     foot_params_arr,
     horizontal_line,
-    golden_min,
     golden_min_many,
     line_dist,
     line_dists_rowwise,
@@ -37,6 +34,7 @@ from heistsp.lines import (
     transform_line,
     trapezoid_area,
 )
+from sequential import canon_coords, golden_min, quartic
 
 X_AXIS = horizontal_line(0.0, 0.0, 0.0)
 
@@ -46,14 +44,14 @@ def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> f
     for the cubic root solve of line_dist, independent of it."""
     xt, yt, zt = canon_coords(p, line)
     hi = 4.0 * (koranyi_norm(HeisPoint(xt, yt, zt)) + 1.0)
-    return golden_min(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
+    return golden_min(lambda t: quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
 def line_dists_bracket_rowwise(pts, thetas, offsets, heights, iters: int = 100):
     """Golden-section distances for matched rows: the bulk oracle for the cubic solve."""
     xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
     hi = 4.0 * (norm_arr(np.column_stack([xt, yt, zt])) + 1.0)
-    return golden_min_many(lambda t: _quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
+    return golden_min_many(lambda t: quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
 def lines_close(l1: HorizontalLine, l2: HorizontalLine, tol: float = 1e-12) -> bool:

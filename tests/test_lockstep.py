@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import heistsp.beta
+from heistsp.builder import BuilderConfig, _build
 from heistsp.core import ORIGIN, HeisPoint, as_array, sample_box
 from heistsp.multiscale import build_nets, carleson_sum
 from heistsp.lines import (
     HorizontalLine,
-    _quartic,
-    golden_min,
     golden_min_many,
     line_dists_arr,
     line_dists_many,
@@ -40,6 +39,7 @@ from heistsp.beta import (
     members_in_ball,
 )
 from conftest import lifted_circle, lifted_parabola, lifted_sine
+from sequential import golden_min, quartic
 
 
 def _masked_quartic_dists(xt, yt, zt):
@@ -53,7 +53,7 @@ def _masked_quartic_dists(xt, yt, zt):
     bad = ~np.isfinite(u_nz)
     u_nz[bad] = -np.cbrt(q[nz][bad])
     u[nz] = u_nz
-    f = _quartic(xt + u, xt, yt, zt)
+    f = quartic(xt + u, xt, yt, zt)
     f_alt = (yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2
     return np.minimum(f, f_alt) ** 0.25
 
@@ -94,10 +94,10 @@ def test_golden_min_many_rows_equal_golden_min():
     b[:4] = a[:4]                            # one-point brackets
     xt, yt, zt = (rng.standard_normal(n) for _ in range(3))
     w = rng.uniform(0.5, 8.0, n)
-    quartic = np.arange(n) % 2 == 0
+    is_quartic = np.arange(n) % 2 == 0
 
     def f(t):   # unimodal quartic profiles, and sine waves with many minima
-        return np.where(quartic, _quartic(t, xt, yt, zt), np.sin(w * t))
+        return np.where(is_quartic, quartic(t, xt, yt, zt), np.sin(w * t))
 
     for iters in (0, 1, 60):
         got_t, got_f = golden_min_many(f, a, b, iters)
@@ -162,28 +162,40 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
         arr = sample_box(np.random.default_rng(10), 40, 0.7)
     else:   # the first start shrinks its simplex once
         arr = sample_box(np.random.default_rng(21), 3, 0.7)
-    rows = []
-
+    # start i runs in a ball of i + 1 copies of arr: the same max distances,
+    # and each line's row count tells its start
+    sets = [np.concatenate([arr] * (i + 1)) for i in range(n_starts)]
+    starts = STARTS[:n_starts]
+    refs = [_scipy_polish(arr, x0, maxiter) for x0 in starts]
+    calls = []
     max_dists = heistsp.beta._max_dists
 
     def spy(lines, params):
-        rows.append(int(np.prod(np.shape(params)[:-1])))   # lines in the call
+        copies = np.diff(lines.first, append=len(lines.line)) // len(arr)
+        calls.append((np.shape(params), copies - 1))     # the start of each line
         return max_dists(lines, params)
 
     monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
-    starts = STARTS[:n_starts]
-    got = _nelder_mead(_Rows([arr]), [0] * n_starts, starts, maxiter, 1e-10, 1e-13)
-    assert len(got) == n_starts
-    for (fun, x), x0 in zip(got, starts):
-        ref = _scipy_polish(arr, x0, maxiter)
-        assert fun == float(ref.fun)
-        assert x == tuple(float(v) for v in ref.x)
-        if case == "three-point":
-            assert ref.nit < maxiter      # converged early
-    # after the initial simplex, trial steps evaluate 4 points per start
-    # and shrinks 3, so with at most 3 starts a shrink is a call of 3k rows
-    if case == "shrink":
-        assert any(r % 4 for r in rows[1:]), "no shrink step was exercised"
+    for reflect_first in (True, False):
+        calls.clear()
+        monkeypatch.setattr(heistsp.beta, "REFLECT_FIRST_ROWS", 0 if reflect_first else math.inf)
+        got = _nelder_mead(_Rows(sets), list(range(n_starts)), starts, maxiter, 1e-10, 1e-13)
+        assert len(got) == n_starts
+        lines = np.bincount(np.concatenate([s for _, s in calls]), minlength=n_starts)
+        # a shrink call evaluates three new vertices of each start it shrinks
+        shrinks = np.bincount(np.concatenate([s for shape, s in calls if shape[1:] == (3, 3)]
+                                             + [np.empty(0, dtype=int)]), minlength=n_starts) // 3
+        for i, ((fun, x), ref) in enumerate(zip(got, refs)):
+            assert fun == float(ref.fun)
+            assert x == tuple(float(v) for v in ref.x)
+            if reflect_first:       # each start evaluates the points scipy evaluates
+                assert lines[i] == ref.nfev
+            else:                   # the simplex, four trial points per iteration, the shrinks
+                assert lines[i] == 4 + 4 * (ref.nit - 1) + 3 * shrinks[i]
+            if case == "three-point":
+                assert ref.nit < maxiter      # converged early
+        if case == "shrink":
+            assert shrinks[0] > 0, "no shrink step was exercised"
 
 
 def _table():
@@ -375,6 +387,57 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch):
         assert [_fields(r) for r in alone] == [_fields(r) for r in whole]
 
 
+@pytest.mark.parametrize("budget", [BetaBudget(), BUILDER_BUDGET], ids=["default", "builder"])
+def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
+    """No kernel call of a mixed batch evaluates more than BATCH_PAIRS
+    line-member pairs, unless it serves one ball alone, and the bound
+    leaves every result unchanged."""
+    rng = np.random.default_rng(20261021)
+    items, seeds = [], []
+    for seed in range(60):
+        pts = sample_box(rng, int(rng.choice([2, 3, 12, 48, 96, 300])), 0.5)
+        items.append((pts, Ball(HeisPoint(*pts[0]), 4.0)))
+        seeds.append(seed)
+    calls, chunk = [], [0]
+    kernel, solve = heistsp.beta.quartic_dists, heistsp.beta._solve
+
+    def spy_kernel(xt, yt, zt):
+        calls.append((np.broadcast(xt, yt, zt).size, chunk[0]))
+        return kernel(xt, yt, zt)
+
+    def spy_solve(fits, budget):
+        chunk[0] = len(fits)
+        return solve(fits, budget)
+
+    monkeypatch.setattr(heistsp.beta, "quartic_dists", spy_kernel)
+    monkeypatch.setattr(heistsp.beta, "_solve", spy_solve)
+    want = None
+    for bound in (heistsp.beta.BATCH_PAIRS, 3000, 200):
+        calls.clear()
+        monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", bound)
+        got = [_fields(r) for r in beta_heis_many(items, budget, seeds)]
+        assert all(rows <= bound or balls == 1 for rows, balls in calls), bound
+        assert max(rows for rows, _ in calls) > bound // 2      # the bound is reached
+        want = want or got
+        assert got == want
+
+
+def test_carleson_sum_polishes_in_one_lockstep(monkeypatch):
+    starts = []
+    nelder_mead = heistsp.beta._nelder_mead
+
+    def spy(rows, balls, *args):
+        starts.append(len(balls))
+        return nelder_mead(rows, balls, *args)
+
+    monkeypatch.setattr(heistsp.beta, "_nelder_mead", spy)
+    arr = as_array(lifted_circle(50))
+    rep = carleson_sum(build_nets(arr), 3.0, 4.0, BetaBudget(), seed=0)
+    fitted = sum(len(members_in_ball(arr, Ball(t.point, 4.0 * 2.0 ** -t.k))) >= 2
+                 for t in rep.terms)
+    assert starts == [BetaBudget().nm_starts * fitted]
+
+
 def test_seed_count_must_match():
     with pytest.raises(ValueError):
         beta_heis_many([([ORIGIN], Ball(ORIGIN, 1.0))], None, [0, 1])
@@ -400,6 +463,33 @@ def test_carleson_terms_frozen_on_lifted_fixtures(name, make):
              for t in rep.terms]
     digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
     assert (len(rep.terms), float(rep.total).hex(), digest) == FROZEN_CARLESON[name]
+
+
+#: SHA-1 of the curve vertices, of the ledger entries (costs as hex) and of
+#: the sorted snapshots of _build at seed 0 on the 50-point lifted fixtures,
+#: recorded before the reflect-first polish
+FROZEN_BUILD = {
+    "circle": ("e1a2ac4be3df1d5a4cfec753433a1b656e91e169",
+               "1f9cf4d341e335b711721ce20f881f401611eb10",
+               "e1d8ca1454ae8e1719be89d64af265d55b2b96d7"),
+    "sine": ("99e03523d2ecfa63a04eb6795162833baa060287",
+             "9549f6c1bcd406800c97f725ad3705000482809f",
+             "68d86e94c45a0a5b1b781f05f6f759bd9c7f3be9"),
+    "parabola": ("3074ddc4e851f5f40725f26a25d91cd0ad9fa2d2",
+                 "999bb9749698ce591ca2990c40504b8bf6799449",
+                 "f857f69a518ae56a0667a47390d54de4c0f5e7f1"),
+}
+
+
+@pytest.mark.parametrize("name, make", [("circle", lifted_circle), ("sine", lifted_sine),
+                                        ("parabola", lifted_parabola)])
+def test_build_frozen_on_lifted_fixtures(name, make):
+    curve, ledger, _ = _build(make(50), BuilderConfig(seed=0))
+    texts = (repr([tuple(v) for v in curve.vertices]),
+             repr([(e.k, e.anchor, e.case, e.op, e.point, e.cost.hex(), e.deleted_edge)
+                   for e in ledger.entries]),
+             repr(sorted(ledger.snapshots.items())))
+    assert tuple(hashlib.sha1(t.encode()).hexdigest() for t in texts) == FROZEN_BUILD[name]
 
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
