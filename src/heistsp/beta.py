@@ -21,8 +21,7 @@ together; the golden-section height searches run side by side, first for
 the strip lines and then for every refit candidate; and the Nelder-Mead
 starts of all balls advance together, each iteration evaluating the
 reflections of every start in one call and then only the one further trial
-point each start's branch reads (a few small balls take all four trial
-points in one call instead; a shrink takes one more call).  Each search
+point each start's branch reads (a shrink takes one more call).  Each search
 replays its sequential form bit for bit (the scalar golden-section search,
 through lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line
 reads no row but its ball's, so a ball's result does not depend on the
@@ -394,13 +393,6 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 _TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
 _TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
 
-#: member rows of a Nelder-Mead lockstep's reflections (its live starts'
-#: subsample rows) from which an iteration evaluates the reflections first
-#: and then only the trial point each start reads; below it, as for a lone
-#: small ball, the second call costs more than the rows it saves, and one
-#: call evaluates all four trial points
-REFLECT_FIRST_ROWS = 512
-
 
 def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
                  fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
@@ -416,9 +408,7 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
     all live starts in one kernel call and then, in a second, the one further
     trial point that each start's branch reads (expansion, outside or inside
     contraction, or none), so every start evaluates the points scipy does.
-    While the reflections cover fewer than REFLECT_FIRST_ROWS member rows
-    (and four times that many stay within BATCH_PAIRS), one call evaluates
-    all four trial points instead.  Shrinks take one more call.
+    Shrinks take one more call.
     """
     x0 = np.array(x0s, dtype=float).reshape(-1, 3)
     n = x0.shape[1]
@@ -435,7 +425,7 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
 
     sim, fsim = sort(*sort(sim, fsim))   # scipy sorts twice before its first iteration
     iterations = 1
-    lines = None        # the live starts' trial lines: one per start, or four
+    lines = None        # the live starts' reflection lines, one per start
     while live.size:
         if iterations < maxiter:
             done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
@@ -451,26 +441,21 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
                 break
             lines = None
         if lines is None:
-            reflected = rows.count[balls].sum()     # member rows of the reflections
-            reflect_first = reflected >= REFLECT_FIRST_ROWS or 4 * reflected > BATCH_PAIRS
-            lines = rows.lines(balls if reflect_first else np.repeat(balls, 4))
+            lines = rows.lines(balls)
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
-        if reflect_first:
-            fxr = _max_dists(lines, trial[:, 0])
-            # the trial point read after the reflection: expansion (1),
-            # outside (2) or inside (3) contraction, or none (0)
-            second = np.where(fxr < fsim[:, 0], 1,
-                              np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
-            ftrial = np.full((live.size, 4), np.inf)    # the points not evaluated are not read
-            ftrial[:, 0] = fxr
-            more = np.flatnonzero(second)
-            if more.size:
-                ftrial[more, second[more]] = _max_dists(rows.lines(balls[more]),
-                                                        trial[more, second[more]])
-        else:
-            ftrial = _max_dists(lines, trial).reshape(-1, 4)
-        fxr, fxe, fxc, fxcc = ftrial.T
+        fxr = _max_dists(lines, trial[:, 0])
+        # the trial point read after the reflection: expansion (1),
+        # outside (2) or inside (3) contraction, or none (0)
+        second = np.where(fxr < fsim[:, 0], 1,
+                          np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
+        ftrial = np.full((live.size, 4), np.inf)    # the points not evaluated are not read
+        ftrial[:, 0] = fxr
+        more = np.flatnonzero(second)
+        if more.size:
+            ftrial[more, second[more]] = _max_dists(rows.lines(balls[more]),
+                                                    trial[more, second[more]])
+        _, fxe, fxc, fxcc = ftrial.T
         # scipy's branches: expand or reflect, reflect, contract outside or
         # inside, else shrink (-1)
         pick = np.where(fxr < fsim[:, 0], np.where(fxe < fxr, 1, 0),

@@ -407,7 +407,8 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     beta of the enlarged source ball; in the regime 2 <= q < p, scans
     dyadic balls centered at set points inside the 16x enlarged source,
     with diameters above eps^(q/2) * diam(B) / d1, ranking candidates by
-    beta^p * diam of their d7 enlargements.
+    their own beta^p * diam; the reported inequalities use the beta of the
+    winner's d7 enlargement.
     """
     if cfg is None:
         cfg = BuilderConfig()

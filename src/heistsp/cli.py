@@ -108,15 +108,42 @@ def _config_header(command: str, cfg: dict) -> list[str]:
     return ["# heis-tsp %s" % command, "# config: %s" % " ".join(parts)]
 
 
+#: the largest |x|, |y| of an input point or a --ball center, and the
+#: largest --ball radius; |z| may reach its square.  The metric takes fourth
+#: powers of lengths: with the multipliers at most MAX_MULTIPLIER every ball
+#: radius stays under 1e48, whose square (a dilation moves z by it) and
+#: fourth power stay finite.
+MAX_COORD = 1e40
+#: the largest ball multiplier, --a or --c1
+MAX_MULTIPLIER = 1e6
+
+
+def _in_range(p: HeisPoint) -> bool:
+    return max(abs(p.x), abs(p.y)) <= MAX_COORD and abs(p.z) <= MAX_COORD ** 2
+
+
+def _load_input(path: str) -> PointSetFile:
+    """load_points of a command's input, every point within MAX_COORD."""
+    pset = load_points(path)
+    for i, p in enumerate(pset.points, start=1):
+        if not _in_range(p):
+            raise InputError("%s: point %d %r is out of range: |x|, |y| <= %g and |z| <= %g"
+                             % (path, i, tuple(p), MAX_COORD, MAX_COORD ** 2))
+    return pset
+
+
 def _ball_arg(spec: str) -> Ball:
-    """argparse type of --ball: four finite numbers, the radius positive."""
+    """argparse type of --ball: four finite numbers, the radius positive, all
+    within MAX_COORD (cz within its square)."""
     try:
         vals = [float(t) for t in spec.split()]
     except ValueError:
         vals = []
-    if len(vals) != 4 or not all(math.isfinite(v) for v in vals) or vals[3] <= 0.0:
-        raise argparse.ArgumentTypeError("expected 'cx cy cz radius' as finite numbers "
-                                         "with radius > 0, got %r" % spec)
+    if (len(vals) != 4 or not all(math.isfinite(v) for v in vals)
+            or not 0.0 < vals[3] <= MAX_COORD or not _in_range(HeisPoint(*vals[:3]))):
+        raise argparse.ArgumentTypeError("expected 'cx cy cz radius' as finite numbers, 0 < "
+                                         "radius and |cx|, |cy| <= %g, |cz| <= %g, got %r"
+                                         % (MAX_COORD, MAX_COORD ** 2, spec))
     return Ball(HeisPoint(*vals[:3]), vals[3])
 
 
@@ -134,7 +161,19 @@ def _number_arg(ok, what: str):
 
 
 _positive_arg = _number_arg(lambda v: v > 0.0, "a finite number > 0")
-_multiplier_arg = _number_arg(lambda v: v >= 1.0, "a finite number >= 1")
+_multiplier_arg = _number_arg(lambda v: 1.0 <= v <= MAX_MULTIPLIER,
+                              "a number in [1, %g]" % MAX_MULTIPLIER)
+
+
+def _count_arg(text: str) -> int:
+    """argparse type of a positive integer."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = 0
+    if v <= 0:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % text)
+    return v
 
 
 def _enclosing_ball(points: list[HeisPoint]) -> Ball:
@@ -153,8 +192,8 @@ def _enclosing_ball(points: list[HeisPoint]) -> Ball:
 
 #: the largest --budget level.  Level L scores L pair candidates and runs
 #: max(2, L // 8) Nelder-Mead starts of 5 L iterations per beta evaluation,
-#: each iteration one broadcast over 4 lines per start; above the cap a run
-#: exits 3.
+#: each iteration at most two broadcasts over one line per start (and one
+#: over three per shrinking start); above the cap a run exits 3.
 MAX_BUDGET_LEVEL = 200
 
 
@@ -169,7 +208,7 @@ def _budget_from_level(level: int) -> BetaBudget:
 
 def _theorem_a(command: str, args) -> tuple[TheoremAResult, list[str]]:
     """theorem_a_check of the input file under the flags, and the output header."""
-    pset = load_points(args.input)
+    pset = _load_input(args.input)
     if not pset.points:
         raise InputError("%s: no points" % args.input)
     try:
@@ -194,7 +233,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_beta(args) -> int:
-    pset = load_points(args.input)
+    pset = _load_input(args.input)
     ball = args.ball if args.ball is not None else _enclosing_ball(pset.points)
     budget = _budget_from_level(args.budget)
     res = beta_heis(pset.points, ball, budget, seed=args.seed)
@@ -249,7 +288,7 @@ def _carleson_csv(report, header: list[str], extra: list[str]) -> str:
 
 
 def cmd_carleson(args) -> int:
-    pset = load_points(args.input)
+    pset = _load_input(args.input)
     if not pset.points:
         raise InputError("%s: no points" % args.input)
     if not 0.0 < args.r <= 8.0:
@@ -287,7 +326,7 @@ def cmd_theorem_a(args) -> int:
 
 
 def cmd_theorem_b(args) -> int:
-    pset = load_points(args.input)
+    pset = _load_input(args.input)
     if len(pset.points) < 2:
         raise InputError("%s: a curve needs at least 2 vertices" % args.input)
     if not 0.0 < args.r <= 8.0:
@@ -310,7 +349,7 @@ def cmd_theorem_b(args) -> int:
 
 def cmd_verify(args) -> int:
     counts = None
-    if args.samples:
+    if args.samples is not None:
         # exact checks run at the requested count; the constructed-family
         # checks scale proportionally (with a small floor)
         from .verify import DEFAULT_COUNTS
@@ -349,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
         if r is not None:
             p.add_argument("--r", type=float, default=r, help="beta exponent")
             p.add_argument("--a", type=_multiplier_arg, default=4.0,
-                           help="Carleson ball multiplier (>= 1)")
+                           help="Carleson ball multiplier (1 to %g)" % MAX_MULTIPLIER)
         if builder:
             p.add_argument("--c1", type=_multiplier_arg, default=16.0,
-                           help="builder ball multiplier (> 1)")
+                           help="builder ball multiplier (above 1, at most %g)" % MAX_MULTIPLIER)
             p.add_argument("--eps0", type=float, default=0.05, help="flatness threshold")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=24, help="beta effort level")
@@ -375,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the lemma suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_count_arg, default=None,
                    help="override sample count of the exact-constant checks")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)

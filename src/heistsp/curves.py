@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .beta import ResourceBudgetError
 from .core import HeisPoint, dist, group_mul
 
 
@@ -28,6 +29,18 @@ def curve_length(curve: PolygonalCurve) -> float:
     return curve.length
 
 
+#: the most points resample_curve returns; a walk that would need more at
+#: the given spacing raises ResourceBudgetError before any point is made
+MAX_SAMPLES = 1_000_000
+
+
+def _steps(length: float, spacing: float, least: int) -> int:
+    """The steps of about `spacing` that cover `length`, at least `least`;
+    any count above MAX_SAMPLES (an infinite length too) as MAX_SAMPLES + 1."""
+    q = length / spacing
+    return max(least, math.ceil(q)) if q <= MAX_SAMPLES else MAX_SAMPLES + 1
+
+
 def resample_curve(curve: PolygonalCurve, spacing: float) -> list[HeisPoint]:
     """Points along a horizontal realization of the curve, about `spacing` apart.
 
@@ -35,24 +48,33 @@ def resample_curve(curve: PolygonalCurve, spacing: float) -> list[HeisPoint]:
     the projected chord, followed (when u^-1 v has a vertical component) by
     the lift of a small plane circle through the endpoint that sweeps
     exactly the missing area.  Horizontal edges reduce to the plain chord.
+    The points are counted first: more than MAX_SAMPLES raise
+    ResourceBudgetError.
     """
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     verts = curve.vertices
-    out: list[HeisPoint] = [verts[0]]
+    edges = []      # per edge: its ends, a^-1 b, the chord's steps, the loop's radius and steps
+    total = 1
     for a, b in zip(verts, verts[1:]):
         gx, gy = b.x - a.x, b.y - a.y
         gz = b.z - a.z - 2.0 * (a.x * b.y - b.x * a.y)
-        chord = math.hypot(gx, gy)
-        n1 = max(1, math.ceil(chord / spacing))
+        n1 = _steps(math.hypot(gx, gy), spacing, 1)
+        rho = math.sqrt(abs(gz) / (4.0 * math.pi))
+        n2 = _steps(2.0 * math.pi * rho, spacing, 4) if gz != 0.0 else 0
+        total += n1 + n2
+        if total > MAX_SAMPLES:
+            raise ResourceBudgetError("resampling at spacing %g needs more than %d points"
+                                      % (spacing, MAX_SAMPLES))
+        edges.append((a, b, gx, gy, gz, n1, rho, n2))
+    out: list[HeisPoint] = [verts[0]]
+    for a, b, gx, gy, gz, n1, rho, n2 in edges:
         for j in range(1, n1 + 1):
             s = j / n1
             out.append(group_mul(a, HeisPoint(s * gx, s * gy, 0.0)))
-        if gz != 0.0:
+        if n2:
             v0 = out[-1]
-            rho = math.sqrt(abs(gz) / (4.0 * math.pi))
             sgn = 1.0 if gz > 0.0 else -1.0
-            n2 = max(4, math.ceil(2.0 * math.pi * rho / spacing))
             for j in range(1, n2 + 1):
                 t = 2.0 * math.pi * j / n2
                 loop = HeisPoint(rho * (math.cos(t) - 1.0),

@@ -214,21 +214,28 @@ BAD_INPUTS = [
     ("beta", "--ball", "0 0 0 inf"),
     ("beta", "--ball", "0 0 0 nan"),
     ("beta", "--ball", "nan 0 0 1"),
+    ("beta", "--ball", "0 0 0 1e41"),
+    ("beta", "--ball", "0 0 1e81 1"),
     ("beta", "--c1", "2"),
     ("beta", "--a", "2"),
     ("carleson", "--density", "-2"),
     ("carleson", "--density", "0"),
     ("carleson", "--a", "0.5"),
+    ("carleson", "--a", "1e200"),     # a ball of radius 1e200 squares to inf
+    ("carleson", "--a", "1e308"),
     ("carleson", "--eps0", "0.1"),
     ("build", "--a", "0.5"),
     ("build", "--a", "nan"),
     ("build", "--c1", "inf"),
+    ("build", "--c1", "1e200"),
     ("theorem-a", "--a", "0.5"),
     ("theorem-b", "--density", "0"),
     ("theorem-b", "--density", "inf"),
     ("theorem-b", "--a", "0.5"),
     ("theorem-b", "--c1", "2"),
     ("verify", "--debug-tamper"),
+    ("verify", "--samples", "0"),
+    ("verify", "--samples", "-5"),
 ]
 
 
@@ -272,3 +279,39 @@ def test_unresolvable_close_pair_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "build", path, "--out", str(tmp_path / "run"))
     assert code == 2
     assert "dropped" in err
+
+
+@pytest.mark.parametrize("cmd", ["beta", "build", "carleson", "theorem-a", "theorem-b"])
+def test_point_beyond_range_exits_2(cmd, tmp_path, capsys):
+    # the diameter of this pair overflows to inf
+    path = write_points(tmp_path / "big.txt", [HeisPoint(0, 0, 0), HeisPoint(1e200, 0, 0)])
+    code, out, err = run_cli(capsys, cmd, path, "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert "point 2" in err and "out of range" in err and "Traceback" not in err
+    assert out == "" and os.listdir(tmp_path) == ["big.txt"]
+
+
+@pytest.mark.parametrize("cmd, flags", [
+    ("beta", []),
+    ("build", ["--a", "1e6", "--c1", "1e6"]),
+    ("carleson", ["--a", "1e6"]),
+    ("theorem-a", ["--a", "1e6", "--c1", "1e6"]),
+])
+def test_inputs_at_the_range_limits_stay_finite(cmd, flags, tmp_path, capsys):
+    lim = heistsp.cli.MAX_COORD
+    path = write_points(tmp_path / "lim.txt", [HeisPoint(0, 0, 0), HeisPoint(lim, 0, 0),
+                                                HeisPoint(0, -lim, lim * lim)])
+    code, out, err = run_cli(capsys, cmd, path, *flags, "--out", str(tmp_path / "run"))
+    assert code == 0, err
+    texts = [out] + [f.read_text() for f in tmp_path.iterdir() if f.name != "lim.txt"]
+    assert not any(w in t.lower() for t in texts for w in ("nan", "inf"))
+
+
+@pytest.mark.parametrize("cmd", ["theorem-b", "carleson"])
+def test_resampling_beyond_its_cap_exits_3(cmd, tmp_path, capsys):
+    # 6.4e10 samples at density 64: without the cap the run allocates until it is killed
+    path = write_points(tmp_path / "long.txt", [HeisPoint(0, 0, 0), HeisPoint(1e9, 0, 0)])
+    code, out, err = run_cli(capsys, cmd, path, "--density", "64")
+    assert code == 3
+    assert "needs more than" in err and "Traceback" not in err
+    assert out == ""

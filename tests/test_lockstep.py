@@ -176,26 +176,20 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
         return max_dists(lines, params)
 
     monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
-    for reflect_first in (True, False):
-        calls.clear()
-        monkeypatch.setattr(heistsp.beta, "REFLECT_FIRST_ROWS", 0 if reflect_first else math.inf)
-        got = _nelder_mead(_Rows(sets), list(range(n_starts)), starts, maxiter, 1e-10, 1e-13)
-        assert len(got) == n_starts
-        lines = np.bincount(np.concatenate([s for _, s in calls]), minlength=n_starts)
-        # a shrink call evaluates three new vertices of each start it shrinks
-        shrinks = np.bincount(np.concatenate([s for shape, s in calls if shape[1:] == (3, 3)]
-                                             + [np.empty(0, dtype=int)]), minlength=n_starts) // 3
-        for i, ((fun, x), ref) in enumerate(zip(got, refs)):
-            assert fun == float(ref.fun)
-            assert x == tuple(float(v) for v in ref.x)
-            if reflect_first:       # each start evaluates the points scipy evaluates
-                assert lines[i] == ref.nfev
-            else:                   # the simplex, four trial points per iteration, the shrinks
-                assert lines[i] == 4 + 4 * (ref.nit - 1) + 3 * shrinks[i]
-            if case == "three-point":
-                assert ref.nit < maxiter      # converged early
-        if case == "shrink":
-            assert shrinks[0] > 0, "no shrink step was exercised"
+    got = _nelder_mead(_Rows(sets), list(range(n_starts)), starts, maxiter, 1e-10, 1e-13)
+    assert len(got) == n_starts
+    lines = np.bincount(np.concatenate([s for _, s in calls]), minlength=n_starts)
+    # a shrink call evaluates three new vertices of each start it shrinks
+    shrinks = np.bincount(np.concatenate([s for shape, s in calls if shape[1:] == (3, 3)]
+                                         + [np.empty(0, dtype=int)]), minlength=n_starts) // 3
+    for i, ((fun, x), ref) in enumerate(zip(got, refs)):
+        assert fun == float(ref.fun)
+        assert x == tuple(float(v) for v in ref.x)
+        assert lines[i] == ref.nfev      # each start evaluates the points scipy evaluates
+        if case == "three-point":
+            assert ref.nit < maxiter      # converged early
+    if case == "shrink":
+        assert shrinks[0] > 0, "no shrink step was exercised"
 
 
 def _table():

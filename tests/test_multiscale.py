@@ -4,7 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+import heistsp.curves
 import heistsp.multiscale
+from heistsp.beta import ResourceBudgetError
 from heistsp.core import HeisPoint, ORIGIN, as_array, diameter, dilate, dist, dist_matrix
 from heistsp.curves import PolygonalCurve, curve_length, resample_curve
 from heistsp.multiscale import (
@@ -251,3 +253,18 @@ class TestResample:
         pts = resample_curve(curve, 0.01)
         total = sum(dist(a, b) for a, b in zip(pts, pts[1:]))
         assert total == pytest.approx(curve_length(curve), rel=1e-6)
+
+    def test_count_capped_before_allocating(self, monkeypatch):
+        # 1e12 points along the chord, or an overflowed one: an uncapped run never ends
+        for far in (HeisPoint(1e12, 0, 0), HeisPoint(1e200, -1e200, 0)):
+            with pytest.raises(ResourceBudgetError, match="needs more than"):
+                resample_curve(PolygonalCurve([ORIGIN, far]), 1.0)
+        # the cap counts every point: the start, 4 chord steps, then the
+        # vertical edge's one zero chord step and 6 loop steps
+        curve = PolygonalCurve([ORIGIN, HeisPoint(1, 0, 0), HeisPoint(1, 0, 0.5)])
+        assert len(resample_curve(curve, 0.25)) == 12
+        monkeypatch.setattr(heistsp.curves, "MAX_SAMPLES", 11)
+        with pytest.raises(ResourceBudgetError):
+            resample_curve(curve, 0.25)
+        monkeypatch.setattr(heistsp.curves, "MAX_SAMPLES", 12)
+        assert len(resample_curve(curve, 0.25)) == 12

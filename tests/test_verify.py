@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import heistsp.verify
 from heistsp.verify import (
     DEFAULT_COUNTS,
     EXACT_CHECK_IDS,
@@ -124,3 +127,57 @@ class TestConstructedFamilies:
         r = check_doubling_constant(5, 20)
         assert r.violations == 0
         assert r.extras["max_count"] <= r.extras["frozen_bound"] == 82
+
+
+def _hexed(v):
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, dict):
+        return {k: _hexed(x) for k, x in v.items()}
+    return v
+
+
+def _beta_fields(res):
+    vals = (res.beta, *res.line, *res.achieving_point, res.certified_gap)
+    return tuple(float(v).hex() for v in vals) + (res.vacuous,)
+
+
+#: (samples, violations, worst margin, extras) with every float as hex, and
+#: the count and SHA-1 of the beta results each check fitted, in order
+FROZEN_DICHOTOMY = {
+    "sharp-turn": (
+        (24, 0, "0x1.4f9cfb11a06bcp-9",
+         {"branches": {"return": 12, "ball": 12}, "window_const": "0x1.0000000000000p-1",
+          "ball_floor": "0x1.a36e2eb1c432dp-14", "ball_score_min": "0x1.5cb86c872e8d5p-9"}),
+        12, "faae47ccd3ec44103df9f71de53320b15b6acd98"),
+    "angle-improvement": (
+        (6, 0, "0x1.0000000000000p+0",
+         {"branches": {"projected": 0, "ball": 6}, "tilde_floor": "0x1.999999999999ap-5",
+          "ball_floor": "0x1.5798ee2308c3ap-27"}),
+        12, "336ce10002997bf6f3a2edeffd18d4f1d690037d"),
+}
+
+
+@pytest.mark.parametrize("name, check, n", [
+    ("sharp-turn", check_sharp_turn_dichotomy, 24),
+    ("angle-improvement", check_angle_improvement_dichotomy, 6),
+])
+def test_dichotomy_fits_frozen_and_batched(name, check, n, monkeypatch):
+    calls = []
+    fit = heistsp.verify.beta_heis_many
+
+    def spy(items, budget=None, seeds=None):
+        out = fit(items, budget, seeds)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(heistsp.verify, "beta_heis_many", spy)
+    r = check(0, n)
+    if name == "sharp-turn":    # one call for every ball-branch instance
+        assert [len(c) for c in calls] == [r.extras["branches"]["ball"]]
+    else:                       # one two-item call per instance
+        assert [len(c) for c in calls] == [2] * n
+    fitted = [_beta_fields(res) for c in calls for res in c]
+    digest = hashlib.sha1(repr(fitted).encode()).hexdigest()
+    got = (r.samples, r.violations, r.worst_margin.hex(), _hexed(r.extras))
+    assert (got, len(fitted), digest) == FROZEN_DICHOTOMY[name]
