@@ -62,8 +62,7 @@ from .core import (
 )
 from .lines import (
     HorizontalLine,
-    _canon_arr,
-    directions,
+    canon_coords,
     golden_min_many,
     horizontal_line,
     line_dists_arr,
@@ -168,9 +167,9 @@ def _max_dists(lines: _Lines, params) -> np.ndarray:
     """max_i d(p_i, L) over each line's members, for the line (theta,
     offset, height) of each row of params, shaped (L, 3)."""
     params = np.asarray(params, dtype=float).reshape(-1, 3)
-    c, s = directions(params[:, 0])
+    c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
     j = lines.line
-    d = quartic_dists(*_canon_arr(lines.members, c[j, 0], s[j, 0], params[j, 1], params[j, 2]))
+    d = quartic_dists(*canon_coords(lines.members, c[j], s[j], params[j, 1], params[j, 2]))
     return np.maximum.reduceat(d, lines.first)
 
 
@@ -200,12 +199,12 @@ def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float
     (golden_min_many), one kernel call per step; a line whose bracket is a
     single height returns it unsearched.
     """
-    cs, sn = directions(thetas)
+    th = np.asarray(thetas, dtype=float)
     off = np.asarray(offsets, dtype=float)
     j = lines.line
     off_j = off[j]
-    # line_dists_arr's canonical coordinates at height 0
-    xt, yt, z0 = _canon_arr(lines.members, cs[j, 0], sn[j, 0], off_j, 0.0)
+    # the canonical coordinates at height 0
+    xt, yt, z0 = canon_coords(lines.members, np.cos(th)[j], np.sin(th)[j], off_j, 0.0)
     # h with zero mismatch at the co-horizontal foot
     targets = lines.members[:, 2] - 2.0 * xt * yt + 2.0 * off_j * xt
     a = np.minimum.reduceat(targets, lines.first)
@@ -449,23 +448,19 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
         # outside (2) or inside (3) contraction, or none (0)
         second = np.where(fxr < fsim[:, 0], 1,
                           np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
-        ftrial = np.full((live.size, 4), np.inf)    # the points not evaluated are not read
-        ftrial[:, 0] = fxr
+        f2 = np.full(live.size, np.inf)     # the second trial's value, where evaluated
         more = np.flatnonzero(second)
         if more.size:
-            ftrial[more, second[more]] = _max_dists(rows.lines(balls[more]),
-                                                    trial[more, second[more]])
-        _, fxe, fxc, fxcc = ftrial.T
-        # scipy's branches: expand or reflect, reflect, contract outside or
-        # inside, else shrink (-1)
-        pick = np.where(fxr < fsim[:, 0], np.where(fxe < fxr, 1, 0),
-                        np.where(fxr < fsim[:, -2], 0,
-                                 np.where(fxr < fsim[:, -1], np.where(fxc <= fxr, 2, -1),
-                                          np.where(fxcc < fsim[:, -1], 3, -1))))
+            f2[more] = _max_dists(rows.lines(balls[more]), trial[more, second[more]])
+        # scipy's branches: a start takes its second trial point when that
+        # passes its branch's test; a failed expansion falls back to the
+        # reflection (0), a failed contraction to a shrink (-1)
+        keep = np.choose(second, [True, f2 < fxr, f2 <= fxr, f2 < fsim[:, -1]])
+        pick = np.where(keep, second, np.where(second == 1, 0, -1))
         moved = np.flatnonzero(pick >= 0)
         if moved.size:
             sim[moved, -1] = trial[moved, pick[moved]]
-            fsim[moved, -1] = ftrial[moved, pick[moved]]
+            fsim[moved, -1] = np.where(pick == 0, fxr, f2)[moved]
         shrink = np.flatnonzero(pick < 0)
         if shrink.size:
             best = sim[shrink, :1]
@@ -652,7 +647,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
         cs, sn = math.cos(th), math.sin(th)
         for c_ in offsets:
             # (res_h, n): every grid height against every member
-            dmax = quartic_dists(*_canon_arr(canon, cs, sn, c_, heights[:, None])).max(axis=1)
+            dmax = quartic_dists(*canon_coords(canon, cs, sn, c_, heights[:, None])).max(axis=1)
             j = int(np.argmin(dmax))
             if dmax[j] < best[0]:
                 best = (float(dmax[j]), (float(th), float(c_), float(heights[j])))

@@ -38,6 +38,7 @@ from .beta import (
     BetaBudget,
     beta_heis,
     beta_heis_many,
+    members_in_ball,
     scale_ball,
 )
 from .curves import PolygonalCurve, curve_length
@@ -198,16 +199,18 @@ class _Path:
         return 2.0 * duw
 
 
-def _ball_components(path: _Path, center: HeisPoint,
-                     radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Components of the path restricted to the ball.
+def _ball_components(seq: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Components of the path seq restricted to the ball of the net points
+    members.
 
-    Returns the sorted vertex ids inside the ball and a component label for
-    each: consecutive in-ball path positions form a run, and runs that share
-    a vertex id (the path revisits a vertex) are one component.
+    At repair time the path's vertex set is exactly the scale's net (the
+    test_path_holds_the_previous_net_at_each_scale invariant), so the
+    in-ball path positions are those whose vertex is a member, and no
+    distance is needed.  Returns the sorted member ids and a component
+    label for each: consecutive in-ball path positions form a run, and runs
+    that share a vertex id (the path revisits a vertex) are one component.
     """
-    seq = np.asarray(path.seq)
-    pos = np.flatnonzero(within(dist_point_arr(center, path.arr[seq]), radius))
+    pos = np.flatnonzero(np.isin(seq, members))
     run = np.cumsum(np.diff(pos, prepend=-2) != 1) - 1
     ids, vert = np.unique(seq[pos], return_inverse=True)
     # each run takes the least label among the runs it shares a vertex with,
@@ -241,23 +244,24 @@ def _enforce_local_connectivity(path: _Path, arr: np.ndarray,
     """Bridge detours until each C1-ball's net members share a path component.
 
     balls holds (anchor, net members of its C1-ball) for every net point of
-    scale k.  Each bridge is a detour u -> w -> u from the component of the
-    first member (the base) to the closest vertex w of another member's
-    component, the least (d(w, u), u, w).  It adds only the edge u-w, so it
-    merges w's component into the base and splits none: the components are
-    computed once per ball, and only the nearest base vertex of each
-    remaining vertex is updated after a bridge.
+    scale k.  The path's vertices are that scale's net points, so a ball's
+    in-ball vertices are its members, and c1 is not read.  Each bridge is a
+    detour u -> w -> u from the component of the first member (the base) to
+    the closest vertex w of another component, the least (d(w, u), u, w).
+    It adds only the edge u-w, so it merges w's component into the base and
+    splits none: the components are computed once per ball, and only the
+    nearest base vertex of each remaining vertex is updated after a bridge.
     """
-    radius = c1 * 2.0 ** (-k)
+    seq = np.asarray(path.seq)
     for anchor, members in balls:
         if len(members) <= 1:
             continue
-        ids, comp = _ball_components(path, HeisPoint(*arr[anchor]), radius)
-        member_comp = comp[np.searchsorted(ids, members)]
-        base_comp = member_comp[0]
-        outside = np.isin(comp, member_comp) & (comp != base_comp)
-        rest, rest_comp = ids[outside], comp[outside]
-        d, u = _nearest(arr, rest, ids[comp == base_comp])
+        if len(seq) != len(path.seq):       # a bridge lengthened the path
+            seq = np.asarray(path.seq)
+        ids, comp = _ball_components(seq, members)
+        base = comp == comp[np.searchsorted(ids, members[0])]
+        rest, rest_comp = ids[~base], comp[~base]
+        d, u = _nearest(arr, rest, ids[base])
         while len(rest):
             b = np.lexsort((rest, u, d))[0]
             w = int(rest[b])
@@ -326,14 +330,13 @@ def _build(points: Sequence[HeisPoint],
         radius = cfg.c1 * 2.0 ** (-k)
         balls, fits = [], []
         for pos, anchor in enumerate(net_k):
-            center = HeisPoint(*arr[anchor])
-            members = net_idx[within(dist_point_arr(center, net_arr), radius)]
+            ball = Ball(HeisPoint(*arr[anchor]), radius)
+            members = net_idx[members_in_ball(net_arr, ball)]
             balls.append((anchor, members))
             fresh = [i for i in members.tolist() if i not in claimed]
             if fresh:
                 claimed.update(fresh)
-                fits.append((anchor, Ball(center, radius), fresh,
-                             _term_seed(cfg.seed, k - k_min, pos)))
+                fits.append((anchor, ball, fresh, _term_seed(cfg.seed, k - k_min, pos)))
         scales.append((k, balls, fits))
     fits = [f for _, _, scale_fits in scales for f in scale_fits]
     results = iter(beta_heis_many([(arr, ball) for _, ball, _, _ in fits], cfg.beta_budget,

@@ -8,10 +8,12 @@ d(g, h) = N(g^-1 h) which scales linearly under the anisotropic dilations
 z axis.
 
 All operations here are pure; values are immutable after construction.
-Array helpers operate on float64 arrays of shape (n, 3) and repeat the
-scalar functions' arithmetic operation for operation; dist_arr is the one
-array form of the distance.  numpy's vectorised power may round a fourth
-root one ulp away from the scalar one.
+gauge is the one form of the norm: koranyi_norm, dist, norm_arr, dist_arr
+and the traversal's leaf bounds all take its fourth root, on Python floats
+or on numpy arrays alike.  Array helpers operate on float64 arrays of shape
+(n, 3) and repeat the scalar functions' arithmetic operation for operation;
+dist_arr is the one array form of the distance.  numpy's vectorised power
+may round a fourth root one ulp away from the scalar one.
 """
 
 from __future__ import annotations
@@ -49,10 +51,15 @@ def group_inv(a: HeisPoint) -> HeisPoint:
     return HeisPoint(-a.x, -a.y, -a.z)
 
 
+def gauge(x, y, z):
+    """((x^2+y^2)^2 + z^2)^(1/4), on floats or broadcast over arrays."""
+    r2 = x * x + y * y
+    return (r2 * r2 + z * z) ** 0.25
+
+
 def koranyi_norm(a: HeisPoint) -> float:
-    """N(x,y,z) = ((x^2+y^2)^2 + z^2)^(1/4)."""
-    r2 = a.x * a.x + a.y * a.y
-    return (r2 * r2 + a.z * a.z) ** 0.25
+    """N(x,y,z) = gauge(x, y, z)."""
+    return gauge(a.x, a.y, a.z)
 
 
 def dist(a: HeisPoint, b: HeisPoint) -> float:
@@ -60,8 +67,7 @@ def dist(a: HeisPoint, b: HeisPoint) -> float:
     dx = b.x - a.x
     dy = b.y - a.y
     dz = b.z - a.z - 2.0 * (a.x * b.y - b.x * a.y)
-    r2 = dx * dx + dy * dy
-    return (r2 * r2 + dz * dz) ** 0.25
+    return gauge(dx, dy, dz)
 
 
 def dilate(lam: float, a: HeisPoint) -> HeisPoint:
@@ -118,9 +124,7 @@ def point_of(row: np.ndarray) -> HeisPoint:
 
 
 def norm_arr(arr: np.ndarray) -> np.ndarray:
-    x, y, z = arr[:, 0], arr[:, 1], arr[:, 2]
-    r2 = x * x + y * y
-    return (r2 * r2 + z * z) ** 0.25
+    return gauge(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 def left_translate_arr(g: HeisPoint, arr: np.ndarray) -> np.ndarray:
@@ -155,8 +159,7 @@ def dist_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dx = b[..., 0] - a[..., 0]
     dy = b[..., 1] - a[..., 1]
     dz = b[..., 2] - a[..., 2] - 2.0 * (a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1])
-    r2 = dx * dx + dy * dy
-    return (r2 * r2 + dz * dz) ** 0.25
+    return gauge(dx, dy, dz)
 
 
 def dist_point_arr(p: HeisPoint, arr: np.ndarray) -> np.ndarray:
@@ -290,8 +293,7 @@ def _leaf_bounds(p: np.ndarray, box: np.ndarray) -> np.ndarray:
     t_hi = z1 - pz - 2.0 * (px * y_lo) + 2.0 * (py * x_hi)
     slack = 8.0 * np.finfo(float).eps * (az + abs(pz) + 2.0 * abs(px) * ay + 2.0 * abs(py) * ax)
     gz = np.maximum(np.maximum(t_lo, -t_hi) - slack, 0.0)
-    r2 = gx * gx + gy * gy
-    return (r2 * r2 + gz * gz) ** 0.25 * (1.0 - 1e-12)
+    return gauge(gx, gy, gz) * (1.0 - 1e-12)
 
 
 def _farthest_by_leaves(arr: np.ndarray, picks: int,

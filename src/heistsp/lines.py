@@ -10,6 +10,12 @@ so theta in [0, pi) is the direction of the projected line, offset is its
 signed distance from the origin, and height is the z value over the foot
 of the origin.  The map t -> point(t) is an isometry of R onto the line.
 
+Distances to lines have one kernel: canon_coords moves points into a
+line's frame, given the cosine and sine of its direction, and
+quartic_dists takes the distance there by a closed-form cubic root.
+Callers with many lines (the beta engine, the lemma checks) pair the two
+themselves; line_dists_arr and line_dist are the one-line forms.
+
 Sign conventions: the trapezoid area follows the path
 pi(a) -> pi(b) -> pi(b_L) -> pi(a_L) with the usual counterclockwise
 shoelace sign, so the unit square traversed clockwise has area -1.
@@ -98,11 +104,12 @@ def foot_params_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
     return c * arr[:, 0] + s * arr[:, 1]
 
 
-def _canon_arr(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x~, y~, z~) of every row in the frame where the line is {(t, 0, 0)}-like,
     given cos and sin of its direction: x~ is the foot parameter axis, y~ the
     signed plane offset from the projected line, z~ the z mismatch against
-    the line's profile at t = 0."""
+    the line's profile at t = 0.  The line parameters broadcast against the
+    rows: one line's scalars, or one line per row."""
     px = c * arr[..., 0] + s * arr[..., 1]
     py = -s * arr[..., 0] + c * arr[..., 1]
     return px, py - offset, arr[..., 2] + 2.0 * offset * px - height
@@ -160,49 +167,15 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     return f
 
 
-def directions(thetas) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each theta, shaped thetas.shape + (1,) to broadcast
-    against members."""
-    ts = np.asarray(thetas, dtype=float)[..., None]
-    return np.cos(ts), np.sin(ts)
-
-
-def line_dists_many(arr: np.ndarray, params) -> np.ndarray:
-    """Koranyi distance of every member to each line in one broadcast.
-
-    params holds one (theta, offset, height) per line, shaped (..., 3) (a flat
-    sequence of lines is (L, 3)).  arr is one (m, 3) member array shared by
-    all lines, or one member array per line, broadcast against params.shape[:-1]
-    + (m, 3).  The result is params.shape[:-1] + (m,), and the row of a line
-    equals line_dists_arr(its members, HorizontalLine(*line)) bit for bit.
-    """
-    params = np.asarray(params, dtype=float)
-    if params.ndim == 1:      # one line, or no lines
-        params = params.reshape(-1, 3)
-    c, s = directions(params[..., 0])
-    return quartic_dists(*_canon_arr(arr, c, s, params[..., 1:2], params[..., 2:3]))
-
-
 def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
-    """Koranyi distance of every row to the line: line_dists_many's row of the line."""
-    return line_dists_many(arr, line)[0]
+    """Koranyi distance of every row to the line."""
+    c, s = np.cos(line.theta), np.sin(line.theta)
+    return quartic_dists(*canon_coords(arr, c, s, line.offset, line.height))
 
 
 def line_dist(p: HeisPoint, line: HorizontalLine) -> float:
     """Koranyi distance of p to the line."""
     return float(line_dists_arr(np.array([[p.x, p.y, p.z]]), line)[0])
-
-
-def canon_coords_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
-                         heights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical coordinates of row i of pts against line i; all inputs length n."""
-    return _canon_arr(pts, np.cos(thetas), np.sin(thetas), offsets, heights)
-
-
-def line_dists_rowwise(pts: np.ndarray, thetas: np.ndarray, offsets: np.ndarray,
-                       heights: np.ndarray) -> np.ndarray:
-    """Distance of point i to line i (vectorized over matched rows)."""
-    return quartic_dists(*canon_coords_rowwise(pts, thetas, offsets, heights))
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -28,27 +28,26 @@ from .core import (
     dist_arr,
     dist_point_arr,
     farthest_point_order,
+    gauge,
     group_mul,
     left_translate_arr,
     norm_arr,
     point_of,
     rotate_arr,
     sample_box,
-    within,
 )
 from .lines import (
     HorizontalLine,
-    canon_coords_rowwise,
+    canon_coords,
     foot_params_arr,
     horizontal_line,
     line_dists_arr,
-    line_dists_rowwise,
     line_from_point_direction,
     line_point_at,
     line_dist,
     quartic_dists,
 )
-from .beta import Ball, BUILDER_BUDGET, beta_euclidean_2d, beta_heis_many
+from .beta import Ball, BUILDER_BUDGET, beta_euclidean_2d, beta_heis_many, members_in_ball
 # not called here: kept importable because the benchmark's tracer wraps it here
 from .beta import beta_heis  # noqa: F401
 from .builder import excess
@@ -113,7 +112,7 @@ def check_shortest_to_line(seed: int, n: int) -> LemmaCheck:
     rng = _rng(seed, 11)
     pts = sample_box(rng, n)
     th, off, hgt = _sample_lines(rng, n)
-    xt, yt, zt = canon_coords_rowwise(pts, th, off, hgt)
+    xt, yt, zt = canon_coords(pts, np.cos(th), np.sin(th), off, hgt)
     dpl = np.abs(yt)                         # d(p, p_L)
     dll = np.sqrt(np.abs(zt - 2.0 * xt * yt))  # d(p_L, L)
     mix = (dpl ** 4 + dll ** 4) ** 0.25
@@ -129,17 +128,18 @@ def check_foot_point_factor(seed: int, n: int) -> LemmaCheck:
     rng = _rng(seed, 13)
     pts = sample_box(rng, n)
     th, off, hgt = _sample_lines(rng, n)
-    xt, yt, zt = canon_coords_rowwise(pts, th, off, hgt)
-    d_vert = ((yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2) ** 0.25  # d(p, P_L(p))
+    xt, yt, zt = canon_coords(pts, np.cos(th), np.sin(th), off, hgt)
+    d_vert = gauge(0.0, yt, zt - 2.0 * xt * yt)  # d(p, P_L(p))
     d = quartic_dists(xt, yt, zt)
     margins = (4.0 * d - d_vert) / (d_vert + 1e-300)
     return _summary("foot-point-factor", margins, seed)
 
 
-def _sigma_line_rowwise(a: np.ndarray, b: np.ndarray, th, off, hgt) -> np.ndarray:
-    """sigma_l for matched rows, computed in the rotated frame."""
-    xa, ya, _ = canon_coords_rowwise(a, th, off, hgt)
-    xb, yb, _ = canon_coords_rowwise(b, th, off, hgt)
+def _sigma_line_rowwise(a: np.ndarray, b: np.ndarray, c, s, off, hgt) -> np.ndarray:
+    """sigma_l for matched rows, computed in the rotated frame; c and s are
+    the cosines and sines of the lines' directions."""
+    xa, ya, _ = canon_coords(a, c, s, off, hgt)
+    xb, yb, _ = canon_coords(b, c, s, off, hgt)
     dz = b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
     sig = 0.25 * dz
     # shoelace of (xa, ya+off) -> (xb, yb+off) -> (xb, off) -> (xa, off);
@@ -159,9 +159,10 @@ def check_line_area_bound(seed: int, n: int) -> LemmaCheck:
     a = sample_box(rng, n)
     b = sample_box(rng, n)
     th, off, hgt = _sample_lines(rng, n)
-    da = line_dists_rowwise(a, th, off, hgt)
-    db = line_dists_rowwise(b, th, off, hgt)
-    sig = _sigma_line_rowwise(a, b, th, off, hgt)
+    c, s = np.cos(th), np.sin(th)
+    da = quartic_dists(*canon_coords(a, c, s, off, hgt))
+    db = quartic_dists(*canon_coords(b, c, s, off, hgt))
+    sig = _sigma_line_rowwise(a, b, c, s, off, hgt)
     rhs = 0.5 * np.sqrt(np.abs(sig))
     lhs = np.maximum(da, db)
     margins = (lhs - rhs) / (rhs + 1e-300)
@@ -174,8 +175,9 @@ def check_pair_flatness_floor(seed: int, n: int) -> LemmaCheck:
     a = sample_box(rng, n)
     b = sample_box(rng, n)
     th, off, hgt = _sample_lines(rng, n)
-    da = line_dists_rowwise(a, th, off, hgt)
-    db = line_dists_rowwise(b, th, off, hgt)
+    c, s = np.cos(th), np.sin(th)
+    da = quartic_dists(*canon_coords(a, c, s, off, hgt))
+    db = quartic_dists(*canon_coords(b, c, s, off, hgt))
     dz = np.abs(b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
     dab = dist_arr(a, b)
     keep = dab > 0.0
@@ -348,8 +350,8 @@ def check_angle_improvement_dichotomy(seed: int, n: int) -> LemmaCheck:
         # one batch per instance: an instance holds up to about 6e5 points
         res, res_big = beta_heis_many([(pts, cand), (pts, big)], BUILDER_BUDGET, [seed, seed])
         spread_ok = False
-        idx = within(dist_point_arr(center, pts), rho)
-        if np.any(idx):
+        idx = members_in_ball(pts, cand)
+        if idx.size:
             fp = foot_params_arr(pts[idx], res.line)
             spread_ok = (fp.max() - fp.min()) >= 0.25 * 2.0 * rho
         first = tilde >= tilde_floor and spread_ok

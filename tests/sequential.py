@@ -32,7 +32,7 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
     return (c1, f1) if f1 <= f2 else (c2, f2)
 
 
-def canon_coords(p: HeisPoint, line: HorizontalLine) -> tuple[float, float, float]:
+def point_canon_coords(p: HeisPoint, line: HorizontalLine) -> tuple[float, float, float]:
     """(x~, y~, z~): p in the frame where the line is {(t, 0, 0)}-like.
 
     x~ is the foot parameter axis, y~ the signed plane offset from the

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import heistsp.builder
 from heistsp.core import HeisPoint, ORIGIN, as_array, dilate, dist, dist_point_arr, within
@@ -252,13 +254,15 @@ class TestBuildCurve:
     def test_path_holds_the_previous_net_at_each_scale(self, pts):
         # the builder fits every scale's balls before its first insertion,
         # taking the set on the path at the start of scale k to be the first
-        # net point at k_min + 1 and set(nets[k - 1]) after that
+        # net point at k_min + 1 and set(nets[k - 1]) after that; and the
+        # repair's _ball_components reads each ball's in-ball path vertices
+        # as its net members, since the path holds set(nets[k]) at its repair
         _, ledger, hierarchy = _build(pts, BuilderConfig(seed=0))
         nets, k_min = hierarchy.nets, hierarchy.k_min
         assert hierarchy.k_max > k_min + 2
         assert ledger.snapshots[k_min] == [nets[k_min][0]]
-        for k in range(k_min + 2, hierarchy.k_max + 1):
-            assert set(ledger.snapshots[k - 1]) == set(nets[k - 1])
+        for k in range(k_min + 1, hierarchy.k_max + 1):
+            assert set(ledger.snapshots[k]) == set(nets[k])
 
     def test_repair_matches_recomputing_reference(self, monkeypatch):
         # the repair computes components once per ball and updates only
@@ -274,6 +278,67 @@ class TestBuildCurve:
             assert any(e.case == "bridge" for e in ref.entries)
             assert fast.entries == ref.entries
             assert fast.snapshots == ref.snapshots
+
+
+#: coordinates of magnitude 1e-3 to 1e3, of either sign
+_coord = st.builds(lambda m, neg: -m if neg else m, st.floats(1e-3, 1e3), st.booleans())
+_point = st.tuples(_coord, _coord, _coord)
+
+
+@st.composite
+def point_sets(draw) -> list[HeisPoint]:
+    """1 to 25 points made of loose points, repeats of earlier points, runs
+    along a horizontal line and vertical stacks."""
+    pts: list[HeisPoint] = []
+    kinds = st.sampled_from(["point", "repeat", "run", "stack"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        if kind == "repeat" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+            continue
+        g = HeisPoint(*draw(_point))
+        count = draw(st.integers(2, 8))
+        step = draw(_coord)
+        if kind == "run":
+            theta = draw(st.floats(0.0, 2.0 * math.pi))
+            c, s = math.cos(theta), math.sin(theta)
+            # g * (t c, t s, 0): the horizontal line through g in direction theta
+            pts += [HeisPoint(g.x + t * c, g.y + t * s, g.z + 2.0 * t * (g.x * s - g.y * c))
+                    for t in (step * i for i in range(count))]
+        elif kind == "stack":
+            pts += [HeisPoint(g.x, g.y, g.z + step * i) for i in range(count)]
+        else:
+            pts.append(g)
+    return pts[:25]
+
+
+class TestBuildProperties:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(point_sets())
+    def test_build_invariants(self, pts):
+        cfg = BuilderConfig()
+        try:
+            curve, ledger, hierarchy = _build(pts, cfg)
+        except ScaleRangeError:
+            assume(False)
+        # every distinct point is a vertex
+        assert {(p.x, p.y, p.z) for p in pts} <= {(v.x, v.y, v.z) for v in curve.vertices}
+        # the ledger adds up to the curve length
+        assert math.isclose(math.fsum(e.cost for e in ledger.entries), curve.length,
+                            rel_tol=1e-12)
+        # at every scale each C1-ball's net members are one component of the path
+        scales = range(hierarchy.k_min + 1, hierarchy.k_max + 1) if hierarchy else ()
+        for k in scales:
+            arr = hierarchy.points
+            gk = PolygonalCurve([HeisPoint(*map(float, arr[i])) for i in ledger.snapshots[k]])
+            net = [HeisPoint(*map(float, arr[i])) for i in hierarchy.nets[k]]
+            for center in net:
+                ball = Ball(center, cfg.c1 * 2.0 ** (-k))
+                members = [q for q in net if dist(center, q) <= ball.radius * (1.0 + 1e-12)]
+                assert curve_ball_components(gk, members, ball) == 1
+        # two runs give the same ledger and snapshots
+        _, again, _ = _build(pts, cfg)
+        assert again.entries == ledger.entries
+        assert again.snapshots == ledger.snapshots
 
 
 class TestTheoremA:

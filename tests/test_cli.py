@@ -158,6 +158,13 @@ class TestCarlesonCommand:
         assert code == 2
         assert "r" in err
 
+    def test_zero_length_curve_ratio_inf(self, tmp_path, capsys):
+        path = tmp_path / "zero.txt"
+        path.write_text("0 0 0\n0 0 0\n")
+        code, out, _ = run_cli(capsys, "carleson", str(path), "--density", "4")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["length,,,,,0", "ratio,,,,,inf"]
+
 
 class TestTheoremCommands:
     def test_theorem_a_horizontal(self, tmp_path, capsys):
@@ -174,6 +181,15 @@ class TestTheoremCommands:
         got = dict(l.split() for l in out.splitlines() if not l.startswith("#"))
         assert float(got["sum"]) > 0.0
         assert float(got["length"]) == pytest.approx(1.0)
+
+    def test_theorem_b_zero_length_curve_ratio_inf(self, tmp_path, capsys):
+        # a duplicated point is a curve of length 0, whose ratio is inf
+        path = tmp_path / "zero.txt"
+        path.write_text("0 0 0\n0 0 0\n")
+        code, out, _ = run_cli(capsys, "theorem-b", str(path))
+        assert code == 0
+        assert [l for l in out.splitlines() if not l.startswith("#")] == \
+            ["sum 0", "length 0", "ratio inf"]
 
     def test_theorem_b_needs_curve(self, tmp_path, capsys):
         path = write_points(tmp_path / "one.txt", [HeisPoint(0, 0, 0)])

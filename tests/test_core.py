@@ -18,6 +18,7 @@ from heistsp.core import (
     dist_arr,
     dist_matrix,
     dist_point_arr,
+    gauge,
     group_inv,
     group_mul,
     heis_point,
@@ -75,6 +76,14 @@ class TestNormAndDist:
         r2 = 1.0 + 1.0
         assert direct == pytest.approx((r2 * r2 + 4.0) ** 0.25)
         assert direct == pytest.approx(8.0 ** 0.25)
+
+    def test_gauge_on_floats_and_arrays(self):
+        assert gauge(3.0, -4.0, 0.0) == 5.0 and gauge(0.0, 0.0, -4.0) == 2.0
+        arr = sample_box(np.random.default_rng(4), 20)
+        got = gauge(arr[:, 0], arr[:, 1], arr[:, 2])
+        assert np.array_equal(got, norm_arr(arr))
+        assert got == pytest.approx([koranyi_norm(HeisPoint(*row)) for row in arr.tolist()],
+                                    rel=1e-15)
 
     def test_dist_values(self):
         p = HeisPoint(0.3, -0.2, 1.1)

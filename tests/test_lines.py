@@ -20,21 +20,21 @@ from heistsp.core import (
 )
 from heistsp.lines import (
     HorizontalLine,
-    canon_coords_rowwise,
+    canon_coords,
     foot,
     foot_params_arr,
     horizontal_line,
     golden_min_many,
     line_dist,
-    line_dists_rowwise,
     line_from_point_direction,
     line_point_at,
     line_through_two,
+    quartic_dists,
     sigma_l,
     transform_line,
     trapezoid_area,
 )
-from sequential import canon_coords, golden_min, quartic
+from sequential import golden_min, point_canon_coords, quartic
 
 X_AXIS = horizontal_line(0.0, 0.0, 0.0)
 
@@ -42,14 +42,14 @@ X_AXIS = horizontal_line(0.0, 0.0, 0.0)
 def line_dist_bracket(p: HeisPoint, line: HorizontalLine, iters: int = 120) -> float:
     """Golden-section distance on t in [-T, T], T = 4(N(p~)+1): the 1D oracle
     for the cubic root solve of line_dist, independent of it."""
-    xt, yt, zt = canon_coords(p, line)
+    xt, yt, zt = point_canon_coords(p, line)
     hi = 4.0 * (koranyi_norm(HeisPoint(xt, yt, zt)) + 1.0)
     return golden_min(lambda t: quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
 
 def line_dists_bracket_rowwise(pts, thetas, offsets, heights, iters: int = 100):
     """Golden-section distances for matched rows: the bulk oracle for the cubic solve."""
-    xt, yt, zt = canon_coords_rowwise(pts, thetas, offsets, heights)
+    xt, yt, zt = canon_coords(pts, np.cos(thetas), np.sin(thetas), offsets, heights)
     hi = 4.0 * (norm_arr(np.column_stack([xt, yt, zt])) + 1.0)
     return golden_min_many(lambda t: quartic(t, xt, yt, zt), -hi, hi, iters)[1] ** 0.25
 
@@ -179,7 +179,7 @@ class TestLineDist:
         n = 100_000
         pts = sample_box(rng, n)
         th, off, hgt = random_lines(rng, n)
-        d1 = line_dists_rowwise(pts, th, off, hgt)
+        d1 = quartic_dists(*canon_coords(pts, np.cos(th), np.sin(th), off, hgt))
         d2 = line_dists_bracket_rowwise(pts, th, off, hgt)
         assert np.all(np.abs(d1 - d2) <= 1e-8 * np.maximum(d2, 1e-12))
 
@@ -188,9 +188,9 @@ class TestLineDist:
         n = 100_000
         pts = sample_box(rng, n)
         th, off, hgt = random_lines(rng, n)
-        xt, yt, zt = canon_coords_rowwise(pts, th, off, hgt)
+        xt, yt, zt = canon_coords(pts, np.cos(th), np.sin(th), off, hgt)
         mix = (yt ** 4 + (zt - 2.0 * xt * yt) ** 2) ** 0.25
-        d = line_dists_rowwise(pts, th, off, hgt)
+        d = quartic_dists(xt, yt, zt)
         assert np.all(d >= 0.5 * mix * (1.0 - 1e-9))
         assert np.all(d <= 2.0 * mix * (1.0 + 1e-9) + 1e-300)
 
@@ -199,9 +199,9 @@ class TestLineDist:
         n = 100_000
         pts = sample_box(rng, n)
         th, off, hgt = random_lines(rng, n)
-        xt, yt, zt = canon_coords_rowwise(pts, th, off, hgt)
+        xt, yt, zt = canon_coords(pts, np.cos(th), np.sin(th), off, hgt)
         d_vert = ((yt * yt) ** 2 + (zt - 2.0 * xt * yt) ** 2) ** 0.25
-        d = line_dists_rowwise(pts, th, off, hgt)
+        d = quartic_dists(xt, yt, zt)
         assert np.all(d_vert <= 4.0 * d * (1.0 + 1e-9))
 
 
@@ -251,8 +251,10 @@ class TestAreas:
         th = rng.uniform(0, math.pi, n)
         off = rng.uniform(-2, 2, n)
         hgt = rng.uniform(-4, 4, n)
-        whole = _sigma_line_rowwise(a, c, th, off, hgt)
-        split = _sigma_line_rowwise(a, b, th, off, hgt) + _sigma_line_rowwise(b, c, th, off, hgt)
+        cs, sn = np.cos(th), np.sin(th)
+        whole = _sigma_line_rowwise(a, c, cs, sn, off, hgt)
+        split = (_sigma_line_rowwise(a, b, cs, sn, off, hgt)
+                 + _sigma_line_rowwise(b, c, cs, sn, off, hgt))
         scale = np.maximum(np.abs(whole), 1.0)
         assert np.all(np.abs(whole - split) <= 1e-10 * scale)
 
@@ -281,8 +283,9 @@ class TestPairBounds:
         a = np.repeat(sample_box(rng, n_pairs), n_lines, axis=0)
         b = np.repeat(sample_box(rng, n_pairs), n_lines, axis=0)
         th, off, hgt = random_lines(rng, n_pairs * n_lines)
-        da = line_dists_rowwise(a, th, off, hgt)
-        db = line_dists_rowwise(b, th, off, hgt)
+        cs, sn = np.cos(th), np.sin(th)
+        da = quartic_dists(*canon_coords(a, cs, sn, off, hgt))
+        db = quartic_dists(*canon_coords(b, cs, sn, off, hgt))
         dz = np.abs(b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
         dx, dy = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
         r2 = dx * dx + dy * dy

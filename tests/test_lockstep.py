@@ -21,9 +21,9 @@ from heistsp.core import ORIGIN, HeisPoint, as_array, sample_box
 from heistsp.multiscale import build_nets, carleson_sum
 from heistsp.lines import (
     HorizontalLine,
+    canon_coords,
     golden_min_many,
     line_dists_arr,
-    line_dists_many,
     quartic_dists,
 )
 from heistsp.beta import (
@@ -72,6 +72,13 @@ def test_cubic_root_matches_masked_form(shape):
                                   equal_nan=True), scale
 
 
+def _many_lines(arr, params):
+    """The distances of the members arr to every line (theta, offset, height)
+    of params (L, 3) in one broadcast, each line's row of (L, m)."""
+    th = params[:, :1]
+    return quartic_dists(*canon_coords(arr, np.cos(th), np.sin(th), params[:, 1:2], params[:, 2:3]))
+
+
 def test_batched_kernel_rows_equal_one_line_kernel():
     rng = np.random.default_rng(8)
     arr = sample_box(rng, 37, 0.9)
@@ -80,7 +87,7 @@ def test_batched_kernel_rows_equal_one_line_kernel():
                               rng.uniform(-3.0, 3.0, 300)])
     params[:4] = [(0.0, 0.0, 0.0), (math.pi, 0.0, 1.0), (-1e-300, 1e8, -1e8), (1e5, 0.0, 0.0)]
     params[200:, 0] = rng.uniform(-1e4, 1e4, 100)     # directions far outside [0, pi)
-    got = line_dists_many(arr, params)
+    got = _many_lines(arr, params)
     assert got.shape == (300, 37)
     for row, p in zip(got, params):
         assert np.array_equal(row, line_dists_arr(arr, HorizontalLine(*p)))
@@ -289,7 +296,7 @@ def test_kernels_take_one_member_array_per_line():
     sets = [sample_box(rng, 9, 0.8) for _ in range(4)]
     params = np.column_stack([rng.uniform(0.0, 3.0, 4), rng.uniform(-0.5, 0.5, 4),
                               rng.uniform(-0.5, 0.5, 4)])
-    got = line_dists_many(np.array(sets), params)
+    got = _many_lines(np.array(sets), params)
     for row, pts, p in zip(got, sets, params):
         assert np.array_equal(row, line_dists_arr(pts, HorizontalLine(*p)))
     # the engine's ragged rows: balls of 9, 2, 30 and 5 members
