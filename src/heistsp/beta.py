@@ -55,6 +55,7 @@ from .core import (
     dilate_arr,
     dist_point_arr,
     farthest_point_order,
+    frame,
     group_inv,
     left_translate_arr,
     norm_arr,
@@ -68,7 +69,6 @@ from .lines import (
     line_dists_arr,
     line_through_two,
     quartic_dists,
-    theta_mod_pi,
     transform_line,
 )
 
@@ -196,8 +196,7 @@ def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float
     max_i d(p_i, L_h) is quasiconvex in h (each d^4 is jointly convex in
     (t, h)), so golden-section over the hull of the per-point zero-mismatch
     heights finds the optimum.  All lines search in lockstep
-    (golden_min_many), one kernel call per step; a line whose bracket is a
-    single height returns it unsearched.
+    (golden_min_many), one kernel call per step.
     """
     th = np.asarray(thetas, dtype=float)
     off = np.asarray(offsets, dtype=float)
@@ -209,19 +208,9 @@ def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float
     targets = lines.members[:, 2] - 2.0 * xt * yt + 2.0 * off_j * xt
     a = np.minimum.reduceat(targets, lines.first)
     b = np.maximum.reduceat(targets, lines.first)
-    out = a.copy()
-    search = a != b
-    if not search.any():
-        return out.tolist()
-    keep = search[j]
-    xt, yt, z0 = xt[keep], yt[keep], z0[keep]
-    count = np.diff(lines.first, append=len(j))[search]
-    first = np.cumsum(count) - count
-    j = np.repeat(np.arange(len(count)), count)
-    out[search] = golden_min_many(
-        lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - h[j]), first),
-        a[search], b[search], iters)[0]
-    return out.tolist()
+    return golden_min_many(
+        lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - h[j]), lines.first),
+        a, b, iters)[0].tolist()
 
 
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
@@ -272,7 +261,7 @@ def min_width_strip(pts: np.ndarray) -> tuple[float, float, float]:
     if hull.shape[0] <= 2:
         d = hull[-1] - hull[0]
         theta = math.atan2(d[1], d[0]) if np.any(d != 0.0) else 0.0
-        s = -math.sin(theta) * pts[:, 0] + math.cos(theta) * pts[:, 1]
+        s = frame(math.cos(theta), math.sin(theta), pts[:, 0], pts[:, 1])[1]
         return 0.0, theta, 0.5 * float(s.max() + s.min())
     # edge i runs from hull[i] to hull[i + 1]; its strip's signed offsets s
     # of all hull vertices form row i, in blocks of edges under BATCH_PAIRS
@@ -362,20 +351,10 @@ def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[t
     return pairs[:budget.pair_starts]
 
 
-def _pair_lines(sub: np.ndarray, pairs: list[tuple[int, int]]) -> list[tuple[float, float, float]]:
-    """(theta, offset, height) of line_through_two(sub[i], sub[j]) for each
-    pair, with its arithmetic on Python floats."""
+def _pair_lines(sub: np.ndarray, pairs: list[tuple[int, int]]) -> list[HorizontalLine]:
+    """line_through_two(sub[i], sub[j]) for each pair, on Python floats."""
     pts = sub.tolist()
-    out = []
-    for i, j in pairs:
-        ax, ay, az = pts[i]
-        bx, by, _ = pts[j]
-        theta = theta_mod_pi(math.atan2(by - ay, bx - ax))[0]
-        c, s = math.cos(theta), math.sin(theta)
-        gx = c * ax + s * ay
-        gy = -s * ax + c * ay
-        out.append((theta, gy, az + 2.0 * gx * gy))
-    return out
+    return [line_through_two(HeisPoint(*pts[i]), HeisPoint(*pts[j])) for i, j in pairs]
 
 
 #: Nelder-Mead initial simplex: x0 plus these steps along each axis, at

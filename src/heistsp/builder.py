@@ -445,7 +445,7 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     floor_diam = eps ** (0.5 * q) * diam / cfg.d1
     big_r = 16.0 * d7 * ball.radius
     d_centers = dist_point_arr(ball.center, arr)
-    centers = np.flatnonzero(d_centers <= big_r)
+    centers = np.flatnonzero(within(d_centers, big_r))
     levels = []
     rho = big_r
     while 2.0 * rho >= floor_diam and len(levels) < 24:

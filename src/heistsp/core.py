@@ -8,12 +8,16 @@ d(g, h) = N(g^-1 h) which scales linearly under the anisotropic dilations
 z axis.
 
 All operations here are pure; values are immutable after construction.
-gauge is the one form of the norm: koranyi_norm, dist, norm_arr, dist_arr
-and the traversal's leaf bounds all take its fourth root, on Python floats
-or on numpy arrays alike.  Array helpers operate on float64 arrays of shape
-(n, 3) and repeat the scalar functions' arithmetic operation for operation;
-dist_arr is the one array form of the distance.  numpy's vectorised power
-may round a fourth root one ulp away from the scalar one.
+Each coordinate formula has one kernel, on Python floats or broadcast over
+numpy arrays alike: gauge is the norm (koranyi_norm, dist, norm_arr,
+dist_arr and the traversal's leaf bounds take its fourth root), product the
+group law (group_mul, left_translate_arr), relative the coordinates of
+a^-1 b (dist, dist_arr, sigma and the callers outside core), and frame the
+rotation into a line's frame (rotate_z and rotate_arr rotate out of it by
+frame(c, -s, ...)).  Array helpers operate on float64 arrays of shape
+(n, 3); dist_arr is the one array form of the distance.  numpy's vectorised
+power may round a fourth root one ulp away from the scalar one.  dilate and
+dilate_arr stay two functions: they round z as (l*l)*z and (z*l)*l.
 """
 
 from __future__ import annotations
@@ -41,9 +45,27 @@ def heis_point(x: float, y: float, z: float) -> HeisPoint:
     return p
 
 
+def product(ax, ay, az, bx, by, bz):
+    """Coordinates of the group product (ax,ay,az)*(bx,by,bz) =
+    (ax+bx, ay+by, az+bz+2(ax by - bx ay)), on floats or broadcast over arrays."""
+    return ax + bx, ay + by, az + bz + 2.0 * (ax * by - bx * ay)
+
+
+def relative(ax, ay, az, bx, by, bz):
+    """Coordinates of a^-1 b, on floats or broadcast over arrays."""
+    return bx - ax, by - ay, bz - az - 2.0 * (ax * by - bx * ay)
+
+
+def frame(c, s, x, y):
+    """(x, y) rotated by -theta, given c = cos(theta) and s = sin(theta):
+    the coordinates in the frame of a line of direction theta.  frame(c, -s,
+    x, y) rotates by +theta.  On floats or broadcast over arrays."""
+    return c * x + s * y, -s * x + c * y
+
+
 def group_mul(a: HeisPoint, b: HeisPoint) -> HeisPoint:
     """Group product (x,y,z)*(x',y',z') = (x+x', y+y', z+z'+2(xy'-x'y))."""
-    return HeisPoint(a.x + b.x, a.y + b.y, a.z + b.z + 2.0 * (a.x * b.y - b.x * a.y))
+    return HeisPoint(*product(*a, *b))
 
 
 def group_inv(a: HeisPoint) -> HeisPoint:
@@ -64,10 +86,7 @@ def koranyi_norm(a: HeisPoint) -> float:
 
 def dist(a: HeisPoint, b: HeisPoint) -> float:
     """Left-invariant Koranyi distance d(a,b) = N(a^-1 b)."""
-    dx = b.x - a.x
-    dy = b.y - a.y
-    dz = b.z - a.z - 2.0 * (a.x * b.y - b.x * a.y)
-    return gauge(dx, dy, dz)
+    return gauge(*relative(*a, *b))
 
 
 def dilate(lam: float, a: HeisPoint) -> HeisPoint:
@@ -79,8 +98,8 @@ def dilate(lam: float, a: HeisPoint) -> HeisPoint:
 
 def rotate_z(theta: float, a: HeisPoint) -> HeisPoint:
     """Rotate the horizontal part by theta radians; z is unchanged."""
-    c, s = math.cos(theta), math.sin(theta)
-    return HeisPoint(c * a.x - s * a.y, s * a.x + c * a.y, a.z)
+    x, y = frame(math.cos(theta), -math.sin(theta), a.x, a.y)
+    return HeisPoint(x, y, a.z)
 
 
 def proj_pi(a: HeisPoint) -> tuple[float, float]:
@@ -104,8 +123,7 @@ def sigma(a: HeisPoint, b: HeisPoint) -> float:
     Normalized so that z(a^-1 b) = 4 * sigma(a, b), which makes
     nh of a^-1 b equal to 2*sqrt(|sigma|) identically.
     """
-    dz = b.z - a.z - 2.0 * (a.x * b.y - b.x * a.y)
-    return 0.25 * dz
+    return 0.25 * relative(*a, *b)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +147,7 @@ def norm_arr(arr: np.ndarray) -> np.ndarray:
 
 def left_translate_arr(g: HeisPoint, arr: np.ndarray) -> np.ndarray:
     """g * p for every row p."""
-    x, y, z = arr[:, 0], arr[:, 1], arr[:, 2]
-    out = np.empty_like(arr)
-    out[:, 0] = g.x + x
-    out[:, 1] = g.y + y
-    out[:, 2] = g.z + z + 2.0 * (g.x * y - x * g.y)
-    return out
+    return np.column_stack(product(*g, arr[:, 0], arr[:, 1], arr[:, 2]))
 
 
 def dilate_arr(lam: float, arr: np.ndarray) -> np.ndarray:
@@ -146,20 +159,14 @@ def dilate_arr(lam: float, arr: np.ndarray) -> np.ndarray:
 
 
 def rotate_arr(theta: float, arr: np.ndarray) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    out = np.empty_like(arr)
-    out[:, 0] = c * arr[:, 0] - s * arr[:, 1]
-    out[:, 1] = s * arr[:, 0] + c * arr[:, 1]
-    out[:, 2] = arr[:, 2]
+    out = arr.copy()
+    out[:, 0], out[:, 1] = frame(math.cos(theta), -math.sin(theta), arr[:, 0], arr[:, 1])
     return out
 
 
 def dist_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """d(a, b) over rows (..., 3) of a and b broadcast against each other."""
-    dx = b[..., 0] - a[..., 0]
-    dy = b[..., 1] - a[..., 1]
-    dz = b[..., 2] - a[..., 2] - 2.0 * (a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1])
-    return gauge(dx, dy, dz)
+    return gauge(*relative(a[..., 0], a[..., 1], a[..., 2], b[..., 0], b[..., 1], b[..., 2]))
 
 
 def dist_point_arr(p: HeisPoint, arr: np.ndarray) -> np.ndarray:

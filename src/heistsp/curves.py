@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .beta import ResourceBudgetError
-from .core import HeisPoint, dist, group_mul
+from .core import HeisPoint, dist, group_mul, relative
 
 
 @dataclass
@@ -57,8 +57,7 @@ def resample_curve(curve: PolygonalCurve, spacing: float) -> list[HeisPoint]:
     edges = []      # per edge: its ends, a^-1 b, the chord's steps, the loop's radius and steps
     total = 1
     for a, b in zip(verts, verts[1:]):
-        gx, gy = b.x - a.x, b.y - a.y
-        gz = b.z - a.z - 2.0 * (a.x * b.y - b.x * a.y)
+        gx, gy, gz = relative(*a, *b)
         n1 = _steps(math.hypot(gx, gy), spacing, 1)
         rho = math.sqrt(abs(gz) / (4.0 * math.pi))
         n2 = _steps(2.0 * math.pi * rho, spacing, 4) if gz != 0.0 else 0

@@ -10,11 +10,13 @@ so theta in [0, pi) is the direction of the projected line, offset is its
 signed distance from the origin, and height is the z value over the foot
 of the origin.  The map t -> point(t) is an isometry of R onto the line.
 
-Distances to lines have one kernel: canon_coords moves points into a
-line's frame, given the cosine and sine of its direction, and
-quartic_dists takes the distance there by a closed-form cubic root.
-Callers with many lines (the beta engine, the lemma checks) pair the two
-themselves; line_dists_arr and line_dist are the one-line forms.
+Every rotation into a line's frame is core.frame: line_from_point_direction,
+foot, foot_params_arr and canon_coords call it.  Distances to lines have one
+kernel: canon_coords moves points into a line's frame, given the cosine and
+sine of its direction, and quartic_dists takes the distance there by a
+closed-form cubic root.  Callers with many lines (the beta engine, the
+lemma checks) pair the two themselves; line_dists_arr and line_dist are
+the one-line forms.
 
 Sign conventions: the trapezoid area follows the path
 pi(a) -> pi(b) -> pi(b_L) -> pi(a_L) with the usual counterclockwise
@@ -28,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import HeisPoint, rotate_z, sigma
+from .core import HeisPoint, dilate, frame, group_mul, rotate_z, sigma
 
 
 class HorizontalLine(NamedTuple):
@@ -65,11 +67,9 @@ def horizontal_line(theta: float, offset: float, height: float) -> HorizontalLin
 
 def line_from_point_direction(g: HeisPoint, theta: float) -> HorizontalLine:
     """The horizontal line through g with projected direction theta."""
-    line = horizontal_line(theta, 0.0, 0.0)
-    c, s = math.cos(line.theta), math.sin(line.theta)
-    gx = c * g.x + s * g.y      # rotate by -theta
-    gy = -s * g.x + c * g.y
-    return HorizontalLine(line.theta, gy, g.z + 2.0 * gx * gy)
+    t = theta_mod_pi(theta)[0]
+    gx, gy = frame(math.cos(t), math.sin(t), g.x, g.y)
+    return HorizontalLine(t, gy, g.z + 2.0 * gx * gy)
 
 
 def line_point_at(line: HorizontalLine, t: float) -> HeisPoint:
@@ -89,9 +89,7 @@ def line_through_two(a: HeisPoint, b: HeisPoint) -> HorizontalLine:
 
 def foot(p: HeisPoint, line: HorizontalLine) -> LineFoot:
     """Co-horizontal foot of p over pi(L) and the line point below/above it."""
-    c, s = math.cos(line.theta), math.sin(line.theta)
-    px = c * p.x + s * p.y
-    py = -s * p.x + c * p.y
+    px, py = frame(math.cos(line.theta), math.sin(line.theta), p.x, p.y)
     w = p.z + 2.0 * px * (line.offset - py)
     co = rotate_z(line.theta, HeisPoint(px, line.offset, w))
     on = rotate_z(line.theta, HeisPoint(px, line.offset, line.height - 2.0 * line.offset * px))
@@ -100,8 +98,7 @@ def foot(p: HeisPoint, line: HorizontalLine) -> LineFoot:
 
 def foot_params_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
     """Foot parameters of every row of arr along the line."""
-    c, s = math.cos(line.theta), math.sin(line.theta)
-    return c * arr[:, 0] + s * arr[:, 1]
+    return frame(math.cos(line.theta), math.sin(line.theta), arr[:, 0], arr[:, 1])[0]
 
 
 def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,8 +107,7 @@ def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.
     signed plane offset from the projected line, z~ the z mismatch against
     the line's profile at t = 0.  The line parameters broadcast against the
     rows: one line's scalars, or one line per row."""
-    px = c * arr[..., 0] + s * arr[..., 1]
-    py = -s * arr[..., 0] + c * arr[..., 1]
+    px, py = frame(c, s, arr[..., 0], arr[..., 1])
     return px, py - offset, arr[..., 2] + 2.0 * offset * px - height
 
 
@@ -230,8 +226,6 @@ def sigma_l(a: HeisPoint, b: HeisPoint, line: HorizontalLine) -> float:
 def transform_line(line: HorizontalLine, g: HeisPoint | None = None,
                    lam: float = 1.0) -> HorizontalLine:
     """Image of the line under p -> g * dilate(lam, p); again a horizontal line."""
-    from .core import dilate, group_mul
-
     q0 = line_point_at(line, 0.0)
     q1 = line_point_at(line, 1.0)
     if lam != 1.0:

@@ -33,8 +33,10 @@ from .core import (
     left_translate_arr,
     norm_arr,
     point_of,
+    relative,
     rotate_arr,
     sample_box,
+    within,
 )
 from .lines import (
     HorizontalLine,
@@ -140,8 +142,7 @@ def _sigma_line_rowwise(a: np.ndarray, b: np.ndarray, c, s, off, hgt) -> np.ndar
     the cosines and sines of the lines' directions."""
     xa, ya, _ = canon_coords(a, c, s, off, hgt)
     xb, yb, _ = canon_coords(b, c, s, off, hgt)
-    dz = b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
-    sig = 0.25 * dz
+    sig = 0.25 * relative(*a.T, *b.T)[2]
     # shoelace of (xa, ya+off) -> (xb, yb+off) -> (xb, off) -> (xa, off);
     # the rotated frame preserves signed areas
     x0, y0 = xa, ya + off
@@ -178,7 +179,7 @@ def check_pair_flatness_floor(seed: int, n: int) -> LemmaCheck:
     c, s = np.cos(th), np.sin(th)
     da = quartic_dists(*canon_coords(a, c, s, off, hgt))
     db = quartic_dists(*canon_coords(b, c, s, off, hgt))
-    dz = np.abs(b[:, 2] - a[:, 2] - 2.0 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]))
+    dz = np.abs(relative(*a.T, *b.T)[2])
     dab = dist_arr(a, b)
     keep = dab > 0.0
     rhs = dz[keep] / (16.0 * dab[keep])    # nh^2 = |z(a^-1 b)|
@@ -221,7 +222,7 @@ def check_flat_exit_spread(seed: int, n: int) -> LemmaCheck:
         d_center = dist_point_arr(center, pts)
         assert steps < delta * diam and float(d_line.max()) <= diam / 100.0
         assert float(d_center.max()) > radius
-        inside = d_center <= radius
+        inside = within(d_center, radius)
         params = foot_params_arr(pts[inside], line)
         spread = float(params.max() - params.min())
         margins.append((spread - 0.25 * diam) / diam)
@@ -468,7 +469,7 @@ def check_doubling_constant(seed: int, n: int, frozen_bound: int = 82) -> LemmaC
         g = np.linspace(-1.0, 1.0, 13)
         gx, gy, gz = np.meshgrid(g * radius, g * radius, g * radius ** 2, indexing="ij")
         u = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        u = u[norm_arr(u) <= radius]
+        u = u[within(norm_arr(u), radius)]
         pts = left_translate_arr(center, u)
         counts.append(len(farthest_point_order(pts, stop=radius / 2.0)[1]))
     counts = np.asarray(counts)

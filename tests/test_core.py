@@ -18,6 +18,7 @@ from heistsp.core import (
     dist_arr,
     dist_matrix,
     dist_point_arr,
+    frame,
     gauge,
     group_inv,
     group_mul,
@@ -26,8 +27,10 @@ from heistsp.core import (
     left_translate_arr,
     nh,
     norm_arr,
+    product,
     proj_pi,
     proj_tilde,
+    relative,
     rotate_arr,
     rotate_z,
     sample_box,
@@ -247,6 +250,27 @@ class TestMetricProperties:
         for lam in (0.001, 0.1, 7.0, 1000.0):
             scaled = norm_arr(dilate_arr(lam, arr.copy()))
             assert np.allclose(scaled, lam * base, rtol=1e-12)
+
+
+def test_group_law_kernels_on_floats_and_arrays():
+    """product, relative and frame give on Python floats the bits of each
+    element of one array call, and the point and array forms built on them
+    agree bit for bit."""
+    rng = np.random.default_rng(12)
+    a, b = sample_box(rng, 200), sample_box(rng, 200)
+    theta = rng.uniform(-math.pi, math.pi, 200)
+    c, s = np.cos(theta), np.sin(theta)
+    for kernel, args in ((product, (*a.T, *b.T)), (relative, (*a.T, *b.T)),
+                         (frame, (c, s, a[:, 0], a[:, 1]))):
+        got = np.column_stack(kernel(*args))
+        want = np.array([kernel(*row) for row in zip(*(v.tolist() for v in args))])
+        assert got.tobytes() == want.tobytes(), kernel.__name__
+    pts = [HeisPoint(*row) for row in b.tolist()]
+    for g, t in zip([HeisPoint(*row) for row in a[:5].tolist()], theta[:5].tolist()):
+        assert left_translate_arr(g, b).tobytes() == np.array([group_mul(g, q) for q in pts]).tobytes()
+        assert rotate_arr(t, b).tobytes() == np.array([rotate_z(t, q) for q in pts]).tobytes()
+    a, b = sample_box(rng, 20000, 3.0), sample_box(rng, 20000, 3.0)
+    assert dist_arr(a, b).tobytes() == dist_arr(b, a).tobytes()
 
 
 def test_import_loads_no_scipy():

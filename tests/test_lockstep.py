@@ -140,7 +140,8 @@ def test_lockstep_heights_equal_golden_min():
         got = _best_heights(_one_ball(arr, len(thetas)), thetas, offsets)
         want = [_best_height_reference(arr, t, c) for t, c in zip(thetas, offsets)]
         assert got == want
-    # the horizontal set's own line has a one-point bracket and skips the search
+    # the horizontal set's own line has a one-point bracket, whose every
+    # golden-section probe is that height
     assert _best_heights(_one_ball(horizontal, 1), [0.0], [0.0]) == [0.0]
 
 
