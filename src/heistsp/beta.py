@@ -26,11 +26,13 @@ replays its sequential form bit for bit (the scalar golden-section search,
 through lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line
 reads no row but its ball's, so a ball's result does not depend on the
 batch it runs in.  A batch runs in chunks whose iterative steps (height
-searches, trials, shrinks) stay under BATCH_PAIRS line-member pairs per
-kernel call, and the one-shot calls (candidate scores, initial simplices)
-run in blocks of whole lines under the same bound.  Each ball is set up just
-before its chunk is solved and keeps only its member indices, gathered for
-its witness, so memory follows the chunk.  beta_heis_oracle runs its height
+searches, reflections and the trial points after them) stay under
+BATCH_PAIRS line-member pairs per kernel call; the one-shot calls (candidate
+scores, initial simplices) and the shrinks run in blocks of whole lines, a
+start's simplex kept whole, under the same bound.  A Nelder-Mead start
+repeated in its ball is polished once.  Each ball is set up just before its
+chunk is solved and keeps only its member indices, gathered for its
+witness, so memory follows the chunk.  beta_heis_oracle runs its height
 searches through the same one-ball rows and keeps scipy.optimize.minimize
 as an independent reference.
 
@@ -116,9 +118,9 @@ BUILDER_BUDGET = BetaBudget(pair_starts=10, refine_starts=2, nm_starts=2,
 
 #: the most (line, member) pairs one kernel call of beta_heis_many evaluates,
 #: each line counted against its own ball's subsample: a batch runs in
-#: chunks of balls whose iterative steps stay under this bound, and its
-#: one-shot calls in blocks of whole lines under it (a ball or a line that
-#: exceeds it alone runs alone)
+#: chunks of balls whose height searches and reflections stay under this
+#: bound, and its one-shot calls and shrinks in blocks under it (a ball, a
+#: line or a shrinking simplex that exceeds it alone runs alone)
 BATCH_PAIRS = 1 << 14
 
 
@@ -160,7 +162,8 @@ class _Rows:
         count = self.count[balls]
         first = np.cumsum(count) - count
         idx = np.arange(count.sum()) + np.repeat(self.start[balls] - first, count)
-        return _Lines(self.cols[:, idx].T, np.repeat(np.arange(len(balls)), count), first)
+        return _Lines(self.cols.take(idx, axis=1).T, np.repeat(np.arange(len(balls)), count),
+                      first)
 
 
 def _max_dists(lines: _Lines, params) -> np.ndarray:
@@ -169,22 +172,28 @@ def _max_dists(lines: _Lines, params) -> np.ndarray:
     params = np.asarray(params, dtype=float).reshape(-1, 3)
     c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
     j = lines.line
-    d = quartic_dists(*canon_coords(lines.members, c[j], s[j], params[j, 1], params[j, 2]))
+    # a column gathers faster than params[j, 1]; the gathers are freed
+    # before the kernel runs
+    d = quartic_dists(*canon_coords(lines.members, c[j], s[j],
+                                    params[:, 1][j], params[:, 2][j]))
     return np.maximum.reduceat(d, lines.first)
 
 
 def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
-    """_max_dists of the line params[i] over ball balls[i]'s rows, for every
-    i, in calls of whole lines under BATCH_PAIRS rows (a longer line alone)."""
-    params = np.asarray(params, dtype=float).reshape(-1, 3)
+    """_max_dists of the lines params[i] over ball balls[i]'s rows, for every
+    i, in calls under BATCH_PAIRS rows (a longer entry alone).  params[i] is
+    one line (theta, offset, height) or an (m, 3) array of m lines, which
+    stay in one call."""
+    params = np.asarray(params, dtype=float)
     balls = np.asarray(balls, dtype=np.intp)
-    ends = np.cumsum(rows.count[balls])
+    per = params[0].size // 3 if len(params) else 1     # lines per entry
+    ends = np.cumsum(rows.count[balls] * per)
     out = [np.empty(0)]
     i = 0
     while i < len(balls):
         j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + BATCH_PAIRS, side="right"))
         j = max(i + 1, j)
-        out.append(_max_dists(rows.lines(balls[i:j]), params[i:j]))
+        out.append(_max_dists(rows.lines(np.repeat(balls[i:j], per)), params[i:j]))
         i = j
     return np.concatenate(out)
 
@@ -386,14 +395,23 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
     all live starts in one kernel call and then, in a second, the one further
     trial point that each start's branch reads (expansion, outside or inside
     contraction, or none), so every start evaluates the points scipy does.
-    Shrinks take one more call.
+    Shrinks take one more call, in blocks under BATCH_PAIRS rows.  A start
+    repeated in the same ball, bit for bit, is polished once and its copies
+    share the result.
     """
     x0 = np.array(x0s, dtype=float).reshape(-1, 3)
+    balls = np.asarray(balls, dtype=np.intp)
+    # each distinct (ball, start) once: start i of x0s is distinct start
+    # copy[i], and distinct start j is the start first[j] of x0s
+    distinct: dict[tuple[int, bytes], int] = {}
+    copy = [distinct.setdefault((b, x.tobytes()), len(distinct))
+            for b, x in zip(balls.tolist(), x0)]
+    first = np.unique(copy, return_index=True)[1]
+    x0, balls = x0[first], balls[first]     # the ball of each row of sim and fsim
     n = x0.shape[1]
-    balls = np.asarray(balls, dtype=np.intp)    # the ball of each row of sim and fsim
     live = np.arange(len(x0))                   # the start of each row of sim and fsim
     sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(_NM_STEPS)], axis=1)
-    fsim = _max_dists_blocked(rows, np.repeat(balls, n + 1), sim).reshape(-1, n + 1)
+    fsim = _max_dists_blocked(rows, balls, sim).reshape(-1, n + 1)
     out: list = [None] * len(x0)
 
     def sort(sim, fsim):
@@ -403,7 +421,7 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
 
     sim, fsim = sort(*sort(sim, fsim))   # scipy sorts twice before its first iteration
     iterations = 1
-    lines = None        # the live starts' reflection lines, one per start
+    lines = rows.lines(balls)       # one line per live start, for its trial points
     while live.size:
         if iterations < maxiter:
             done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
@@ -417,8 +435,6 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
             sim, fsim, balls, live = sim[keep], fsim[keep], balls[keep], live[keep]
             if not live.size:
                 break
-            lines = None
-        if lines is None:
             lines = rows.lines(balls)
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
@@ -444,11 +460,11 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
         if shrink.size:
             best = sim[shrink, :1]
             sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = _max_dists(rows.lines(np.repeat(balls[shrink], n)),
-                                          sim[shrink, 1:]).reshape(-1, n)
+            fsim[shrink, 1:] = _max_dists_blocked(rows, balls[shrink],
+                                                  sim[shrink, 1:]).reshape(-1, n)
         iterations += 1
         sim, fsim = sort(sim, fsim)
-    return out
+    return [out[j] for j in copy]
 
 
 class _Fit:
@@ -471,11 +487,11 @@ class _Fit:
             same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
             pairs = [p for p, skip in zip(pairs, same.tolist()) if not skip]
         self.pair_lines = _pair_lines(sub, pairs)
-        # (line, member) pairs of its largest iterative call: a height search
-        # step of the strip line or the refits, or a Nelder-Mead shrink (the
-        # reflections and the trial points after them are fewer lines, and
-        # the one-shot calls run in blocks under BATCH_PAIRS)
-        self.pairs = max(1, budget.refine_starts, 3 * budget.nm_starts) * len(sub)
+        # (line, member) pairs of its widest iterative call: a height search
+        # step of the strip line or the refits, or the Nelder-Mead
+        # reflections (the trial points after them are fewer lines, and the
+        # one-shot calls and the shrinks run in blocks under BATCH_PAIRS)
+        self.pairs = max(1, budget.refine_starts, budget.nm_starts) * len(sub)
 
 
 def _chunks(fits: Iterable[_Fit]) -> Iterator[list[_Fit]]:

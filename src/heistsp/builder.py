@@ -2,8 +2,12 @@
 
 The builder walks the net hierarchy coarse to fine, keeping one open
 polygonal path.  For every net point P at scale k it inspects the ball
-B(P, C1 * 2^-k); the balls of every scale are fitted in one beta_heis_many
-call before the first insertion:
+B(P, C1 * 2^-k).  A build runs in two steps with one beta_heis_many call
+between them: _plan makes the nets and lists the fits of every scale, which
+read the point set and not the path, and _grow makes the insertions, the
+repairs and the ledger from their results.  theorem_a_check sends the
+Carleson sum's balls over the same nets through that same call.  The
+insertions:
 
 * non-flat ball (beta >= eps0): each new net point is joined next to its
   nearest existing path vertex (cost bounded by the covering radius);
@@ -36,6 +40,7 @@ from .beta import (
     BUILDER_BUDGET,
     Ball,
     BetaBudget,
+    BetaResult,
     beta_heis,
     beta_heis_many,
     members_in_ball,
@@ -47,9 +52,13 @@ from .multiscale import (
     MAX_LEVELS,
     NetHierarchy,
     build_nets,
-    carleson_sum,
+    _carleson_balls,
+    _carleson_report,
+    _noted,
     _term_seed,
 )
+# not called here: kept importable because the benchmark's tracer wraps it here
+from .multiscale import carleson_sum  # noqa: F401
 
 
 class ScaleRangeError(ValueError):
@@ -208,22 +217,39 @@ def _ball_components(seq: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, 
     in-ball path positions are those whose vertex is a member, and no
     distance is needed.  Returns the sorted member ids and a component
     label for each: consecutive in-ball path positions form a run, and runs
-    that share a vertex id (the path revisits a vertex) are one component.
+    that share a vertex id (the path revisits a vertex) are one component,
+    labelled by its least run.
     """
-    pos = np.flatnonzero(np.isin(seq, members))
-    run = np.cumsum(np.diff(pos, prepend=-2) != 1) - 1
-    ids, vert = np.unique(seq[pos], return_inverse=True)
-    # each run takes the least label among the runs it shares a vertex with,
-    # until no label moves
-    label = np.arange(run[-1] + 1)
-    while True:
-        comp = np.full(len(ids), len(label))
-        np.minimum.at(comp, vert, label[run])
-        merged = np.full(len(label), len(label))
-        np.minimum.at(merged, run, comp[vert])
-        if np.array_equal(merged, label):
-            return ids, comp
-        label = merged
+    inball = np.zeros(int(seq.max()) + 1, dtype=bool)
+    inball[members] = True
+    pos = np.flatnonzero(inball[seq])
+    step = np.empty(len(pos), dtype=bool)
+    step[0] = True
+    np.not_equal(pos[1:] - pos[:-1], 1, out=step[1:])
+    run = np.cumsum(step) - 1
+    vert = seq[pos]
+    # each vertex's first run; a visit in a later run joins the two
+    first = np.full(len(inball), len(pos))
+    np.minimum.at(first, vert, run)
+    head = first[vert]
+    ids = np.flatnonzero(inball)
+    label = first[ids]
+    join = head != run
+    if join.any():
+        n_runs = int(run[-1]) + 1
+        root = list(range(n_runs))
+
+        def find(r: int) -> int:
+            while root[r] != r:
+                root[r] = r = root[root[r]]
+            return r
+
+        for key in set((run[join] * n_runs + head[join]).tolist()):
+            a, b = find(key // n_runs), find(key % n_runs)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+        label = np.array([find(r) for r in range(n_runs)])[label]
+    return ids, label
 
 
 def _nearest(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,12 +323,36 @@ def _build(points: Sequence[HeisPoint],
            cfg: BuilderConfig | None) -> tuple[PolygonalCurve, BuildLedger, NetHierarchy | None]:
     if cfg is None:
         cfg = BuilderConfig()
+    plan = _plan(points, cfg)
+    if isinstance(plan, PolygonalCurve):
+        return plan, BuildLedger(), None
+    results = beta_heis_many(plan.items, cfg.beta_budget, plan.seeds)
+    curve, ledger = _grow(plan, cfg, results)
+    return curve, ledger, plan.hierarchy
+
+
+class _BuildPlan(NamedTuple):
+    """What a build reads before its first insertion: the nets, and every
+    scale's balls and fits in the order the ledger takes them."""
+    arr: np.ndarray                  # the distinct input points
+    hierarchy: NetHierarchy
+    #: per scale from k_min + 1: (k, (anchor, net members of its C1-ball) of
+    #: every net point, (anchor, fresh members) of every ball with some)
+    scales: list[tuple[int, list[tuple[int, np.ndarray]], list[tuple[int, list[int]]]]]
+    items: list[tuple[np.ndarray, Ball]]    # the fits' beta_heis_many items, in order
+    seeds: list[int]
+
+
+def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | PolygonalCurve:
+    """The build's nets and fits, or the finished curve of a one-point set.
+
+    Raises ScaleRangeError, before any fit, when the nets miss a point.
+    """
     pts = _dedup_exact(points)
     if not pts:
         raise ValueError("cannot build a curve through an empty set")
-    ledger = BuildLedger()
     if len(pts) == 1:
-        return PolygonalCurve(pts), ledger, None
+        return PolygonalCurve(pts)
     arr = as_array(pts)
     hierarchy = build_nets(arr)
     k_min, k_max = hierarchy.k_min, hierarchy.k_max
@@ -311,18 +361,15 @@ def _build(points: Sequence[HeisPoint],
         raise ScaleRangeError("%d points lie within 2^-%d of another point, finer than the "
                               "%d scales below diam(E) that the nets span, and would be "
                               "dropped from the curve" % (missed, k_max, MAX_LEVELS))
-
-    path = _Path(arr, hierarchy.nets[k_min][0])
-    ledger.snapshots[k_min] = list(path.seq)
     # A ball's fresh members are those neither on the path at the start of
     # its scale nor fresh in an earlier ball of the scale.  The path holds
     # the first net point before the first scale and the previous scale's
     # net after it (the nets are nested and every net point is a member of
     # its own ball), so a running claimed set gives every scale's fresh
     # members in advance, and the fits, which read the point set and not
-    # the path, are made in one batch before the first insertion.
-    claimed = {path.seq[0]}
-    scales = []
+    # the path, are planned before the first insertion.
+    claimed = {hierarchy.nets[k_min][0]}
+    scales, items, seeds = [], [], []
     for k in range(k_min + 1, k_max + 1):
         net_k = hierarchy.nets[k]
         # int32 members: every scale's balls are held until that scale's repair
@@ -336,14 +383,25 @@ def _build(points: Sequence[HeisPoint],
             fresh = [i for i in members.tolist() if i not in claimed]
             if fresh:
                 claimed.update(fresh)
-                fits.append((anchor, ball, fresh, _term_seed(cfg.seed, k - k_min, pos)))
+                fits.append((anchor, fresh))
+                items.append((arr, ball))
+                seeds.append(_term_seed(cfg.seed, k - k_min, pos))
         scales.append((k, balls, fits))
-    fits = [f for _, _, scale_fits in scales for f in scale_fits]
-    results = iter(beta_heis_many([(arr, ball) for _, ball, _, _ in fits], cfg.beta_budget,
-                                  [seed for *_, seed in fits]))
-    for k, balls, scale_fits in scales:
-        for anchor, _, fresh, _ in scale_fits:
-            res = next(results)
+    return _BuildPlan(arr, hierarchy, scales, items, seeds)
+
+
+def _grow(plan: _BuildPlan, cfg: BuilderConfig,
+          results: Sequence[BetaResult]) -> tuple[PolygonalCurve, BuildLedger]:
+    """The curve and ledger of the plan, given the betas of its fits: the
+    insertions of every scale, then that scale's repair."""
+    arr, hierarchy = plan.arr, plan.hierarchy
+    path = _Path(arr, hierarchy.nets[hierarchy.k_min][0])
+    ledger = BuildLedger()
+    ledger.snapshots[hierarchy.k_min] = list(path.seq)
+    fitted = iter(results)
+    for k, balls, fits in plan.scales:
+        for anchor, fresh in fits:
+            res = next(fitted)
             if res.beta < cfg.eps0:
                 case, insert = "flat", path.insert_cheapest
                 fresh = [i for _, i in sorted((foot(HeisPoint(*arr[i]), res.line).param, i)
@@ -355,9 +413,7 @@ def _build(points: Sequence[HeisPoint],
                 ledger.entries.append(LedgerEntry(k, anchor, case, op, i, cost, deleted))
         _enforce_local_connectivity(path, arr, balls, k, cfg.c1, ledger)
         ledger.snapshots[k] = list(path.seq)
-
-    curve = PolygonalCurve([point_of(arr[i]) for i in path.seq])
-    return curve, ledger, hierarchy
+    return PolygonalCurve([point_of(arr[i]) for i in path.seq]), ledger
 
 
 class TheoremAResult(NamedTuple):
@@ -373,15 +429,25 @@ def theorem_a_check(points: Sequence[HeisPoint], cfg: BuilderConfig | None = Non
     """Length of the built curve against diam(E) + the r-Carleson sum.
 
     The ratio is reported, not asserted: the theorem's constant is not
-    pinned numerically.  The curve and ledger come from the same build.
+    pinned numerically.  The curve and ledger come from the same build,
+    and the Carleson sum is carleson_sum's over the build's nets: both read
+    the point set and not the path, so the builder's fits and then the
+    Carleson balls go through one beta_heis_many call, with the results of
+    _build followed by carleson_sum.
     """
     if cfg is None:
         cfg = BuilderConfig()
-    curve, ledger, hierarchy = _build(points, cfg)
+    plan = _plan(points, cfg)
+    if isinstance(plan, PolygonalCurve):
+        return TheoremAResult(0.0, 0.0, 0.0, plan, BuildLedger())
+    balls, seeds = _carleson_balls(plan.hierarchy, cfg.r, cfg.carleson_a, cfg.seed)
+    with _noted("theorem_a_check", balls):
+        results = beta_heis_many(plan.items + [(plan.arr, ball) for _, ball in balls],
+                                 cfg.beta_budget, plan.seeds + seeds)
+    n_fits = len(plan.items)
+    curve, ledger = _grow(plan, cfg, results[:n_fits])
+    report = _carleson_report(plan.hierarchy, cfg.r, cfg.carleson_a, balls, results[n_fits:])
     length = curve_length(curve)
-    if hierarchy is None:
-        return TheoremAResult(0.0, 0.0, 0.0, curve, ledger)
-    report = carleson_sum(hierarchy, cfg.r, cfg.carleson_a, cfg.beta_budget, seed=cfg.seed)
     bound = report.diam_e + report.total
     return TheoremAResult(length, bound, length / bound if bound > 0.0 else math.inf,
                           curve, ledger)

@@ -124,7 +124,8 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     insurance candidate (the same min in exact math).  The temporaries are
     updated in place.
     """
-    xt, yt, zt = np.broadcast_arrays(xt, yt, zt)
+    if not np.shape(xt) == np.shape(yt) == np.shape(zt):    # engine calls share one shape
+        xt, yt, zt = np.broadcast_arrays(xt, yt, zt)
     drop = 2.0 * xt         # minus the z mismatch at the vertical drop t = x~
     drop *= yt
     drop -= zt
@@ -141,6 +142,7 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
         ay *= -2.0          # negative exactly where |y~| > 0
         u *= ay
     bad = ~np.isfinite(u)
+    bad &= ay < 0.0         # the y~ = 0 rows are not finite but take u = 0 below
     if bad.any():
         u[bad] = -np.cbrt(q[bad])
     u[~(ay < 0.0)] = 0.0

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import HeisPoint, as_array, diameter, farthest_point_order, point_of
-from .beta import Ball, BetaBudget, beta_heis_many
+from .beta import Ball, BetaBudget, BetaResult, beta_heis_many
 # not called here: kept importable because the benchmark's tracer wraps them here
 from .core import dist_point_arr  # noqa: F401
 from .beta import beta_heis  # noqa: F401
@@ -83,35 +84,57 @@ class CarlesonReport:
 def carleson_sum(hierarchy: NetHierarchy, r: float, a: float,
                  beta_budget: BetaBudget | None = None, seed: int = 0) -> CarlesonReport:
     """Sum of beta(B(P, a*2^-k))^r * 2^-k over net points and scales."""
+    balls, seeds = _carleson_balls(hierarchy, r, a, seed)
+    with _noted("carleson_sum", balls):
+        results = beta_heis_many([(hierarchy.points, ball) for _, ball in balls], beta_budget,
+                                 seeds)
+    return _carleson_report(hierarchy, r, a, balls, results)
+
+
+def _carleson_balls(hierarchy: NetHierarchy, r: float, a: float,
+                    seed: int) -> tuple[list[tuple[int, Ball]], list[int]]:
+    """The (scale, ball) of every term of carleson_sum, scale by scale in net
+    order, and the seed of each."""
     if not (0.0 < r <= 8.0):
         raise ValueError("carleson exponent r must lie in (0, 8], got %r" % (r,))
     if a < 1.0:
         raise ValueError("ball multiplier must be >= 1, got %r" % (a,))
     arr = hierarchy.points
     scales = range(hierarchy.k_min, hierarchy.k_max + 1)
-    # every scale's balls in one batch, scale by scale in net order
     balls = [(k, Ball(point_of(arr[i]), a * 2.0 ** (-k))) for k in scales
              for i in hierarchy.nets[k]]
     seeds = [_term_seed(seed, k - hierarchy.k_min, pos) for k in scales
              for pos in range(len(hierarchy.nets[k]))]
+    return balls, seeds
+
+
+def _carleson_report(hierarchy: NetHierarchy, r: float, a: float,
+                     balls: list[tuple[int, Ball]], results: list[BetaResult]) -> CarlesonReport:
+    """carleson_sum's report from the betas of its balls."""
+    terms = [CarlesonTerm(k, ball.center, res.beta, res.beta ** r * 2.0 ** (-k),
+                          res.certified_gap) for (k, ball), res in zip(balls, results)]
+    total = math.fsum(t.contribution for t in terms)
+    diam = diameter(hierarchy.points) if hierarchy.diam is None else hierarchy.diam
+    return CarlesonReport(r, a, terms, total, diam)
+
+
+@contextmanager
+def _noted(caller: str, balls: list[tuple[int, Ball]]) -> Iterator[None]:
+    """Adds to an exception raised in the block a note that it arose in
+    caller's fits of balls, (scale, ball) pairs in scale order, naming their
+    scales."""
     try:
-        results = beta_heis_many([(arr, ball) for _, ball in balls], beta_budget, seeds)
+        yield
     except Exception as exc:
         if hasattr(exc, "add_note"):   # Python 3.11+
             if len(balls) == 1:
                 where = "scale k=%d, net point %r" % (balls[0][0], balls[0][1].center)
-            elif hierarchy.k_min == hierarchy.k_max:
-                where = "scale k=%d, %d net points" % (hierarchy.k_min, len(balls))
+            elif balls[0][0] == balls[-1][0]:
+                where = "scale k=%d, %d net points" % (balls[0][0], len(balls))
             else:
-                where = "scales k=%d..%d, %d net points" % (hierarchy.k_min, hierarchy.k_max,
-                                                             len(balls))
-            exc.add_note("in carleson_sum at " + where)
+                where = "scales k=%d..%d, %d net points" % (balls[0][0], balls[-1][0], len(balls))
+            exc.add_note("in %s at %s" % (caller, where))
         raise
-    terms = [CarlesonTerm(k, ball.center, res.beta, res.beta ** r * 2.0 ** (-k),
-                          res.certified_gap) for (k, ball), res in zip(balls, results)]
-    total = math.fsum(t.contribution for t in terms)
-    diam = diameter(arr) if hierarchy.diam is None else hierarchy.diam
-    return CarlesonReport(r, a, terms, total, diam)
 
 
 def _term_seed(seed: int, level: int, pos: int) -> int:

@@ -19,6 +19,7 @@ from heistsp.builder import (
     excess_report,
     future_ball_search,
     theorem_a_check,
+    _ball_components,
     _build,
 )
 from conftest import (
@@ -278,6 +279,32 @@ class TestBuildCurve:
             assert any(e.case == "bridge" for e in ref.entries)
             assert fast.entries == ref.entries
             assert fast.snapshots == ref.snapshots
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=40), st.data())
+def test_ball_components_partition_the_in_ball_walk(walk, data):
+    # members are path vertices, in any order; two are one component when
+    # the walk joins them through in-ball positions only
+    vertices = data.draw(st.permutations(sorted(set(walk))))
+    members = vertices[:data.draw(st.integers(1, len(vertices)))]
+    ids, comp = _ball_components(np.array(walk), np.array(members, dtype=np.int32))
+    nbrs = {m: {m} for m in members}
+    for a, b in zip(walk, walk[1:]):
+        if a in nbrs and b in nbrs:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    label = {}
+    for start in sorted(nbrs):
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            if v not in label:
+                label[v] = start
+                stack += nbrs[v]
+    assert ids.tolist() == sorted(members)
+    assert [[a == b for b in comp.tolist()] for a in comp.tolist()] == \
+        [[label[a] == label[b] for b in ids.tolist()] for a in ids.tolist()]
 
 
 #: coordinates of magnitude 1e-3 to 1e3, of either sign

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heistsp.builder
 import heistsp.cli
 import heistsp.multiscale
 from heistsp.beta import ResourceBudgetError
@@ -287,6 +288,21 @@ def test_budget_error_inside_carleson_exits_3(tmp_path, capsys, monkeypatch):
     assert "over its cost guard" in err and "Traceback" not in err
     if sys.version_info >= (3, 11):
         assert "in carleson_sum at scales k=" in err
+
+
+@pytest.mark.parametrize("cmd", ["build", "theorem-a"])
+def test_budget_error_inside_theorem_a_exits_3(cmd, tmp_path, capsys, monkeypatch):
+    # the builder's fits and the Carleson balls share one engine call
+    def over_budget(*args, **kwargs):
+        raise ResourceBudgetError("beta over its cost guard")
+
+    monkeypatch.setattr(heistsp.builder, "beta_heis_many", over_budget)
+    path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
+    code, out, err = run_cli(capsys, cmd, path, "--out", str(tmp_path / "run"))
+    assert code == 3 and out == ""
+    assert "over its cost guard" in err and "Traceback" not in err
+    if sys.version_info >= (3, 11):
+        assert "in theorem_a_check at scales k=" in err
 
 
 def test_unresolvable_close_pair_exits_2(tmp_path, capsys):

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import heistsp.beta
-from heistsp.builder import BuilderConfig, _build
+import heistsp.builder
+import heistsp.multiscale
+from heistsp.builder import BuilderConfig, ScaleRangeError, _build, theorem_a_check
 from heistsp.core import ORIGIN, HeisPoint, as_array, sample_box
+from heistsp.curves import curve_length
 from heistsp.multiscale import build_nets, carleson_sum
 from heistsp.lines import (
     HorizontalLine,
@@ -39,6 +42,7 @@ from heistsp.beta import (
     members_in_ball,
 )
 from conftest import lifted_circle, lifted_parabola, lifted_sine
+from test_golden_cli import FIXTURES as GOLDEN_FIXTURES
 from sequential import golden_min, quartic
 
 
@@ -198,6 +202,33 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
             assert ref.nit < maxiter      # converged early
     if case == "shrink":
         assert shrinks[0] > 0, "no shrink step was exercised"
+
+
+def test_lockstep_nelder_mead_polishes_each_distinct_start_once(monkeypatch):
+    # ball 0 holds one copy of the cloud and ball 1 two, so each line's row
+    # count tells its ball; -0.0 and 0.0 are different starts, bit for bit
+    arr = sample_box(np.random.default_rng(10), 40, 0.7)
+    a, b, signed = STARTS[0], STARTS[2], (0.0, -0.0, 0.0)
+    balls = [0, 1, 0, 0, 1, 0, 0]
+    starts = [a, a, a, b, a, signed, STARTS[1]]
+    refs = {x0: _scipy_polish(arr, x0, 120) for x0 in (a, b, signed, STARTS[1])}
+    calls = []
+    max_dists = heistsp.beta._max_dists
+
+    def spy(lines, params):
+        calls.append(np.diff(lines.first, append=len(lines.line)) // len(arr) - 1)
+        return max_dists(lines, params)
+
+    monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
+    got = _nelder_mead(_Rows([arr, np.concatenate([arr, arr])]), balls, starts, 120,
+                       1e-10, 1e-13)
+    for (fun, x), x0 in zip(got, starts):
+        assert fun == float(refs[x0].fun)
+        assert x == tuple(float(v) for v in refs[x0].x)
+    # each distinct (ball, start) evaluates the points scipy evaluates, once
+    lines = np.bincount(np.concatenate(calls), minlength=2)
+    assert lines.tolist() == [refs[a].nfev + refs[b].nfev + refs[signed].nfev
+                              + refs[STARTS[1]].nfev, refs[a].nfev]
 
 
 def _table():
@@ -492,6 +523,74 @@ def test_build_frozen_on_lifted_fixtures(name, make):
                    for e in ledger.entries]),
              repr(sorted(ledger.snapshots.items())))
     assert tuple(hashlib.sha1(t.encode()).hexdigest() for t in texts) == FROZEN_BUILD[name]
+
+
+@pytest.mark.parametrize("name, pts", [
+    ("circle", lifted_circle(50)), ("sine", lifted_sine(50)), ("parabola", lifted_parabola(50)),
+    ("cloud", [HeisPoint(*p) for p in GOLDEN_FIXTURES["cloud.txt"]])],
+    ids=["circle", "sine", "parabola", "cloud"])
+def test_theorem_a_check_is_one_engine_call(name, pts, monkeypatch):
+    """The builder's fits and then the Carleson balls go through one
+    beta_heis_many call, which gives the results of _build followed by
+    carleson_sum; on a 50-point lifted curve at build's default budget that
+    call is one chunk and one Nelder-Mead lockstep."""
+    cfg = BuilderConfig(beta_budget=BetaBudget(), seed=0)
+    curve, ledger, hierarchy = _build(pts, cfg)
+    rep = carleson_sum(hierarchy, cfg.r, cfg.carleson_a, cfg.beta_budget, seed=cfg.seed)
+    length = curve_length(curve)
+    bound = rep.diam_e + rep.total
+
+    calls, chunks, locksteps, reports = [], [], [], []
+
+    def spy(log, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            log.append(out)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(heistsp.builder, "beta_heis_many",
+                        spy(calls, heistsp.builder.beta_heis_many))
+    monkeypatch.setattr(heistsp.multiscale, "beta_heis_many",
+                        spy(calls, heistsp.multiscale.beta_heis_many))
+    monkeypatch.setattr(heistsp.beta, "_solve", spy(chunks, heistsp.beta._solve))
+    monkeypatch.setattr(heistsp.beta, "_nelder_mead", spy(locksteps, heistsp.beta._nelder_mead))
+    monkeypatch.setattr(heistsp.builder, "_carleson_report",
+                        spy(reports, heistsp.builder._carleson_report))
+    got = theorem_a_check(pts, cfg)
+    assert len(calls) == 1
+    if name == "cloud":
+        assert any(e.case == "bridge" for e in ledger.entries)
+    else:
+        assert (len(chunks), len(locksteps)) == (1, 1)
+    assert ([float(v).hex() for v in got[:3]]
+            == [v.hex() for v in (length, bound, length / bound)])
+    assert _ledger_hex(got.ledger) == _ledger_hex(ledger)
+    assert got.ledger.snapshots == ledger.snapshots
+    assert _terms_hex(reports[0]) == _terms_hex(rep)
+
+
+def _ledger_hex(ledger):
+    return [(e.k, e.anchor, e.case, e.op, e.point, e.cost.hex(), e.deleted_edge)
+            for e in ledger.entries]
+
+
+def _terms_hex(rep):
+    return [(t.k, float(t.beta).hex(), float(t.contribution).hex(), float(t.gap).hex(),
+             tuple(float(v).hex() for v in t.point)) for t in rep.terms]
+
+
+def test_theorem_a_check_fits_nothing_without_two_resolved_points(monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("an engine call")
+
+    monkeypatch.setattr(heistsp.builder, "beta_heis_many", no_fit)
+    p = HeisPoint(0.25, -0.5, 1.0)
+    res = theorem_a_check([p, p])      # one distinct point: its curve, nothing to bound
+    assert res[:3] == (0.0, 0.0, 0.0) and res.curve.vertices == [p]
+    assert res.ledger.entries == [] and res.ledger.snapshots == {}
+    with pytest.raises(ScaleRangeError):      # raised while planning, before any fit
+        theorem_a_check([ORIGIN, HeisPoint(1.0, 0.0, 0.0), HeisPoint(1e-20, 0.0, 0.0)])
 
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
