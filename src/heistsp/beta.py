@@ -87,10 +87,6 @@ class Ball(NamedTuple):
     radius: float
 
 
-def ball_diam(b: Ball) -> float:
-    return 2.0 * b.radius
-
-
 def scale_ball(c: float, b: Ball) -> Ball:
     """c*B: same center, c times the radius."""
     return Ball(b.center, c * b.radius)
@@ -320,10 +316,10 @@ def _setup(points: Sequence[HeisPoint] | np.ndarray,
     copy in the canonical frame (unit ball at the origin), or the final
     result when fewer than two points are members."""
     arr = points if isinstance(points, np.ndarray) else as_array(points)
-    center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
-                                 g=ball.center, lam=ball.radius)
     idx = members_in_ball(arr, ball)
     if idx.size == 0:
+        center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
+                                     g=ball.center, lam=ball.radius)
         return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
     if idx.size == 1:
         p = point_of(arr[idx[0]])
@@ -341,7 +337,7 @@ def _witness_result(arr: np.ndarray, idx: np.ndarray, ball: Ball,
     witness = transform_line(horizontal_line(*params), g=ball.center, lam=ball.radius)
     d_all = line_dists_arr(members, witness)
     k = int(np.argmax(d_all))
-    return BetaResult(float(d_all[k]) / ball_diam(ball), witness, point_of(members[k]), gap)
+    return BetaResult(float(d_all[k]) / (2.0 * ball.radius), witness, point_of(members[k]), gap)
 
 
 def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[tuple[int, int]]:

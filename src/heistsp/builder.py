@@ -12,9 +12,9 @@ insertions:
 * non-flat ball (beta >= eps0): each new net point is joined next to its
   nearest existing path vertex (cost bounded by the covering radius);
 * flat ball (beta < eps0): new net points are taken in the order of their
-  foot parameters along the witness line and spliced into the globally
-  cheapest slot, which reproduces the line order wherever the existing
-  path already follows it.
+  foot parameters along the witness line, ties by point index, and
+  spliced into the globally cheapest slot, which reproduces the line
+  order wherever the existing path already follows it.
 
 After each scale a connectivity repair pass restores the local invariant
 that the net points of every ball are connected by the path restricted to
@@ -47,7 +47,7 @@ from .beta import (
     scale_ball,
 )
 from .curves import PolygonalCurve, curve_length
-from .lines import foot
+from .lines import foot_params_arr
 from .multiscale import (
     MAX_LEVELS,
     NetHierarchy,
@@ -301,17 +301,6 @@ def _enforce_local_connectivity(path: _Path, arr: np.ndarray,
             d, u = np.where(closer, d2, d), np.where(closer, u2, u)
 
 
-def _dedup_exact(points: Sequence[HeisPoint]) -> list[HeisPoint]:
-    seen: set[tuple[float, float, float]] = set()
-    out = []
-    for p in points:
-        key = (p.x, p.y, p.z)
-        if key not in seen:
-            seen.add(key)
-            out.append(HeisPoint(*key))
-    return out
-
-
 def build_curve(points: Sequence[HeisPoint],
                 cfg: BuilderConfig | None = None) -> tuple[PolygonalCurve, BuildLedger]:
     """Connected polygonal curve through every input point, with cost ledger."""
@@ -348,7 +337,8 @@ def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | Polyg
 
     Raises ScaleRangeError, before any fit, when the nets miss a point.
     """
-    pts = _dedup_exact(points)
+    # exact duplicates are dropped, the first kept (0.0 and -0.0 are one key)
+    pts = list(dict.fromkeys(HeisPoint(*p) for p in points))
     if not pts:
         raise ValueError("cannot build a curve through an empty set")
     if len(pts) == 1:
@@ -404,8 +394,8 @@ def _grow(plan: _BuildPlan, cfg: BuilderConfig,
             res = next(fitted)
             if res.beta < cfg.eps0:
                 case, insert = "flat", path.insert_cheapest
-                fresh = [i for _, i in sorted((foot(HeisPoint(*arr[i]), res.line).param, i)
-                                              for i in fresh)]
+                order = np.lexsort((fresh, foot_params_arr(arr[fresh], res.line)))
+                fresh = [fresh[j] for j in order]
             else:
                 case, insert = "nonflat", path.insert_near
             for i in fresh:

@@ -3,9 +3,10 @@
 Input files are line oriented: one point per line as "x y z", '#' starts a
 comment.  A structured variant carries a name and metadata in comment
 lines ("# name: ..." and "# meta key: value"); both forms round-trip at 17
-significant digits.  Every output file embeds the resolved configuration
-and seed in its header, and all commands are byte-reproducible at a fixed
-seed.
+significant digits.  Every output's header (_config_header) names each
+flag the command parsed but --out, with the resolved value where a default
+is derived from the input, and all commands are byte-reproducible at a
+fixed seed.  _write writes every output, to a file or to stdout.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 resource budget exceeded.
@@ -25,10 +26,10 @@ from .beta import Ball, BetaBudget, ResourceBudgetError, beta_heis
 from .builder import BuilderConfig, ScaleRangeError, TheoremAResult, theorem_a_check
 # not called here: kept importable because the benchmark's tracer wraps them here
 from .builder import build_curve  # noqa: F401
-from .curves import PolygonalCurve, resample_curve
-from .multiscale import build_nets, carleson_sum, theorem_b_check
+from .curves import PolygonalCurve
+from .multiscale import build_nets, carleson_sum, sampled_carleson, theorem_b_check
 from .multiscale import default_scale_range  # noqa: F401
-from .verify import EXACT_CHECK_IDS, report_dict, run_suite, suite_passed
+from .verify import DEFAULT_COUNTS, EXACT_CHECK_IDS, report_dict, run_suite, suite_passed
 
 
 class InputError(ValueError):
@@ -72,13 +73,15 @@ def load_points(path: str) -> PointSetFile:
             raise InputError("%s:%d:1: expected 'x y z', got %d fields"
                              % (path, lineno, len(tokens)))
         vals = []
+        col = 0
         for tok in tokens:
+            col = line.index(tok, col)      # this token's place, past the ones before it
             try:
                 vals.append(float(tok))
             except ValueError:
-                col = line.index(tok) + 1
                 raise InputError("%s:%d:%d: not a number: %r"
-                                 % (path, lineno, col, tok)) from None
+                                 % (path, lineno, col + 1, tok)) from None
+            col += len(tok)
         try:
             points.append(heis_point(*vals))
         except ValueError as exc:
@@ -96,16 +99,30 @@ def save_points(path: str, pset: PointSetFile, header: list[str] | None = None) 
         lines.append("# meta %s: %s" % (key, pset.metadata[key]))
     for p in pset.points:
         lines.append("%s %s %s" % (_fmt(p.x), _fmt(p.y), _fmt(p.z)))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
-def _config_header(command: str, cfg: dict) -> list[str]:
+def _write(path: str | None, text: str) -> None:
+    """Every output's one writer: the file at path, or stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _config_header(args: argparse.Namespace, **resolved) -> list[str]:
+    """The command and every flag it parsed but --out, sorted: the input by
+    its base name, and resolved[name] in place of a flag whose value the
+    command derived."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    cfg["input"] = os.path.basename(args.input)
+    cfg.update(resolved)
     parts = []
     for key in sorted(cfg):
         v = cfg[key]
         parts.append("%s=%s" % (key, _fmt(v) if isinstance(v, float) else v))
-    return ["# heis-tsp %s" % command, "# config: %s" % " ".join(parts)]
+    return ["# heis-tsp %s" % args.command, "# config: %s" % " ".join(parts)]
 
 
 #: the largest |x|, |y| of an input point or a --ball center, and the
@@ -206,7 +223,7 @@ def _budget_from_level(level: int) -> BetaBudget:
                       nm_starts=max(2, level // 8), nm_iter=5 * level)
 
 
-def _theorem_a(command: str, args) -> tuple[TheoremAResult, list[str]]:
+def _theorem_a(args) -> tuple[TheoremAResult, list[str]]:
     """theorem_a_check of the input file under the flags, and the output header."""
     pset = _load_input(args.input)
     if not pset.points:
@@ -217,19 +234,7 @@ def _theorem_a(command: str, args) -> tuple[TheoremAResult, list[str]]:
                             carleson_a=args.a, seed=args.seed)
     except ValueError as exc:   # r outside (2, 4), c1 <= 1, eps0 outside (0, 1)
         raise InputError(str(exc)) from None
-    check = theorem_a_check(pset.points, cfg)
-    cfg_dict = {"r": cfg.r, "c1": cfg.c1, "eps0": cfg.eps0, "a": cfg.carleson_a,
-                "budget": args.budget, "seed": cfg.seed,
-                "input": os.path.basename(args.input)}
-    return check, _config_header(command, cfg_dict)
-
-
-def _write(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return theorem_a_check(pset.points, cfg), _config_header(args)
 
 
 def cmd_beta(args) -> int:
@@ -237,10 +242,8 @@ def cmd_beta(args) -> int:
     ball = args.ball if args.ball is not None else _enclosing_ball(pset.points)
     budget = _budget_from_level(args.budget)
     res = beta_heis(pset.points, ball, budget, seed=args.seed)
-    cfg = {"ball": "%s %s %s %s" % tuple(_fmt(v) for v in
-                                         (ball.center.x, ball.center.y, ball.center.z, ball.radius)),
-           "budget": args.budget, "seed": args.seed, "input": os.path.basename(args.input)}
-    lines = _config_header("beta", cfg)
+    lines = _config_header(args, ball="%s %s %s %s" % tuple(
+        _fmt(v) for v in (ball.center.x, ball.center.y, ball.center.z, ball.radius)))
     lines.append("beta %s" % _fmt(res.beta))
     lines.append("line theta=%s offset=%s height=%s"
                  % (_fmt(res.line.theta), _fmt(res.line.offset), _fmt(res.line.height)))
@@ -253,7 +256,7 @@ def cmd_beta(args) -> int:
 
 
 def cmd_build(args) -> int:
-    check, header = _theorem_a("build", args)
+    check, header = _theorem_a(args)
     curve, ledger = check.curve, check.ledger
     prefix = args.out or os.path.splitext(args.input)[0]
     curve_path = prefix + ".curve.txt"
@@ -262,8 +265,7 @@ def cmd_build(args) -> int:
     rows = ["\n".join(header), "k,anchor,case,op,point,cost"]
     for e in ledger.entries:
         rows.append("%d,%d,%s,%s,%d,%s" % (e.k, e.anchor, e.case, e.op, e.point, _fmt(e.cost)))
-    with open(ledger_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    _write(ledger_path, "\n".join(rows) + "\n")
     summary = "\n".join(header + [
         "vertices %d" % len(curve.vertices),
         "length %s" % _fmt(check.length),
@@ -294,28 +296,21 @@ def cmd_carleson(args) -> int:
     if not 0.0 < args.r <= 8.0:
         raise InputError("carleson exponent r must lie in (0, 8]")
     budget = _budget_from_level(args.budget)
-    cfg_dict = {"r": args.r, "a": args.a, "budget": args.budget, "seed": args.seed,
-                "input": os.path.basename(args.input),
-                "density": args.density if args.density else 0}
-    header = _config_header("carleson", cfg_dict)
+    header = _config_header(args, density=args.density or 0)
     extra: list[str] = []
     if args.density:
-        curve = PolygonalCurve(pset.points)
-        length = curve.length
-        arr = as_array(resample_curve(curve, spacing=1.0 / args.density))
-    else:
-        length = None
-        arr = as_array(pset.points)
-    report = carleson_sum(build_nets(arr), args.r, args.a, budget, seed=args.seed)
-    if length is not None:
-        ratio = report.total / length if length > 0.0 else math.inf
+        report, length, ratio = sampled_carleson(PolygonalCurve(pset.points), args.density,
+                                                 args.r, args.a, budget, seed=args.seed)
         extra = ["length,,,,,%s" % _fmt(length), "ratio,,,,,%s" % _fmt(ratio)]
+    else:
+        report = carleson_sum(build_nets(as_array(pset.points)), args.r, args.a, budget,
+                              seed=args.seed)
     _write(args.out, _carleson_csv(report, header, extra))
     return 0
 
 
 def cmd_theorem_a(args) -> int:
-    check, header = _theorem_a("theorem-a", args)
+    check, header = _theorem_a(args)
     out = "\n".join(header + [
         "length %s" % _fmt(check.length),
         "bound %s" % _fmt(check.bound),
@@ -335,10 +330,7 @@ def cmd_theorem_b(args) -> int:
     curve = PolygonalCurve(pset.points)
     total, length, ratio = theorem_b_check(curve, args.density, args.r, args.a,
                                            budget, seed=args.seed)
-    cfg_dict = {"r": args.r, "a": args.a, "density": args.density,
-                "budget": args.budget, "seed": args.seed,
-                "input": os.path.basename(args.input)}
-    out = "\n".join(_config_header("theorem-b", cfg_dict) + [
+    out = "\n".join(_config_header(args) + [
         "sum %s" % _fmt(total),
         "length %s" % _fmt(length),
         "ratio %s" % _fmt(ratio),
@@ -352,7 +344,6 @@ def cmd_verify(args) -> int:
     if args.samples is not None:
         # exact checks run at the requested count; the constructed-family
         # checks scale proportionally (with a small floor)
-        from .verify import DEFAULT_COUNTS
         scale = args.samples / DEFAULT_COUNTS["shortest-to-line"]
         counts = {}
         for cid, n in DEFAULT_COUNTS.items():
@@ -362,10 +353,8 @@ def cmd_verify(args) -> int:
                 counts[cid] = max(4, int(round(n * scale)))
     results = run_suite(seed=args.seed, sample_counts=counts)
     payload = report_dict(results, args.seed)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     for r in results:
         sys.stdout.write("%-32s samples=%-7d violations=%-3d worst_margin=%s\n"
                          % (r.id, r.samples, r.violations, _fmt(r.worst_margin)))

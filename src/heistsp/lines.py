@@ -16,7 +16,10 @@ kernel: canon_coords moves points into a line's frame, given the cosine and
 sine of its direction, and quartic_dists takes the distance there by a
 closed-form cubic root.  Callers with many lines (the beta engine, the
 lemma checks) pair the two themselves; line_dists_arr and line_dist are
-the one-line forms.
+the one-line forms.  The line-relative area has one kernel too: line_area
+takes the shoelace of the foot trapezoid from the same canonical
+coordinates, for trapezoid_area and sigma_l and for the lemma checks'
+rows.  foot takes its line point from line_point_at.
 
 Sign conventions: the trapezoid area follows the path
 pi(a) -> pi(b) -> pi(b_L) -> pi(a_L) with the usual counterclockwise
@@ -92,8 +95,7 @@ def foot(p: HeisPoint, line: HorizontalLine) -> LineFoot:
     px, py = frame(math.cos(line.theta), math.sin(line.theta), p.x, p.y)
     w = p.z + 2.0 * px * (line.offset - py)
     co = rotate_z(line.theta, HeisPoint(px, line.offset, w))
-    on = rotate_z(line.theta, HeisPoint(px, line.offset, line.height - 2.0 * line.offset * px))
-    return LineFoot(co, on, px)
+    return LineFoot(co, line_point_at(line, px), px)
 
 
 def foot_params_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
@@ -203,17 +205,24 @@ def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.
     return np.where(better, c1, c2), np.where(better, f1, f2)
 
 
+def line_area(xa, ya, xb, yb, offset):
+    """Signed shoelace area of pi(a) -> pi(b) -> pi(b_L) -> pi(a_L), given
+    the canonical coordinates (x~, y~) of a and b (canon_coords) and the
+    line's offset; on floats or broadcast over arrays.  The rotation into
+    the line's frame keeps signed areas, and there pi(a) is (x~, y~ +
+    offset) and its foot pi(a_L) is (x~, offset)."""
+    # the four-term shoelace, not its closed form (x~a - x~b)(y~a + y~b) / 2:
+    # the two round differently, and the line-area-bound check records the bits
+    y0, y1 = ya + offset, yb + offset
+    return 0.5 * ((xa * y1 - xb * y0) + (xb * offset - xb * y1)
+                  + (xb * offset - xa * offset) + (xa * y0 - xa * offset))
+
+
 def trapezoid_area(a: HeisPoint, b: HeisPoint, line: HorizontalLine) -> float:
     """Signed shoelace area of pi(a) -> pi(b) -> pi(b_L) -> pi(a_L)."""
-    fa = foot(a, line)
-    fb = foot(b, line)
-    pts = ((a.x, a.y), (b.x, b.y), (fb.co_foot.x, fb.co_foot.y), (fa.co_foot.x, fa.co_foot.y))
-    acc = 0.0
-    for i in range(4):
-        x0, y0 = pts[i]
-        x1, y1 = pts[(i + 1) % 4]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
+    c, s = math.cos(line.theta), math.sin(line.theta)
+    (xa, xb), (ya, yb), _ = canon_coords(np.array([a, b]), c, s, line.offset, line.height)
+    return float(line_area(xa, ya, xb, yb, line.offset))
 
 
 def sigma_l(a: HeisPoint, b: HeisPoint, line: HorizontalLine) -> float:

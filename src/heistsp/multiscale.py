@@ -172,19 +172,27 @@ def _scale_range(diam: float, radii: Sequence[float]) -> tuple[int, int]:
     return k_min, k_max
 
 
-def theorem_b_check(curve: PolygonalCurve, sample_density: float, r: float = 4.0,
-                    a: float = 4.0, beta_budget: BetaBudget | None = None,
-                    seed: int = 0) -> tuple[float, float, float]:
-    """Discrete converse bound: (carleson sum, curve length, their ratio).
+def sampled_carleson(curve: PolygonalCurve, sample_density: float, r: float, a: float,
+                     beta_budget: BetaBudget | None = None,
+                     seed: int = 0) -> tuple[CarlesonReport, float, float]:
+    """(carleson_sum report, curve length, total over length) of the curve
+    sampled at sample_density points per unit length.
 
-    Samples the curve at sample_density points per unit length, builds the
-    net hierarchy of the samples, and evaluates the beta^r Carleson sum.
-    The reported length is the polygonal Koranyi length of the input curve.
+    The samples' net hierarchy is build_nets'.  The length is the polygonal
+    Koranyi length of the input curve, and the ratio is infinite when it is 0.
     """
-    if len(curve.vertices) < 2:
-        raise ValueError("curve needs at least 2 vertices")
     length = curve_length(curve)
     samples = resample_curve(curve, spacing=1.0 / sample_density)
     report = carleson_sum(build_nets(as_array(samples)), r, a, beta_budget, seed=seed)
-    ratio = report.total / length if length > 0.0 else math.inf
+    return report, length, report.total / length if length > 0.0 else math.inf
+
+
+def theorem_b_check(curve: PolygonalCurve, sample_density: float, r: float = 4.0,
+                    a: float = 4.0, beta_budget: BetaBudget | None = None,
+                    seed: int = 0) -> tuple[float, float, float]:
+    """Discrete converse bound: (carleson sum, curve length, their ratio),
+    sampled_carleson's of a curve of at least 2 vertices."""
+    if len(curve.vertices) < 2:
+        raise ValueError("curve needs at least 2 vertices")
+    report, length, ratio = sampled_carleson(curve, sample_density, r, a, beta_budget, seed)
     return report.total, length, ratio

@@ -11,6 +11,13 @@ holds on every constructed hypothesis-satisfying instance and record the
 empirical constants observed; the worst-case thresholds quoted in proofs
 (10^-50 and friends) are unobservable at double precision and are
 replaced by regression-tracked empirical floors.
+
+The exact checks draw through one sampler (_sample_exact: point arrays,
+then one line per row) and the constructed families take their lines from
+one (_random_line); each check keeps its own generator and the order of
+its draws.  The line-area check takes sigma_l from the one line-area
+kernel, lines.line_area, on the same canonical coordinates that give the
+two line distances.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .lines import (
     foot_params_arr,
     horizontal_line,
     line_dists_arr,
+    line_area,
     line_from_point_direction,
     line_point_at,
     line_dist,
@@ -100,6 +108,20 @@ def _sample_lines(rng: np.random.Generator, n: int, s: float = 2.0):
     return thetas, offsets, heights
 
 
+def _random_line(rng: np.random.Generator) -> HorizontalLine:
+    """One line of _sample_lines' law, canonical: a constructed family's line."""
+    return horizontal_line(*(float(v[0]) for v in _sample_lines(rng, 1)))
+
+
+def _sample_exact(rng: np.random.Generator, n: int, sets: int):
+    """An exact check's draws, in this order: `sets` arrays of n points from
+    sample_box, then one line per row from _sample_lines, as the cosine and
+    sine of its direction, its offset and its height."""
+    pts = [sample_box(rng, n) for _ in range(sets)]
+    th, off, hgt = _sample_lines(rng, n)
+    return pts, (np.cos(th), np.sin(th), off, hgt)
+
+
 def _summary(check_id: str, margins: np.ndarray, seed: int, extras: dict | None = None) -> LemmaCheck:
     violations = int(np.count_nonzero(margins < -RELATIVE_SLACK))
     worst = float(margins.min()) if margins.size else 0.0
@@ -111,10 +133,8 @@ def _summary(check_id: str, margins: np.ndarray, seed: int, extras: dict | None 
 
 def check_shortest_to_line(seed: int, n: int) -> LemmaCheck:
     """1/2 * (d(p,p_L)^4 + d(p_L,L)^4)^(1/4) <= d(p,L) <= 2 * (same)."""
-    rng = _rng(seed, 11)
-    pts = sample_box(rng, n)
-    th, off, hgt = _sample_lines(rng, n)
-    xt, yt, zt = canon_coords(pts, np.cos(th), np.sin(th), off, hgt)
+    (pts,), line = _sample_exact(_rng(seed, 11), n, 1)
+    xt, yt, zt = canon_coords(pts, *line)
     dpl = np.abs(yt)                         # d(p, p_L)
     dll = np.sqrt(np.abs(zt - 2.0 * xt * yt))  # d(p_L, L)
     mix = (dpl ** 4 + dll ** 4) ** 0.25
@@ -127,58 +147,31 @@ def check_shortest_to_line(seed: int, n: int) -> LemmaCheck:
 
 def check_foot_point_factor(seed: int, n: int) -> LemmaCheck:
     """d(p, P_L(p)) <= 4 d(p, L)."""
-    rng = _rng(seed, 13)
-    pts = sample_box(rng, n)
-    th, off, hgt = _sample_lines(rng, n)
-    xt, yt, zt = canon_coords(pts, np.cos(th), np.sin(th), off, hgt)
+    (pts,), line = _sample_exact(_rng(seed, 13), n, 1)
+    xt, yt, zt = canon_coords(pts, *line)
     d_vert = gauge(0.0, yt, zt - 2.0 * xt * yt)  # d(p, P_L(p))
     d = quartic_dists(xt, yt, zt)
     margins = (4.0 * d - d_vert) / (d_vert + 1e-300)
     return _summary("foot-point-factor", margins, seed)
 
 
-def _sigma_line_rowwise(a: np.ndarray, b: np.ndarray, c, s, off, hgt) -> np.ndarray:
-    """sigma_l for matched rows, computed in the rotated frame; c and s are
-    the cosines and sines of the lines' directions."""
-    xa, ya, _ = canon_coords(a, c, s, off, hgt)
-    xb, yb, _ = canon_coords(b, c, s, off, hgt)
-    sig = 0.25 * relative(*a.T, *b.T)[2]
-    # shoelace of (xa, ya+off) -> (xb, yb+off) -> (xb, off) -> (xa, off);
-    # the rotated frame preserves signed areas
-    x0, y0 = xa, ya + off
-    x1, y1 = xb, yb + off
-    x2, y2 = xb, np.full_like(xb, off)
-    x3, y3 = xa, np.full_like(xa, off)
-    trap = 0.5 * ((x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1)
-                  + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3))
-    return sig + trap
-
-
 def check_line_area_bound(seed: int, n: int) -> LemmaCheck:
     """max(d(a,L), d(b,L)) >= 1/2 * sqrt(|sigma_l(a,b)|)."""
-    rng = _rng(seed, 17)
-    a = sample_box(rng, n)
-    b = sample_box(rng, n)
-    th, off, hgt = _sample_lines(rng, n)
-    c, s = np.cos(th), np.sin(th)
-    da = quartic_dists(*canon_coords(a, c, s, off, hgt))
-    db = quartic_dists(*canon_coords(b, c, s, off, hgt))
-    sig = _sigma_line_rowwise(a, b, c, s, off, hgt)
+    (a, b), (c, s, off, hgt) = _sample_exact(_rng(seed, 17), n, 2)
+    xa, ya, za = canon_coords(a, c, s, off, hgt)
+    xb, yb, zb = canon_coords(b, c, s, off, hgt)
+    sig = 0.25 * relative(*a.T, *b.T)[2] + line_area(xa, ya, xb, yb, off)
     rhs = 0.5 * np.sqrt(np.abs(sig))
-    lhs = np.maximum(da, db)
+    lhs = np.maximum(quartic_dists(xa, ya, za), quartic_dists(xb, yb, zb))
     margins = (lhs - rhs) / (rhs + 1e-300)
     return _summary("line-area-bound", margins, seed)
 
 
 def check_pair_flatness_floor(seed: int, n: int) -> LemmaCheck:
     """max(d(a,L), d(b,L)) >= nh(a^-1 b)^2 / (16 d(a,b)), any line."""
-    rng = _rng(seed, 19)
-    a = sample_box(rng, n)
-    b = sample_box(rng, n)
-    th, off, hgt = _sample_lines(rng, n)
-    c, s = np.cos(th), np.sin(th)
-    da = quartic_dists(*canon_coords(a, c, s, off, hgt))
-    db = quartic_dists(*canon_coords(b, c, s, off, hgt))
+    (a, b), line = _sample_exact(_rng(seed, 19), n, 2)
+    da = quartic_dists(*canon_coords(a, *line))
+    db = quartic_dists(*canon_coords(b, *line))
     dz = np.abs(relative(*a.T, *b.T)[2])
     dab = dist_arr(a, b)
     keep = dab > 0.0
@@ -203,8 +196,7 @@ def check_flat_exit_spread(seed: int, n: int) -> LemmaCheck:
     rng = _rng(seed, 23)
     margins = []
     for _ in range(n):
-        th, off, hgt = (float(v[0]) for v in _sample_lines(rng, 1))
-        line = horizontal_line(th, off, hgt)
+        line = _random_line(rng)
         radius = float(rng.uniform(0.5, 2.0))
         diam = 2.0 * radius
         delta = float(rng.uniform(0.002, 0.009))
@@ -244,8 +236,7 @@ def check_sharp_turn_dichotomy(seed: int, n: int) -> LemmaCheck:
     fits = []       # (margin slot, points, ball, m_const) of each instance without a dip
     branch_counts = {"return": 0, "ball": 0}
     for i in range(n):
-        th, off, hgt = (float(v[0]) for v in _sample_lines(rng, 1))
-        line = horizontal_line(th, off, hgt)
+        line = _random_line(rng)
         eps = float(rng.uniform(4e-3, 9e-3))
         m_const = 0.6 * eps
         m1 = 0.5 * eps
@@ -308,8 +299,7 @@ def check_angle_improvement_dichotomy(seed: int, n: int) -> LemmaCheck:
     margins = []
     branch_counts = {"projected": 0, "ball": 0}
     for i in range(n):
-        th, off, hgt = (float(v[0]) for v in _sample_lines(rng, 1))
-        line = horizontal_line(th, off, hgt)
+        line = _random_line(rng)
         eps = 0.05
         m_const = float(rng.uniform(0.3, 0.9)) * eps
         delta = m_const / 150.0
@@ -404,8 +394,7 @@ def check_excess_vs_beta_squared(seed: int, n: int,
     rng = _rng(seed, 41)
     triples = []     # (points, ball) of every draw; the draws do not depend on beta
     for _ in range(n):
-        th, off, hgt = (float(v[0]) for v in _sample_lines(rng, 1))
-        line = horizontal_line(th, off, hgt)
+        line = _random_line(rng)
         radius = float(rng.uniform(0.5, 2.0))
         diam = 2.0 * radius
         t0 = float(rng.uniform(-1.0, 1.0))

@@ -1,9 +1,10 @@
 import json
+import math
 import os
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import heistsp.builder
@@ -63,6 +64,14 @@ class TestPointFiles:
         with pytest.raises(InputError) as err:
             load_points(str(path))
         assert "%s:2:3" % path in str(err.value)
+
+    def test_malformed_token_column_past_an_earlier_match(self, tmp_path):
+        # "e5" also occurs inside "1e5": the column is the bad token's own
+        path = tmp_path / "bad3.txt"
+        path.write_text("1e5 e5 0\n")
+        with pytest.raises(InputError) as err:
+            load_points(str(path))
+        assert "%s:1:5:" % path in str(err.value)
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "bad2.txt"
@@ -347,3 +356,85 @@ def test_resampling_beyond_its_cap_exits_3(cmd, tmp_path, capsys):
     assert code == 3
     assert "needs more than" in err and "Traceback" not in err
     assert out == ""
+
+
+
+#: the flags each command parses besides its input and --out
+PARSED = {"beta": {"ball", "budget", "seed"},
+          "build": {"a", "budget", "c1", "eps0", "r", "seed"},
+          "carleson": {"a", "budget", "density", "r", "seed"},
+          "theorem-b": {"a", "budget", "density", "r", "seed"}}
+
+_LIM = heistsp.cli.MAX_COORD
+_coord = st.one_of(st.sampled_from([0.0, 1e-3, -1e-3, 1.0, 1e3, -1e3, _LIM, -_LIM]),
+                   st.floats(-1e3, 1e3))
+_height = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([_LIM * _LIM, -_LIM * _LIM]))
+#: single points and vertical stacks (one xy, several heights), then repeats of them
+_point_sets = st.lists(
+    st.builds(lambda x, y, zs: [HeisPoint(x, y, z) for z in zs], _coord, _coord,
+              st.lists(_height, min_size=1, max_size=4)),
+    min_size=1, max_size=4).map(lambda groups: [p for g in groups for p in g])
+
+
+def _parses(line: str, fields: list) -> bool:
+    """line is comma or blank separated: each field equal to the given text,
+    or accepted by the given parser."""
+    parts = line.split(",") if "," in line else line.split()
+    if len(parts) != len(fields):
+        return False
+    try:
+        for part, kind in zip(parts, fields):
+            assert part == kind if isinstance(kind, str) else kind(part) is not False
+    except (AssertionError, ValueError, IndexError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("argv", [["beta"], ["build"], ["carleson"], ["carleson", "--density"],
+                                  ["theorem-b", "--density"]], ids=" ".join)
+@given(pts=_point_sets, data=st.data())
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_cli_runs_exit_cleanly_and_name_their_flags(argv, pts, data):
+    """Small files of duplicates, vertical stacks and coordinates from 1e-3
+    to MAX_COORD: every run exits 0, 2 or 3 without a traceback, and on exit
+    0 its header names every flag it parsed and every output line parses.
+    A resampled curve gets about 16 samples along its length."""
+    import contextlib
+    import io
+    import tempfile
+    pts = (pts + data.draw(st.lists(st.sampled_from(pts), max_size=4)))[:12]
+    length = heistsp.cli.PolygonalCurve(pts).length
+    if argv[-1] == "--density":
+        argv = argv + ["%r" % (16.0 / length if 0.0 < length < math.inf else 1.0)]
+    with tempfile.TemporaryDirectory() as d:
+        path = write_points(os.path.join(d, "in.txt"), pts)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [path, "--budget", "2", "--out", os.path.join(d, "run")])
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue(), err.getvalue()
+        event("exit %d" % code)
+        if code:
+            return
+        texts = [open(os.path.join(d, f), encoding="utf-8").read()
+                 for f in sorted(os.listdir(d)) if f != "in.txt"]
+    texts += [out.getvalue()] if out.getvalue() else []     # beta and carleson write --out only
+    def keyed(key):
+        return lambda part: float(part.split(key + "=", 1)[1])
+
+    def flag(part):
+        assert part in ("true", "false")
+
+    rows = [["k", "px", "py", "pz", "beta", "contribution"], [int] + 5 * [float],
+            ["k", "anchor", "case", "op", "point", "cost"], [int, int, str, str, int, float],
+            [float, float, float], ["vertices", int], ["curve_file", str], ["ledger_file", str],
+            ["line", keyed("theta"), keyed("offset"), keyed("height")],
+            ["achieving_point", float, float, float], ["vacuous", flag]]
+    rows += [[key, "", "", "", "", float] for key in ("total", "length", "ratio")]
+    rows += [[key, float] for key in ("beta", "certified_gap", "length", "bound", "ratio", "sum")]
+    for text in texts:
+        config = [ln for ln in text.splitlines() if ln.startswith("# config: ")]
+        assert len(config) == 1, text
+        named = {part.split("=", 1)[0] for part in config[0][len("# config: "):].split(" ")}
+        assert PARSED[argv[0]] | {"input"} <= named
+        for ln in text.splitlines():
+            assert ln.startswith("#") or any(_parses(ln, r) for r in rows), ln

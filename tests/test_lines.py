@@ -15,6 +15,7 @@ from heistsp.core import (
     nh,
     norm_arr,
     proj_pi,
+    relative,
     sample_box,
     sigma,
 )
@@ -25,6 +26,7 @@ from heistsp.lines import (
     foot_params_arr,
     horizontal_line,
     golden_min_many,
+    line_area,
     line_dist,
     line_from_point_direction,
     line_point_at,
@@ -243,8 +245,7 @@ class TestAreas:
             assert abs(whole - split) <= 1e-10 * scale
 
     def test_sigma_l_additivity_bulk(self):
-        # the same identity through the vectorized kernel used by verify
-        from heistsp.verify import _sigma_line_rowwise
+        # the same identity through the line-area kernel on rows, as verify calls it
         rng = np.random.default_rng(14)
         n = 10_000
         a, b, c = sample_box(rng, n), sample_box(rng, n), sample_box(rng, n)
@@ -252,9 +253,14 @@ class TestAreas:
         off = rng.uniform(-2, 2, n)
         hgt = rng.uniform(-4, 4, n)
         cs, sn = np.cos(th), np.sin(th)
-        whole = _sigma_line_rowwise(a, c, cs, sn, off, hgt)
-        split = (_sigma_line_rowwise(a, b, cs, sn, off, hgt)
-                 + _sigma_line_rowwise(b, c, cs, sn, off, hgt))
+
+        def sigma_rows(p, q):
+            xp, yp, _ = canon_coords(p, cs, sn, off, hgt)
+            xq, yq, _ = canon_coords(q, cs, sn, off, hgt)
+            return 0.25 * relative(*p.T, *q.T)[2] + line_area(xp, yp, xq, yq, off)
+
+        whole = sigma_rows(a, c)
+        split = sigma_rows(a, b) + sigma_rows(b, c)
         scale = np.maximum(np.abs(whole), 1.0)
         assert np.all(np.abs(whole - split) <= 1e-10 * scale)
 

@@ -23,6 +23,7 @@ from heistsp.core import (
     farthest_point_order,
     sample_box,
 )
+from heistsp.multiscale import build_nets
 
 
 def plain_order(arr, m=None):
@@ -150,3 +151,31 @@ def test_small_prefixes(m):
     assert farthest_point_order(arr, stop=math.inf) == ([0], [math.inf])
     with pytest.raises(ValueError):
         farthest_point_order(arr[:0], m)
+
+
+#: isometries of the Koranyi metric whose coordinate maps round nothing: a
+#: quarter turn about the z axis and the reflection (x, y, z) -> (x, -y, -z)
+SYMMETRIES = {
+    "quarter-turn": lambda a: np.column_stack([-a[:, 1], a[:, 0], a[:, 2]]),
+    "reflection": lambda a: np.column_stack([a[:, 0], -a[:, 1], -a[:, 2]]),
+}
+
+
+@pytest.mark.parametrize("sym", SYMMETRIES)
+@pytest.mark.parametrize("kind, n, m", [("cloud", 300, None), ("line-and-stack", 300, None),
+                                         ("duplicates", 300, None),
+                                         ("cloud", BLOCK_MIN_ROWS + 3616, 1024)])
+def test_traversal_exact_under_symmetries(sym, kind, n, m):
+    """The same picks and radii, bit for bit, on the image of the set; the
+    large set takes the leaves path, on a prefix of 1024 picks."""
+    arr = point_set(kind, n, 7)
+    assert farthest_point_order(SYMMETRIES[sym](arr), m) == farthest_point_order(arr, m)
+
+
+@pytest.mark.parametrize("sym", SYMMETRIES)
+def test_nets_exact_under_symmetries(sym):
+    """build_nets of the image: the same scale range, nets and diameter."""
+    arr = point_set("cloud", 400, 3)
+    want, got = build_nets(arr), build_nets(SYMMETRIES[sym](arr))
+    assert (got.k_min, got.k_max, got.nets, got.diam) == (want.k_min, want.k_max, want.nets,
+                                                          want.diam)
