@@ -108,6 +108,9 @@ class BetaBudget:
 #: the least certified_gap reported by beta_heis and beta_heis_oracle
 GAP_FLOOR = 1e-9
 
+#: the most (grid cell, member) pairs beta_heis_oracle scans
+ORACLE_MAX_CELLS = 2e8
+
 #: lighter budget for the inner loops of the curve builder
 BUILDER_BUDGET = BetaBudget(pair_starts=10, refine_starts=2, nm_starts=2,
                             nm_iter=60, max_members=48)
@@ -194,7 +197,11 @@ def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float]:
+#: golden-section steps of each height search
+HEIGHT_ITERS = 60
+
+
+def _best_heights(lines: _Lines, thetas, offsets) -> list[float]:
     """Minimax-optimal height of each line (thetas[i], offsets[i]) over its
     members.
 
@@ -215,7 +222,7 @@ def _best_heights(lines: _Lines, thetas, offsets, iters: int = 60) -> list[float
     b = np.maximum.reduceat(targets, lines.first)
     return golden_min_many(
         lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - h[j]), lines.first),
-        a, b, iters)[0].tolist()
+        a, b, HEIGHT_ITERS)[0].tolist()
 
 
 def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
@@ -350,9 +357,10 @@ def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[t
     if len(pairs) < budget.pair_starts:
         rng = np.random.default_rng([seed & 0xFFFFFFFF, 9463])
         while len(pairs) < budget.pair_starts:
-            i, j = rng.integers(0, n, 2)
-            if i != j:
-                pairs.append((min(int(i), int(j)), max(int(i), int(j))))
+            # the missing pairs in one draw: the generator's stream is the
+            # same as one two-value draw per pair
+            ij = rng.integers(0, n, (budget.pair_starts - len(pairs), 2)).tolist()
+            pairs += [(min(i, j), max(i, j)) for i, j in ij if i != j]
     return pairs[:budget.pair_starts]
 
 
@@ -596,7 +604,7 @@ def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
 
 
 def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
-                     resolution: int = 60, max_cells: float = 2e8) -> BetaResult:
+                     resolution: int = 60) -> BetaResult:
     """Brute-force grid reference for beta_heis.
 
     Exhaustive canonical-frame grid over (theta, offset, height) with
@@ -614,7 +622,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     n = canon.shape[0]
     if n > 10_000:
         raise ResourceBudgetError("oracle limited to 1e4 members, got %d" % n)
-    if resolution ** 3 * n > max_cells:
+    if resolution ** 3 * n > ORACLE_MAX_CELLS:
         raise ResourceBudgetError("oracle grid of %d cells over %d members exceeds "
                                   "the cost guard" % (resolution ** 3, n))
 

@@ -266,12 +266,12 @@ def _nearest(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.nd
 
 def _enforce_local_connectivity(path: _Path, arr: np.ndarray,
                                 balls: list[tuple[int, np.ndarray]],
-                                k: int, c1: float, ledger: BuildLedger) -> None:
+                                k: int, ledger: BuildLedger) -> None:
     """Bridge detours until each C1-ball's net members share a path component.
 
     balls holds (anchor, net members of its C1-ball) for every net point of
     scale k.  The path's vertices are that scale's net points, so a ball's
-    in-ball vertices are its members, and c1 is not read.  Each bridge is a
+    in-ball vertices are its members, and no radius is read.  Each bridge is a
     detour u -> w -> u from the component of the first member (the base) to
     the closest vertex w of another component, the least (d(w, u), u, w).
     It adds only the edge u-w, so it merges w's component into the base and
@@ -401,7 +401,7 @@ def _grow(plan: _BuildPlan, cfg: BuilderConfig,
             for i in fresh:
                 op, cost, deleted = insert(i)
                 ledger.entries.append(LedgerEntry(k, anchor, case, op, i, cost, deleted))
-        _enforce_local_connectivity(path, arr, balls, k, cfg.c1, ledger)
+        _enforce_local_connectivity(path, arr, balls, k, ledger)
         ledger.snapshots[k] = list(path.seq)
     return PolygonalCurve([point_of(arr[i]) for i in path.seq]), ledger
 
@@ -456,10 +456,14 @@ class FutureBallReport:
     note: str = ""
 
 
+#: the most (center, level) candidate balls future_ball_search fits; above
+#: it the centers are thinned
+FUTURE_MAX_CANDIDATES = 4000
+
+
 def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
                        triple: tuple[HeisPoint, HeisPoint, HeisPoint],
-                       cfg: BuilderConfig | None = None,
-                       max_candidates: int = 4000) -> FutureBallReport:
+                       cfg: BuilderConfig | None = None) -> FutureBallReport:
     """Search for a nearby ball whose beta^p * diam pays for the triple's excess.
 
     Solves excess = curvature_const * eps^q * diam(B) for q with eps derived from
@@ -507,9 +511,9 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     while 2.0 * rho >= floor_diam and len(levels) < 24:
         levels.append(rho)
         rho *= 0.5
-    if len(centers) * len(levels) > max_candidates:
+    if len(centers) * len(levels) > FUTURE_MAX_CANDIDATES:
         # thin the centers deterministically to stay within budget
-        step = math.ceil(len(centers) * len(levels) / max_candidates)
+        step = math.ceil(len(centers) * len(levels) / FUTURE_MAX_CANDIDATES)
         centers = centers[::step]
 
     cands = [Ball(point_of(arr[ci]), rho) for rho in levels for ci in centers

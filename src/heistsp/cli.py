@@ -1,9 +1,8 @@
 """Command-line interface: beta | build | carleson | verify | theorem-a | theorem-b.
 
 Input files are line oriented: one point per line as "x y z", '#' starts a
-comment.  A structured variant carries a name and metadata in comment
-lines ("# name: ..." and "# meta key: value"); both forms round-trip at 17
-significant digits.  Every output's header (_config_header) names each
+comment.  A "# name: ..." comment line names the set; points round-trip at
+17 significant digits.  Every output's header (_config_header) names each
 flag the command parsed but --out, with the resolved value where a default
 is derived from the input, and all commands are byte-reproducible at a
 fixed seed.  _write writes every output, to a file or to stdout.
@@ -19,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import HeisPoint, as_array, dist_point_arr, heis_point
 from .beta import Ball, BetaBudget, ResourceBudgetError, beta_heis
@@ -40,7 +39,6 @@ class InputError(ValueError):
 class PointSetFile:
     points: list[HeisPoint]
     name: str | None = None
-    metadata: dict[str, str] = field(default_factory=dict)
 
 
 def _fmt(v: float) -> str:
@@ -55,7 +53,6 @@ def load_points(path: str) -> PointSetFile:
         raise InputError("cannot read %s: %s" % (path, exc.strerror)) from exc
     points: list[HeisPoint] = []
     name = None
-    metadata: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -64,9 +61,6 @@ def load_points(path: str) -> PointSetFile:
             body = stripped[1:].strip()
             if body.startswith("name:"):
                 name = body[len("name:"):].strip()
-            elif body.startswith("meta "):
-                key, _, value = body[len("meta "):].partition(":")
-                metadata[key.strip()] = value.strip()
             continue
         tokens = stripped.split()
         if len(tokens) != 3:
@@ -86,7 +80,7 @@ def load_points(path: str) -> PointSetFile:
             points.append(heis_point(*vals))
         except ValueError as exc:
             raise InputError("%s:%d:1: %s" % (path, lineno, exc)) from None
-    return PointSetFile(points, name, metadata)
+    return PointSetFile(points, name)
 
 
 def save_points(path: str, pset: PointSetFile, header: list[str] | None = None) -> None:
@@ -95,8 +89,6 @@ def save_points(path: str, pset: PointSetFile, header: list[str] | None = None) 
         lines.extend(header)
     if pset.name:
         lines.append("# name: %s" % pset.name)
-    for key in sorted(pset.metadata):
-        lines.append("# meta %s: %s" % (key, pset.metadata[key]))
     for p in pset.points:
         lines.append("%s %s %s" % (_fmt(p.x), _fmt(p.y), _fmt(p.z)))
     _write(path, "\n".join(lines) + "\n")
@@ -180,6 +172,9 @@ def _number_arg(ok, what: str):
 _positive_arg = _number_arg(lambda v: v > 0.0, "a finite number > 0")
 _multiplier_arg = _number_arg(lambda v: 1.0 <= v <= MAX_MULTIPLIER,
                               "a number in [1, %g]" % MAX_MULTIPLIER)
+# the builder's multiplier must exceed 1 (BuilderConfig)
+_c1_arg = _number_arg(lambda v: 1.0 < v <= MAX_MULTIPLIER,
+                      "a number in (1, %g]" % MAX_MULTIPLIER)
 
 
 def _count_arg(text: str) -> int:
@@ -232,7 +227,7 @@ def _theorem_a(args) -> tuple[TheoremAResult, list[str]]:
         cfg = BuilderConfig(c1=args.c1, eps0=args.eps0, r=args.r,
                             beta_budget=_budget_from_level(args.budget),
                             carleson_a=args.a, seed=args.seed)
-    except ValueError as exc:   # r outside (2, 4), c1 <= 1, eps0 outside (0, 1)
+    except ValueError as exc:   # r outside (2, 4), eps0 outside (0, 1)
         raise InputError(str(exc)) from None
     return theorem_a_check(pset.points, cfg), _config_header(args)
 
@@ -379,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", type=_multiplier_arg, default=4.0,
                            help="Carleson ball multiplier (1 to %g)" % MAX_MULTIPLIER)
         if builder:
-            p.add_argument("--c1", type=_multiplier_arg, default=16.0,
+            p.add_argument("--c1", type=_c1_arg, default=16.0,
                            help="builder ball multiplier (above 1, at most %g)" % MAX_MULTIPLIER)
             p.add_argument("--eps0", type=float, default=0.05, help="flatness threshold")
         p.add_argument("--seed", type=int, default=0)

@@ -12,6 +12,11 @@ empirical constants observed; the worst-case thresholds quoted in proofs
 (10^-50 and friends) are unobservable at double precision and are
 replaced by regression-tracked empirical floors.
 
+_CHECKS is the one table of checks: each id, in suite order, with its
+check function, default sample count and whether its constant is exact;
+DEFAULT_COUNTS and EXACT_CHECK_IDS are read from it.  Each check keeps its
+frozen constants as locals.
+
 The exact checks draw through one sampler (_sample_exact: point arrays,
 then one line per row) and the constructed families take their lines from
 one (_random_line); each check keeps its own generator and the order of
@@ -63,28 +68,6 @@ from .beta import beta_heis  # noqa: F401
 from .builder import excess
 
 RELATIVE_SLACK = 1e-9
-
-#: checks whose constants are exact; any violation fails the suite
-EXACT_CHECK_IDS = (
-    "shortest-to-line",
-    "foot-point-factor",
-    "line-area-bound",
-    "pair-flatness-floor",
-)
-
-DEFAULT_COUNTS = {
-    "shortest-to-line": 100_000,
-    "foot-point-factor": 100_000,
-    "line-area-bound": 100_000,
-    "pair-flatness-floor": 100_000,
-    "flat-exit-spread": 48,
-    "sharp-turn-dichotomy": 24,
-    "angle-improvement-dichotomy": 12,
-    "excess-forces-width": 200,
-    "excess-vs-beta-squared": 1000,
-    "three-point-example": 4,
-    "doubling-constant": 100,
-}
 
 
 @dataclass
@@ -387,11 +370,11 @@ def check_excess_forces_width(seed: int, n: int) -> LemmaCheck:
                      "qualifying": int(ratios.size)})
 
 
-def check_excess_vs_beta_squared(seed: int, n: int,
-                                 eps0: float = 0.05) -> LemmaCheck:
+def check_excess_vs_beta_squared(seed: int, n: int) -> LemmaCheck:
     """Empirical curvature constant: excess <= D * beta^2 * diam over
     well-spread near-flat triples; the max ratio D is recorded."""
     rng = _rng(seed, 41)
+    eps0 = 0.05                   # the flatness a triple's beta must not exceed
     triples = []     # (points, ball) of every draw; the draws do not depend on beta
     for _ in range(n):
         line = _random_line(rng)
@@ -427,7 +410,7 @@ def check_excess_vs_beta_squared(seed: int, n: int,
                      "qualifying": int(ratios.size)})
 
 
-def check_three_point_example(seed: int, n: int = 4) -> LemmaCheck:
+def check_three_point_example(seed: int, n: int) -> LemmaCheck:
     """The central-bump triple: excess/eps^2 near 1/2, and the tilted
     witness line through the bump stays within 2*eps of all three points."""
     eps_values = (0.2, 0.1, 0.05, 0.025)[:n]
@@ -448,9 +431,10 @@ def check_three_point_example(seed: int, n: int = 4) -> LemmaCheck:
                     {"excess_over_eps2": ratios})
 
 
-def check_doubling_constant(seed: int, n: int, frozen_bound: int = 82) -> LemmaCheck:
+def check_doubling_constant(seed: int, n: int) -> LemmaCheck:
     """Greedy half-radius nets of dense ball samples stay under a fixed count."""
     rng = _rng(seed, 43)
+    frozen_bound = 82
     counts = []
     for _ in range(n):
         center = HeisPoint(*sample_box(rng, 1)[0])
@@ -469,36 +453,40 @@ def check_doubling_constant(seed: int, n: int, frozen_bound: int = 82) -> LemmaC
 
 # ---------------------------------------------------------------------------
 
-_CHECKS: dict[str, Callable[[int, int], LemmaCheck]] = {
-    "shortest-to-line": check_shortest_to_line,
-    "foot-point-factor": check_foot_point_factor,
-    "line-area-bound": check_line_area_bound,
-    "pair-flatness-floor": check_pair_flatness_floor,
-    "flat-exit-spread": check_flat_exit_spread,
-    "sharp-turn-dichotomy": check_sharp_turn_dichotomy,
-    "angle-improvement-dichotomy": check_angle_improvement_dichotomy,
-    "excess-forces-width": check_excess_forces_width,
-    "excess-vs-beta-squared": check_excess_vs_beta_squared,
-    "three-point-example": check_three_point_example,
-    "doubling-constant": check_doubling_constant,
+#: every check in suite order: id -> (check, default sample count, whether
+#: its constant is exact, so that any violation fails the suite)
+_CHECKS: dict[str, tuple[Callable[[int, int], LemmaCheck], int, bool]] = {
+    "shortest-to-line": (check_shortest_to_line, 100_000, True),
+    "foot-point-factor": (check_foot_point_factor, 100_000, True),
+    "line-area-bound": (check_line_area_bound, 100_000, True),
+    "pair-flatness-floor": (check_pair_flatness_floor, 100_000, True),
+    "flat-exit-spread": (check_flat_exit_spread, 48, False),
+    "sharp-turn-dichotomy": (check_sharp_turn_dichotomy, 24, False),
+    "angle-improvement-dichotomy": (check_angle_improvement_dichotomy, 12, False),
+    "excess-forces-width": (check_excess_forces_width, 200, False),
+    "excess-vs-beta-squared": (check_excess_vs_beta_squared, 1000, False),
+    "three-point-example": (check_three_point_example, 4, False),
+    "doubling-constant": (check_doubling_constant, 100, False),
 }
+
+DEFAULT_COUNTS = {cid: n for cid, (_, n, _) in _CHECKS.items()}
+EXACT_CHECK_IDS = tuple(cid for cid, (_, _, exact) in _CHECKS.items() if exact)
 
 
 def run_suite(seed: int = 0, sample_counts: dict[str, int] | None = None,
               include: Sequence[str] | None = None) -> list[LemmaCheck]:
-    """Run the named checks (all by default); deterministic given seed."""
-    counts = dict(DEFAULT_COUNTS)
-    if sample_counts:
-        unknown = set(sample_counts) - set(_CHECKS)
-        if unknown:
-            raise ValueError("unknown check ids: %s" % sorted(unknown))
-        counts.update(sample_counts)
-    ids = list(include) if include is not None else list(_CHECKS)
+    """Run the named checks (all by default, in suite order), each at its
+    count in sample_counts or else its default; deterministic given seed."""
+    counts = sample_counts or {}
+    unknown = set(counts) - set(_CHECKS)
+    if unknown:
+        raise ValueError("unknown check ids: %s" % sorted(unknown))
     results = []
-    for cid in ids:
+    for cid in (_CHECKS if include is None else include):
         if cid not in _CHECKS:
             raise ValueError("unknown check id: %r" % (cid,))
-        results.append(_CHECKS[cid](seed, counts[cid]))
+        check, n, _ = _CHECKS[cid]
+        results.append(check(seed, counts.get(cid, n)))
     return results
 
 

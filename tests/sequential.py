@@ -2,13 +2,16 @@
 
 The tests compare the array kernels of heistsp.lines against these scalar
 references bit for bit (golden_min, the quartic profile) or to a tolerance
-(line distances by golden section).
+(line distances by golden section), and beta's pair candidates against
+pair_candidates, which draws one pair per generator call.
 """
 
 import math
 from typing import Callable
 
-from heistsp.core import HeisPoint
+import numpy as np
+
+from heistsp.core import HeisPoint, norm_arr
 from heistsp.lines import HorizontalLine
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -49,3 +52,21 @@ def quartic(t, xt, yt, zt):
     from the point to the line point at parameter t."""
     u = t - xt
     return (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
+
+
+def pair_candidates(canon: np.ndarray, pair_starts: int, seed: int) -> list[tuple[int, int]]:
+    """beta's candidate point pairs: every pair of at most 8 points, else the
+    pairs of extreme points and then random pairs i != j, one draw each."""
+    n = canon.shape[0]
+    if n <= 8:
+        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ext = sorted({*canon.argmin(axis=0).tolist(), *canon.argmax(axis=0).tolist(),
+                  int(np.argmax(norm_arr(canon)))})
+    pairs = [(a, b) for k, a in enumerate(ext) for b in ext[k + 1:]]
+    if len(pairs) < pair_starts:
+        rng = np.random.default_rng([seed & 0xFFFFFFFF, 9463])
+        while len(pairs) < pair_starts:
+            i, j = rng.integers(0, n, 2)
+            if i != j:
+                pairs.append((min(int(i), int(j)), max(int(i), int(j))))
+    return pairs[:pair_starts]

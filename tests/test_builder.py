@@ -70,11 +70,12 @@ def curve_ball_components(curve: PolygonalCurve, member_points, ball: Ball) -> i
     return len(labels)
 
 
-def reference_repair(path, arr, balls, k, c1, ledger):
+def reference_repair(path, arr, balls, k, ledger, c1=BuilderConfig().c1):
     """The builder's repair pass as first written, for comparison: the
     ball's components are recomputed from scratch before every bridge, and
     every vertex of another member component is scanned against the whole
-    sorted base; the bridge is the least (distance, base vertex, vertex)."""
+    sorted base; the bridge is the least (distance, base vertex, vertex).
+    Membership is rescanned at radius c1 * 2^-k, c1 that of the build."""
     radius = c1 * 2.0 ** (-k)
     for anchor, members in balls:
         center = HeisPoint(*arr[anchor])

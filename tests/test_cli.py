@@ -31,13 +31,19 @@ def run_cli(capsys, *argv):
 class TestPointFiles:
     def test_round_trip_structured(self, tmp_path):
         pts = [HeisPoint(1.0 / 3.0, -2.0e-17, 5.5), HeisPoint(0.1, 0.2, 0.3)]
-        pset = PointSetFile(pts, name="fixture", metadata={"kind": "test", "n": "2"})
+        pset = PointSetFile(pts, name="fixture")
         path = tmp_path / "pts.txt"
         save_points(str(path), pset)
         back = load_points(str(path))
         assert back.points == pts          # bit-exact at 17 significant digits
         assert back.name == "fixture"
-        assert back.metadata == {"kind": "test", "n": "2"}
+
+    def test_meta_line_is_a_comment(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("# name: fixture\n# meta kind: test\n0 0 0\n1 2 3\n")
+        got = load_points(str(path))
+        assert got.points == [HeisPoint(0, 0, 0), HeisPoint(1, 2, 3)]
+        assert got.name == "fixture"
 
     @given(st.lists(st.builds(
         HeisPoint,
@@ -272,6 +278,15 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, cmd, *([] if cmd == "verify" else [path]), *flags)
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", ["build", "theorem-a"])
+def test_c1_at_one_is_refused_by_its_flag(cmd, tmp_path, capsys):
+    # the builder needs c1 > 1: argparse refuses --c1 1 and names the flag
+    path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
+    code, out, err = run_cli(capsys, cmd, path, "--c1", "1")
+    assert code == 2 and out == ""
+    assert "argument --c1" in err and "(1, 1e+06]" in err
 
 
 @pytest.mark.parametrize("cmd", ["beta", "build", "carleson", "theorem-a", "theorem-b"])

@@ -35,6 +35,7 @@ from heistsp.beta import (
     BetaBudget,
     _NM_STEPS,
     _Rows,
+    _pair_candidates,
     _best_heights,
     _nelder_mead,
     beta_heis,
@@ -43,7 +44,7 @@ from heistsp.beta import (
 )
 from conftest import lifted_circle, lifted_parabola, lifted_sine
 from test_golden_cli import FIXTURES as GOLDEN_FIXTURES
-from sequential import golden_min, quartic
+from sequential import golden_min, pair_candidates, quartic
 
 
 def _masked_quartic_dists(xt, yt, zt):
@@ -469,6 +470,28 @@ def test_carleson_sum_polishes_in_one_lockstep(monkeypatch):
     fitted = sum(len(members_in_ball(arr, Ball(t.point, 4.0 * 2.0 ** -t.k))) >= 2
                  for t in rep.terms)
     assert starts == [BetaBudget().nm_starts * fitted]
+
+
+@pytest.mark.parametrize("n", [5, 9, 10, 13, 48, 64, 96, 97, 1000])
+def test_pair_candidates_equal_one_draw_per_pair(n):
+    # the library draws each round's missing pairs in one call; with ten to
+    # two hundred starts on as few as 9 points many draws have i == j
+    rng = np.random.default_rng(n)
+    for seed in range(6):
+        canon = sample_box(rng, n, 1.0)
+        for starts in (10, 24, 200):
+            budget = BetaBudget(pair_starts=starts)
+            assert _pair_candidates(canon, budget, seed) == pair_candidates(canon, starts, seed)
+
+
+@pytest.mark.parametrize("n", [3, 1000, 2 ** 31 + 1, 3 * 2 ** 30 + 7])
+def test_one_integer_draw_equals_a_draw_per_pair(n):
+    # the stream property _pair_candidates relies on, also at sizes where the
+    # bounded draw rejects about every other raw value
+    for seed in range(5):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        per_pair = [a.integers(0, n, 2).tolist() for _ in range(40)]
+        assert b.integers(0, n, (40, 2)).tolist() == per_pair
 
 
 def test_seed_count_must_match():

@@ -47,6 +47,24 @@ class TestSuite:
     def test_all_checks_present(self, small_suite):
         assert {r.id for r in small_suite} == set(DEFAULT_COUNTS)
 
+    def test_check_table_pinned(self, small_suite):
+        # the counts, the exact ids and the suite order all derive from one
+        # table; their values are fixed
+        assert list(DEFAULT_COUNTS.items()) == [
+            ("shortest-to-line", 100_000), ("foot-point-factor", 100_000),
+            ("line-area-bound", 100_000), ("pair-flatness-floor", 100_000),
+            ("flat-exit-spread", 48), ("sharp-turn-dichotomy", 24),
+            ("angle-improvement-dichotomy", 12), ("excess-forces-width", 200),
+            ("excess-vs-beta-squared", 1000), ("three-point-example", 4),
+            ("doubling-constant", 100)]
+        assert EXACT_CHECK_IDS == ("shortest-to-line", "foot-point-factor",
+                                   "line-area-bound", "pair-flatness-floor")
+        assert [r.id for r in small_suite] == list(DEFAULT_COUNTS)
+        # include keeps its own order
+        tiny = {cid: 10 for cid in EXACT_CHECK_IDS}
+        assert [r.id for r in run_suite(0, tiny, include=EXACT_CHECK_IDS[::-1])] == \
+            list(EXACT_CHECK_IDS[::-1])
+
     def test_reproducible(self):
         a = run_suite(seed=11, sample_counts=SMALL)
         b = run_suite(seed=11, sample_counts=SMALL)
