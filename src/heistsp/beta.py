@@ -1,44 +1,52 @@
 """Flatness numbers: minimax fit over horizontal lines, exact planar fit.
 
-beta_heis runs a canonical-frame multistart: the ball is normalized to the
-unit ball at the origin (left translation + dilation commute with every
-candidate line, so the result is translation/dilation covariant by
-construction).  Candidate lines come from the exact planar strip fit,
-lines through point pairs, and lines through the ball center; the best
-few are polished with Nelder-Mead over (theta, offset, height).  The
-returned beta is always the exact sup over members evaluated at the
-returned witness line, hence an upper bound on the true infimum.
+beta_heis runs a canonical-frame multistart: the members of the ball are
+moved to the unit ball at the origin of their own frame, whose origin is
+the members' coordinate mean and whose unit is their largest gauge distance
+from it.  Left translation, dilation and rotation about the z axis are
+affine in coordinates, so the frame moves with the set, and every
+candidate line is found in it.  Candidate lines come from the exact planar
+strip fit, lines through point pairs, and lines through the frame's
+origin; the best few are polished with Nelder-Mead over (theta, offset,
+height).  The returned beta is always the exact sup over members evaluated
+at the returned witness line, divided by diam(B), hence an upper bound on
+the true infimum.  No step draws from a caller's seed: the fit is a
+function of the point array and the member set alone.
 
 The engine runs in lockstep, over many balls at once: beta_heis_many takes
-(point set, ball) items, and beta_heis is its one-item case.  The balls'
-optimisation subsamples are ragged member rows, one flat (R, 3) array with
-each ball's rows consecutive (_Rows), and each step evaluates all the lines
-it needs, for all balls, in one kernel call: every line is paired with its
-own ball's rows only, the distances of all pairs come from one
-lines.quartic_dists call, and each line's max (or min) is one
-np.maximum.reduceat over the line starts.  All candidates are scored
-together; the golden-section height searches run side by side, first for
-the strip lines and then for every refit candidate; and the Nelder-Mead
-starts of all balls advance together, each iteration evaluating the
-reflections of every start in one call and then only the one further trial
-point each start's branch reads (a shrink takes one more call).  Each search
-replays its sequential form bit for bit (the scalar golden-section search,
-through lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line
-reads no row but its ball's, so a ball's result does not depend on the
-batch it runs in.  A batch runs in chunks whose iterative steps (height
-searches, reflections and the trial points after them) stay under
-BATCH_PAIRS line-member pairs per kernel call; the one-shot calls (candidate
-scores, initial simplices) and the shrinks run in blocks of whole lines, a
-start's simplex kept whole, under the same bound.  A Nelder-Mead start
-repeated in its ball is polished once.  Each ball is set up just before its
-chunk is solved and keeps only its member indices, gathered for its
-witness, so memory follows the chunk.  beta_heis_oracle runs its height
-searches through the same one-ball rows and keeps scipy.optimize.minimize
-as an independent reference.
+(point set, ball) items, and beta_heis is its one-item case.  Items with
+the same point array and the same members share one fit, since they differ
+only in the radius that divides the sup.  The member sets' optimisation
+subsamples are ragged member rows, one flat (R, 3) array with each set's
+rows consecutive (_Rows), and each step evaluates all the lines it needs,
+for all sets, in one kernel call: every line is paired with its own set's
+rows only, the distances of all pairs come from one lines.quartic_dists
+call, and each line's max (or min) is one np.maximum.reduceat over the
+line starts.  All candidates are scored together; the golden-section
+height searches run side by side, first for the strip lines and then for
+every refit candidate; and the Nelder-Mead starts of all sets advance
+together, each iteration evaluating the reflections of every start in one
+call and then only the one further trial point each start's branch reads
+(a shrink takes one more call).  Each search replays its sequential form
+bit for bit (the scalar golden-section search, through
+lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line reads no
+row but its set's, so a result does not depend on the batch it runs in.  A
+batch runs in chunks whose iterative steps (height searches, reflections
+and the trial points after them) stay under BATCH_PAIRS line-member pairs
+per kernel call; the one-shot calls (candidate scores, initial simplices)
+and the shrinks run in blocks of whole lines, a start's simplex kept whole,
+under the same bound.  A Nelder-Mead start repeated in its set is polished
+once.  Each member set is set up just before its chunk is solved and keeps
+only its member indices, gathered for its witness; a solved set keeps only
+its witness, so memory follows the chunk.  beta_heis_oracle runs its height
+searches through the same one-set rows and keeps scipy.optimize.minimize as
+an independent reference.
 
 certified_gap is the improvement the polish stage achieved over the best
-direct candidate (floored at GAP_FLOOR): a self-consistency estimate of the
-remaining optimization slack, not a global certificate.
+direct candidate, in units of beta (floored at GAP_FLOOR in the members'
+frame, then scaled by the frame's unit over the ball's radius): a
+self-consistency estimate of the remaining optimization slack, not a
+global certificate.
 """
 
 from __future__ import annotations
@@ -105,7 +113,8 @@ class BetaBudget:
     max_members: int = 96      # optimization subsample; final eval uses all
 
 
-#: the least certified_gap reported by beta_heis and beta_heis_oracle
+#: the least certified gap of a fit in its members' frame, where the
+#: members' largest distance from the origin is 1
 GAP_FLOOR = 1e-9
 
 #: the most (grid cell, member) pairs beta_heis_oracle scans
@@ -317,10 +326,30 @@ def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> f
     return width / 4.0
 
 
+class _Witness(NamedTuple):
+    """A solved member set, in the input's coordinates: the witness line, the
+    members' largest distance to it and a member at that distance, and the
+    certified gap of the fit times its frame's unit.  beta of any ball with
+    these members is sup / diam(B)."""
+    sup: float
+    line: HorizontalLine
+    point: HeisPoint
+    gap: float
+
+    def result(self, ball: Ball) -> BetaResult:
+        return BetaResult(self.sup / (2.0 * ball.radius), self.line, self.point,
+                          self.gap / ball.radius)
+
+
+def _point_witness(p: HeisPoint) -> _Witness:
+    """The witness of a member set at one point: the horizontal line through
+    it along the x axis, at distance 0."""
+    return _Witness(0.0, line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z)), p, 0.0)
+
+
 def _setup(points: Sequence[HeisPoint] | np.ndarray,
-           ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The point array, the indices of the members of E & B and the members'
-    copy in the canonical frame (unit ball at the origin), or the final
+           ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray]:
+    """The point array and the indices of the members of E & B, or the final
     result when fewer than two points are members."""
     arr = points if isinstance(points, np.ndarray) else as_array(points)
     idx = members_in_ball(arr, ball)
@@ -329,25 +358,38 @@ def _setup(points: Sequence[HeisPoint] | np.ndarray,
                                      g=ball.center, lam=ball.radius)
         return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
     if idx.size == 1:
-        p = point_of(arr[idx[0]])
-        ln = line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z))
-        return BetaResult(0.0, ln, p, 0.0)
-    canon = dilate_arr(1.0 / ball.radius, left_translate_arr(group_inv(ball.center), arr[idx]))
-    return arr, idx, canon
+        return _point_witness(point_of(arr[idx[0]])).result(ball)
+    return arr, idx
 
 
-def _witness_result(arr: np.ndarray, idx: np.ndarray, ball: Ball,
-                    params: tuple[float, float, float], gap: float) -> BetaResult:
-    """beta at the canonical-frame line params: the exact sup over all
-    members, the rows idx of arr."""
-    members = arr[idx]
-    witness = transform_line(horizontal_line(*params), g=ball.center, lam=ball.radius)
+def _member_frame(members: np.ndarray) -> tuple[HeisPoint, float, np.ndarray]:
+    """The members' frame and the members in it: the origin is their
+    coordinate mean, the unit their largest gauge distance from it, so the
+    members lie in the closed unit ball at the origin.  The mean is taken
+    about the first member, so coincident members have their point as the
+    origin exactly.  The unit is 0 when the members coincide to double
+    precision; they are then returned unscaled."""
+    origin = point_of(members[0] + (members - members[0]).mean(axis=0))
+    rel = left_translate_arr(group_inv(origin), members)
+    unit = float(norm_arr(rel).max())
+    return origin, unit, dilate_arr(1.0 / unit, rel) if unit > 0.0 else rel
+
+
+def _witness(members: np.ndarray, origin: HeisPoint, unit: float,
+             params: tuple[float, float, float], gap: float) -> _Witness:
+    """The witness of the line params of the members' frame: the exact sup
+    over the members."""
+    witness = transform_line(horizontal_line(*params), g=origin, lam=unit)
     d_all = line_dists_arr(members, witness)
     k = int(np.argmax(d_all))
-    return BetaResult(float(d_all[k]) / (2.0 * ball.radius), witness, point_of(members[k]), gap)
+    return _Witness(float(d_all[k]), witness, point_of(members[k]), gap * unit)
 
 
-def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[tuple[int, int]]:
+#: the generator of _pair_candidates' fill pairs, the same for every set
+PAIR_SEED = (0, 9463)
+
+
+def _pair_candidates(canon: np.ndarray, budget: BetaBudget) -> list[tuple[int, int]]:
     n = canon.shape[0]
     if n <= 8:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -355,7 +397,7 @@ def _pair_candidates(canon: np.ndarray, budget: BetaBudget, seed: int) -> list[t
                   int(np.argmax(norm_arr(canon)))})
     pairs = [(a, b) for k, a in enumerate(ext) for b in ext[k + 1:]]
     if len(pairs) < budget.pair_starts:
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, 9463])
+        rng = np.random.default_rng(PAIR_SEED)
         while len(pairs) < budget.pair_starts:
             # the missing pairs in one draw: the generator's stream is the
             # same as one two-value draw per pair
@@ -472,20 +514,21 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
 
 
 class _Fit:
-    """One ball with two or more members on its way through the engine: its
-    member indices, optimisation subsample, strip fit and pair candidate lines."""
+    """One member set of two or more points on its way through the engine:
+    its key, point array and member indices, its frame, optimisation
+    subsample, strip fit and pair candidate lines."""
 
-    def __init__(self, index: int, points: np.ndarray, idx: np.ndarray, canon: np.ndarray,
-                 ball: Ball, budget: BetaBudget, seed: int):
+    def __init__(self, key: tuple[int, bytes], points: np.ndarray, idx: np.ndarray,
+                 origin: HeisPoint, unit: float, canon: np.ndarray, budget: BetaBudget):
         # the members are the rows idx of points, gathered only for the witness
-        self.index, self.points, self.idx, self.ball = index, points, idx, ball
+        self.key, self.points, self.idx, self.origin, self.unit = key, points, idx, origin, unit
         sub = canon
         if canon.shape[0] > budget.max_members:
             # deterministic farthest-point subsample, kept in row order
             sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
         self.sub = sub
         _, self.th_s, self.off_s = min_width_strip(sub[:, :2])
-        pairs = _pair_candidates(sub, budget, seed)
+        pairs = _pair_candidates(sub, budget)
         if pairs:
             ii, jj = np.array(pairs).T
             same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
@@ -520,8 +563,9 @@ def _split(values: list, counts: list[int]) -> list[list]:
 
 
 def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, float, float], float]]:
-    """(witness params, certified gap) of every fit, each step one kernel
-    call across all balls, each line over its own ball's member rows."""
+    """(witness params, certified gap) of every fit in its members' frame,
+    each step one kernel call across all sets, each line over its own set's
+    member rows."""
     rows = _Rows([f.sub for f in fits])
     balls = np.arange(len(fits))
 
@@ -561,46 +605,66 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
 
 
 def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]],
-                   budget: BetaBudget | None = None,
-                   seeds: Sequence[int] | None = None) -> list[BetaResult]:
-    """beta_heis of every (points, ball) item, item i with seed seeds[i] (all
-    0 when seeds is None), with all balls in lockstep: each step of the engine
-    is one broadcast over the balls of a chunk (see BATCH_PAIRS).  Each result
-    equals the one beta_heis gives for its item alone.
+                   budget: BetaBudget | None = None) -> list[BetaResult]:
+    """beta_heis of every (points, ball) item, with all member sets in
+    lockstep: each step of the engine is one broadcast over the sets of a
+    chunk (see BATCH_PAIRS).  Each distinct (points object, member set) is
+    fitted once, and every item with those members divides its witness's
+    sup by its own diameter.  Each result equals the one beta_heis gives for
+    its item alone.
     """
     if budget is None:
         budget = BetaBudget()
-    seeds = [0] * len(items) if seeds is None else list(seeds)
-    if len(seeds) != len(items):
-        raise ValueError("got %d seeds for %d items" % (len(seeds), len(items)))
     out: list = [None] * len(items)
+    solved: dict[tuple[int, bytes], _Witness] = {}
+    waiting: dict[tuple[int, bytes], list[int]] = {}    # the items of each unsolved key
+
+    def solve(key: tuple[int, bytes], witness: _Witness) -> None:
+        solved[key] = witness
+        for k in waiting.pop(key):
+            out[k] = witness.result(items[k][1])
 
     def fits() -> Iterator[_Fit]:
-        for k, ((points, ball), seed) in enumerate(zip(items, seeds)):
+        for k, (points, ball) in enumerate(items):
             setup = _setup(points, ball)
             if isinstance(setup, BetaResult):
                 out[k] = setup
+                continue
+            arr, idx = setup
+            key = (id(points), idx.tobytes())
+            if key in solved:           # its chunk is solved already
+                out[k] = solved[key].result(ball)
+            elif key in waiting:
+                waiting[key].append(k)
             else:
-                yield _Fit(k, *setup, ball, budget, seed)
+                waiting[key] = [k]
+                # the members are not held across the yield: the fit keeps
+                # its frame's copy (or subsample) only
+                origin, unit, canon = _member_frame(arr[idx])
+                if unit == 0.0:
+                    solve(key, _point_witness(point_of(arr[idx[0]])))
+                else:
+                    yield _Fit(key, arr, idx, origin, unit, canon, budget)
 
-    # each ball is set up just before its chunk is solved and dropped after
+    # each set is set up just before its chunk is solved and dropped after
     # it, so what is held follows BATCH_PAIRS rather than the batch
     for chunk in _chunks(fits()):
         for f, (params, gap) in zip(chunk, _solve(chunk, budget)):
-            out[f.index] = _witness_result(f.points, f.idx, f.ball, params, gap)
+            solve(f.key, _witness(f.points[f.idx], f.origin, f.unit, params, gap))
         chunk.clear()
     return out
 
 
 def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
-              budget: BetaBudget | None = None, seed: int = 0) -> BetaResult:
+              budget: BetaBudget | None = None) -> BetaResult:
     """Minimax horizontal-line fit of E & B, normalized by diam(B).
 
     The returned value is the exact sup over members at the witness line
     (an upper bound on the true infimum); certified_gap estimates the
-    optimization slack.  Empty intersections give beta 0 flagged vacuous.
+    optimization slack.  Empty intersections give beta 0 flagged vacuous,
+    and members that coincide to double precision give beta 0.
     """
-    return beta_heis_many([(points, ball)], budget, [seed])[0]
+    return beta_heis_many([(points, ball)], budget)[0]
 
 
 def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
@@ -618,13 +682,17 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     setup = _setup(points, ball)
     if isinstance(setup, BetaResult):
         return setup
-    arr, idx, canon = setup
-    n = canon.shape[0]
+    arr, idx = setup
+    n = idx.size
     if n > 10_000:
         raise ResourceBudgetError("oracle limited to 1e4 members, got %d" % n)
     if resolution ** 3 * n > ORACLE_MAX_CELLS:
         raise ResourceBudgetError("oracle grid of %d cells over %d members exceeds "
                                   "the cost guard" % (resolution ** 3, n))
+    members = arr[idx]
+    origin, unit, canon = _member_frame(members)
+    if unit == 0.0:
+        return _point_witness(point_of(members[0])).result(ball)
 
     # incumbent from the two center lines fixes the search box
     rows = _Rows([canon])
@@ -668,4 +736,5 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     cand = [(objective(np.array(refined[0])), refined[0]),
             (float(res.fun), tuple(float(v) for v in res.x))]
     cand.sort(key=lambda t: (t[0], t[1]))
-    return _witness_result(arr, idx, ball, cand[0][1], max(GAP_FLOOR, grid_val - cand[0][0] / 2.0))
+    return _witness(members, origin, unit, cand[0][1],
+                    max(GAP_FLOOR, grid_val - cand[0][0] / 2.0)).result(ball)

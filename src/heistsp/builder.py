@@ -55,7 +55,6 @@ from .multiscale import (
     _carleson_balls,
     _carleson_report,
     _noted,
-    _term_seed,
 )
 # not called here: kept importable because the benchmark's tracer wraps it here
 from .multiscale import carleson_sum  # noqa: F401
@@ -76,6 +75,8 @@ class BuilderConfig:
     curvature_const: float = 1.0   # fitted constant of excess <= C * beta^2 * diam
     alpha1: float = 0.2        # triple spread window, lower
     alpha2: float = 0.9        # triple spread window, upper
+    # reaches no fit (beta_heis takes no seed); kept for the callers and the
+    # --seed flag that set it
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -137,10 +138,10 @@ class ExcessReport:
 
 def excess_report(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
                   triple: tuple[HeisPoint, HeisPoint, HeisPoint],
-                  budget: BetaBudget | None = None, seed: int = 0) -> ExcessReport:
+                  budget: BetaBudget | None = None) -> ExcessReport:
     """Curvature diagnostic: excess of the triple against beta of the ball."""
     exc = excess(*triple)
-    res = beta_heis(points, ball, budget, seed=seed)
+    res = beta_heis(points, ball, budget)
     diam = 2.0 * ball.radius
     denom = res.beta ** 2 * diam
     ratio = exc / denom if denom > 0.0 else math.inf if exc > 0.0 else 0.0
@@ -315,7 +316,7 @@ def _build(points: Sequence[HeisPoint],
     plan = _plan(points, cfg)
     if isinstance(plan, PolygonalCurve):
         return plan, BuildLedger(), None
-    results = beta_heis_many(plan.items, cfg.beta_budget, plan.seeds)
+    results = beta_heis_many(plan.items, cfg.beta_budget)
     curve, ledger = _grow(plan, cfg, results)
     return curve, ledger, plan.hierarchy
 
@@ -329,7 +330,6 @@ class _BuildPlan(NamedTuple):
     #: every net point, (anchor, fresh members) of every ball with some)
     scales: list[tuple[int, list[tuple[int, np.ndarray]], list[tuple[int, list[int]]]]]
     items: list[tuple[np.ndarray, Ball]]    # the fits' beta_heis_many items, in order
-    seeds: list[int]
 
 
 def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | PolygonalCurve:
@@ -359,14 +359,14 @@ def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | Polyg
     # members in advance, and the fits, which read the point set and not
     # the path, are planned before the first insertion.
     claimed = {hierarchy.nets[k_min][0]}
-    scales, items, seeds = [], [], []
+    scales, items = [], []
     for k in range(k_min + 1, k_max + 1):
         net_k = hierarchy.nets[k]
         # int32 members: every scale's balls are held until that scale's repair
         net_idx, net_arr = np.asarray(net_k, dtype=np.int32), arr[net_k]
         radius = cfg.c1 * 2.0 ** (-k)
         balls, fits = [], []
-        for pos, anchor in enumerate(net_k):
+        for anchor in net_k:
             ball = Ball(HeisPoint(*arr[anchor]), radius)
             members = net_idx[members_in_ball(net_arr, ball)]
             balls.append((anchor, members))
@@ -375,9 +375,8 @@ def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | Polyg
                 claimed.update(fresh)
                 fits.append((anchor, fresh))
                 items.append((arr, ball))
-                seeds.append(_term_seed(cfg.seed, k - k_min, pos))
         scales.append((k, balls, fits))
-    return _BuildPlan(arr, hierarchy, scales, items, seeds)
+    return _BuildPlan(arr, hierarchy, scales, items)
 
 
 def _grow(plan: _BuildPlan, cfg: BuilderConfig,
@@ -423,17 +422,19 @@ def theorem_a_check(points: Sequence[HeisPoint], cfg: BuilderConfig | None = Non
     and the Carleson sum is carleson_sum's over the build's nets: both read
     the point set and not the path, so the builder's fits and then the
     Carleson balls go through one beta_heis_many call, with the results of
-    _build followed by carleson_sum.
+    _build followed by carleson_sum.  A builder ball B(P, c1 2^-k) whose
+    anchor is in the net of scale k - 2 is, at the defaults, also the
+    Carleson ball B(P, a 2^-(k-2)), and the call fits their members once.
     """
     if cfg is None:
         cfg = BuilderConfig()
     plan = _plan(points, cfg)
     if isinstance(plan, PolygonalCurve):
         return TheoremAResult(0.0, 0.0, 0.0, plan, BuildLedger())
-    balls, seeds = _carleson_balls(plan.hierarchy, cfg.r, cfg.carleson_a, cfg.seed)
+    balls = _carleson_balls(plan.hierarchy, cfg.r, cfg.carleson_a)
     with _noted("theorem_a_check", balls):
         results = beta_heis_many(plan.items + [(plan.arr, ball) for _, ball in balls],
-                                 cfg.beta_budget, plan.seeds + seeds)
+                                 cfg.beta_budget)
     n_fits = len(plan.items)
     curve, ledger = _grow(plan, cfg, results[:n_fits])
     report = _carleson_report(plan.hierarchy, cfg.r, cfg.carleson_a, balls, results[n_fits:])
@@ -491,7 +492,7 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     if exc <= 0.0:
         return bail("zero excess: no exponent q exists")
     d7 = cfg.d7
-    eps = d7 * beta_heis(arr, scale_ball(d7, ball), cfg.beta_budget, seed=cfg.seed).beta
+    eps = d7 * beta_heis(arr, scale_ball(d7, ball), cfg.beta_budget).beta
     if eps <= 0.0:
         return bail("flat enlarged ball: eps = 0")
     if eps >= 1.0:
@@ -520,14 +521,13 @@ def future_ball_search(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
              if within(d_centers[ci] + rho, big_r)]
     if not cands:
         return bail("no candidate ball fits inside the enlarged source", q)
-    results = beta_heis_many([(arr, cand) for cand in cands], cfg.beta_budget,
-                             [cfg.seed] * len(cands))
+    results = beta_heis_many([(arr, cand) for cand in cands], cfg.beta_budget)
     log = [(cand, res.beta ** cfg.p * (2.0 * cand.radius)) for cand, res in zip(cands, results)]
     # log runs coarse to fine and by center index, so the first highest score
     # breaks ties toward the coarser level, then the smaller center index
     found = max(log, key=lambda entry: entry[1])[0]
     # the reported inequalities live on the d7 enlargement of the winner
-    beta_found = beta_heis(arr, scale_ball(d7, found), cfg.beta_budget, seed=cfg.seed).beta
+    beta_found = beta_heis(arr, scale_ball(d7, found), cfg.beta_budget).beta
     at2 = exc <= cfg.d1 * beta_found ** cfg.p * (2.0 * d7 * found.radius)
     at4 = beta_found ** cfg.p <= cfg.d1 * eps ** (0.5 * q)
     return FutureBallReport(ball, found, q, beta_found, at2, at4, log)

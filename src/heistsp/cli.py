@@ -236,7 +236,7 @@ def cmd_beta(args) -> int:
     pset = _load_input(args.input)
     ball = args.ball if args.ball is not None else _enclosing_ball(pset.points)
     budget = _budget_from_level(args.budget)
-    res = beta_heis(pset.points, ball, budget, seed=args.seed)
+    res = beta_heis(pset.points, ball, budget)
     lines = _config_header(args, ball="%s %s %s %s" % tuple(
         _fmt(v) for v in (ball.center.x, ball.center.y, ball.center.z, ball.radius)))
     lines.append("beta %s" % _fmt(res.beta))
@@ -295,11 +295,10 @@ def cmd_carleson(args) -> int:
     extra: list[str] = []
     if args.density:
         report, length, ratio = sampled_carleson(PolygonalCurve(pset.points), args.density,
-                                                 args.r, args.a, budget, seed=args.seed)
+                                                 args.r, args.a, budget)
         extra = ["length,,,,,%s" % _fmt(length), "ratio,,,,,%s" % _fmt(ratio)]
     else:
-        report = carleson_sum(build_nets(as_array(pset.points)), args.r, args.a, budget,
-                              seed=args.seed)
+        report = carleson_sum(build_nets(as_array(pset.points)), args.r, args.a, budget)
     _write(args.out, _carleson_csv(report, header, extra))
     return 0
 
@@ -323,8 +322,7 @@ def cmd_theorem_b(args) -> int:
         raise InputError("exponent r must lie in (0, 8]")
     budget = _budget_from_level(args.budget)
     curve = PolygonalCurve(pset.points)
-    total, length, ratio = theorem_b_check(curve, args.density, args.r, args.a,
-                                           budget, seed=args.seed)
+    total, length, ratio = theorem_b_check(curve, args.density, args.r, args.a, budget)
     out = "\n".join(_config_header(args) + [
         "sum %s" % _fmt(total),
         "length %s" % _fmt(length),
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--c1", type=_c1_arg, default=16.0,
                            help="builder ball multiplier (above 1, at most %g)" % MAX_MULTIPLIER)
             p.add_argument("--eps0", type=float, default=0.05, help="flatness threshold")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0, help="listed in the header; no fit reads it")
         p.add_argument("--budget", type=int, default=24, help="beta effort level")
         p.add_argument("--out", default=None)
         return p
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per unit length")
 
     p = sub.add_parser("verify", help="run the lemma suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seed of the checks' samples")
     p.add_argument("--samples", type=_count_arg, default=None,
                    help="override sample count of the exact-constant checks")
     p.add_argument("--out", default=None, help="write the JSON report here")

@@ -82,30 +82,25 @@ class CarlesonReport:
 
 
 def carleson_sum(hierarchy: NetHierarchy, r: float, a: float,
-                 beta_budget: BetaBudget | None = None, seed: int = 0) -> CarlesonReport:
+                 beta_budget: BetaBudget | None = None) -> CarlesonReport:
     """Sum of beta(B(P, a*2^-k))^r * 2^-k over net points and scales."""
-    balls, seeds = _carleson_balls(hierarchy, r, a, seed)
+    balls = _carleson_balls(hierarchy, r, a)
     with _noted("carleson_sum", balls):
-        results = beta_heis_many([(hierarchy.points, ball) for _, ball in balls], beta_budget,
-                                 seeds)
+        results = beta_heis_many([(hierarchy.points, ball) for _, ball in balls], beta_budget)
     return _carleson_report(hierarchy, r, a, balls, results)
 
 
-def _carleson_balls(hierarchy: NetHierarchy, r: float, a: float,
-                    seed: int) -> tuple[list[tuple[int, Ball]], list[int]]:
+def _carleson_balls(hierarchy: NetHierarchy, r: float, a: float) -> list[tuple[int, Ball]]:
     """The (scale, ball) of every term of carleson_sum, scale by scale in net
-    order, and the seed of each."""
+    order."""
     if not (0.0 < r <= 8.0):
         raise ValueError("carleson exponent r must lie in (0, 8], got %r" % (r,))
     if a < 1.0:
         raise ValueError("ball multiplier must be >= 1, got %r" % (a,))
     arr = hierarchy.points
     scales = range(hierarchy.k_min, hierarchy.k_max + 1)
-    balls = [(k, Ball(point_of(arr[i]), a * 2.0 ** (-k))) for k in scales
-             for i in hierarchy.nets[k]]
-    seeds = [_term_seed(seed, k - hierarchy.k_min, pos) for k in scales
-             for pos in range(len(hierarchy.nets[k]))]
-    return balls, seeds
+    return [(k, Ball(point_of(arr[i]), a * 2.0 ** (-k))) for k in scales
+            for i in hierarchy.nets[k]]
 
 
 def _carleson_report(hierarchy: NetHierarchy, r: float, a: float,
@@ -135,12 +130,6 @@ def _noted(caller: str, balls: list[tuple[int, Ball]]) -> Iterator[None]:
                 where = "scales k=%d..%d, %d net points" % (balls[0][0], balls[-1][0], len(balls))
             exc.add_note("in %s at %s" % (caller, where))
         raise
-
-
-def _term_seed(seed: int, level: int, pos: int) -> int:
-    # depends only on the scale offset and net position, so dyadic
-    # rescaling of the input reproduces identical sampling
-    return (seed * 1_000_003 + level * 8191 + pos) & 0x7FFFFFFF
 
 
 #: the most scales a default scale range spans below its coarsest one
@@ -173,8 +162,7 @@ def _scale_range(diam: float, radii: Sequence[float]) -> tuple[int, int]:
 
 
 def sampled_carleson(curve: PolygonalCurve, sample_density: float, r: float, a: float,
-                     beta_budget: BetaBudget | None = None,
-                     seed: int = 0) -> tuple[CarlesonReport, float, float]:
+                     beta_budget: BetaBudget | None = None) -> tuple[CarlesonReport, float, float]:
     """(carleson_sum report, curve length, total over length) of the curve
     sampled at sample_density points per unit length.
 
@@ -183,16 +171,16 @@ def sampled_carleson(curve: PolygonalCurve, sample_density: float, r: float, a: 
     """
     length = curve_length(curve)
     samples = resample_curve(curve, spacing=1.0 / sample_density)
-    report = carleson_sum(build_nets(as_array(samples)), r, a, beta_budget, seed=seed)
+    report = carleson_sum(build_nets(as_array(samples)), r, a, beta_budget)
     return report, length, report.total / length if length > 0.0 else math.inf
 
 
 def theorem_b_check(curve: PolygonalCurve, sample_density: float, r: float = 4.0,
-                    a: float = 4.0, beta_budget: BetaBudget | None = None,
-                    seed: int = 0) -> tuple[float, float, float]:
+                    a: float = 4.0,
+                    beta_budget: BetaBudget | None = None) -> tuple[float, float, float]:
     """Discrete converse bound: (carleson sum, curve length, their ratio),
     sampled_carleson's of a curve of at least 2 vertices."""
     if len(curve.vertices) < 2:
         raise ValueError("curve needs at least 2 vertices")
-    report, length, ratio = sampled_carleson(curve, sample_density, r, a, beta_budget, seed)
+    report, length, ratio = sampled_carleson(curve, sample_density, r, a, beta_budget)
     return report.total, length, ratio

@@ -259,8 +259,7 @@ def check_sharp_turn_dichotomy(seed: int, n: int) -> LemmaCheck:
         margins.append(0.0)
     # the draws do not depend on beta: every ball is fitted in one batch
     floors = []
-    results = beta_heis_many([(pts, ball) for _, pts, ball, _ in fits], BUILDER_BUDGET,
-                             [seed] * len(fits))
+    results = beta_heis_many([(pts, ball) for _, pts, ball, _ in fits], BUILDER_BUDGET)
     for (slot, _, ball, m_const), res in zip(fits, results):
         floors.append(res.beta ** p_exp * (2.0 * ball.radius) / m_const)
         margins[slot] = floors[-1] - ball_floor
@@ -322,7 +321,7 @@ def check_angle_improvement_dichotomy(seed: int, n: int) -> LemmaCheck:
         tilde = beta_euclidean_2d(pts, cand)
         big = Ball(center, max(m_const, 4.0 * rho))
         # one batch per instance: an instance holds up to about 6e5 points
-        res, res_big = beta_heis_many([(pts, cand), (pts, big)], BUILDER_BUDGET, [seed, seed])
+        res, res_big = beta_heis_many([(pts, cand), (pts, big)], BUILDER_BUDGET)
         spread_ok = False
         idx = members_in_ball(pts, cand)
         if idx.size:
@@ -396,7 +395,7 @@ def check_excess_vs_beta_squared(seed: int, n: int) -> LemmaCheck:
         rad = max(dist(center, q) for q in pts) * 1.05
         triples.append((pts, Ball(center, rad)))
     ratios = []
-    for (pts, ball), res in zip(triples, beta_heis_many(triples, BUILDER_BUDGET, [seed] * n)):
+    for (pts, ball), res in zip(triples, beta_heis_many(triples, BUILDER_BUDGET)):
         if res.beta <= 0.0 or res.beta > eps0:
             continue
         exc = excess(*pts)

@@ -54,9 +54,10 @@ def quartic(t, xt, yt, zt):
     return (u * u + yt * yt) ** 2 + (zt - 2.0 * t * yt) ** 2
 
 
-def pair_candidates(canon: np.ndarray, pair_starts: int, seed: int) -> list[tuple[int, int]]:
+def pair_candidates(canon: np.ndarray, pair_starts: int) -> list[tuple[int, int]]:
     """beta's candidate point pairs: every pair of at most 8 points, else the
-    pairs of extreme points and then random pairs i != j, one draw each."""
+    pairs of extreme points and then random pairs i != j, one draw each from
+    one generator of a fixed seed."""
     n = canon.shape[0]
     if n <= 8:
         return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -64,7 +65,7 @@ def pair_candidates(canon: np.ndarray, pair_starts: int, seed: int) -> list[tupl
                   int(np.argmax(norm_arr(canon)))})
     pairs = [(a, b) for k, a in enumerate(ext) for b in ext[k + 1:]]
     if len(pairs) < pair_starts:
-        rng = np.random.default_rng([seed & 0xFFFFFFFF, 9463])
+        rng = np.random.default_rng([0, 9463])
         while len(pairs) < pair_starts:
             i, j = rng.integers(0, n, 2)
             if i != j:

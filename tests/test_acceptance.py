@@ -87,7 +87,7 @@ def test_criterion_3_theorem_a_pipeline():
             r0 = theorem_a_check(pts, BuilderConfig(seed=0))
             r1 = theorem_a_check(pts, BuilderConfig(seed=1))
             assert math.isfinite(r0.ratio) and r0.ratio > 0.0
-            assert abs(r1.ratio - r0.ratio) <= 0.10 * r0.ratio
+            assert r1[:3] == r0[:3]     # no fit reads the seed
             assert abs(r0.ratio - FROZEN[key]) <= 0.10 * FROZEN[key]
             for lam in (0.5, 2.0):
                 rs = theorem_a_check([dilate(lam, p) for p in pts], BuilderConfig(seed=0))
@@ -100,10 +100,10 @@ def test_criterion_4_theorem_b_pipeline():
         total, length, _ = theorem_b_check(seg, 64.0)
         assert total <= 1e-9 * length
         corner = PolygonalCurve(corner_curve_vertices())
-        r0 = theorem_b_check(corner, 64.0, seed=0)
-        r1 = theorem_b_check(corner, 64.0, seed=1)
+        r0 = theorem_b_check(corner, 64.0)
+        r1 = theorem_b_check(PolygonalCurve(list(corner.vertices)), 64.0)
         assert math.isfinite(r0[2]) and r0[2] > 0.0
-        assert abs(r1[2] - r0[2]) <= 0.10 * r0[2]
+        assert r1 == r0             # a function of the curve: no seed reaches a fit
         assert abs(r0[2] - FROZEN["corner_ratio"]) <= 0.10 * FROZEN["corner_ratio"]
 
 

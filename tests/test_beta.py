@@ -118,13 +118,13 @@ class TestBetaHeis:
         rng = np.random.default_rng(22)
         pts = [HeisPoint(*map(float, r)) for r in sample_box(rng, 15, 0.8)]
         ball = Ball(ORIGIN, 1.0)
-        base = beta_heis(pts, ball, seed=3)
+        base = beta_heis(pts, ball)
         for _ in range(100):
             g = HeisPoint(*map(float, sample_box(rng, 1, 2.0)[0]))
             lam = float(10.0 ** rng.uniform(-2, 2))
             moved = [dilate(lam, group_mul(g, p)) for p in pts]
             mball = Ball(dilate(lam, group_mul(g, ball.center)), lam * ball.radius)
-            res = beta_heis(moved, mball, seed=3)
+            res = beta_heis(moved, mball)
             assert res.beta == pytest.approx(base.beta, rel=1e-6, abs=1e-9)
 
     def test_witness_realizes_beta(self):
@@ -156,12 +156,12 @@ class TestBetaHeis:
 
     def test_monotone_in_point_set(self):
         rng = np.random.default_rng(25)
-        for trial in range(10):
+        for _ in range(10):
             big = sample_box(rng, 24, 0.8)
             small = big[: 12]
             ball = Ball(ORIGIN, 1.0)
-            lo = beta_heis(small, ball, seed=trial)
-            hi = beta_heis(big, ball, seed=trial)
+            lo = beta_heis(small, ball)
+            hi = beta_heis(big, ball)
             slack = max(lo.certified_gap, hi.certified_gap) + 1e-9
             assert lo.beta <= hi.beta + slack
 
@@ -239,7 +239,7 @@ class TestBetaEuclidean:
         rng = np.random.default_rng(26)
         ball = Ball(ORIGIN, 1.0)
         sets = [sample_box(rng, 8, 0.8) for _ in range(1000)]
-        fulls = beta_heis_many([(pts, ball) for pts in sets], BUILDER_BUDGET, range(1000))
+        fulls = beta_heis_many([(pts, ball) for pts in sets], BUILDER_BUDGET)
         for pts, full in zip(sets, fulls):
             tilde = beta_euclidean_2d(pts, ball)
             assert tilde <= 2.0 * full.beta + full.certified_gap + 1e-9

@@ -380,7 +380,7 @@ class TestTheoremA:
         r0 = theorem_a_check(pts, BuilderConfig(seed=0))
         r1 = theorem_a_check(pts, BuilderConfig(seed=1))
         assert math.isfinite(r0.ratio) and r0.ratio > 0.0
-        assert r1.ratio == pytest.approx(r0.ratio, rel=0.10)
+        assert r1[:3] == r0[:3]     # no fit reads the seed
         assert r0.ratio == pytest.approx(CIRCLE_RATIO, rel=0.10)
         scaled = theorem_a_check([dilate(2.0, p) for p in pts], BuilderConfig(seed=0))
         assert scaled.ratio == pytest.approx(r0.ratio, rel=0.05)

@@ -105,6 +105,17 @@ class TestBetaCommand:
         gap = float(next(l for l in lines if l.startswith("certified_gap")).split()[1])
         assert beta >= 1.0 / 32.0 - gap
 
+    @pytest.mark.parametrize("pts", [[HeisPoint(0.1, -0.3, 0.7)] * 3,
+                                     [HeisPoint(i * 1e-100, 0.0, 0.0) for i in range(3)]],
+                             ids=["coincident", "underflow"])
+    def test_members_of_zero_extent_give_zero(self, pts, tmp_path, capsys):
+        # the members' frame has unit 0: coincident points, and points 1e-100
+        # apart, whose gauge distances round to 0
+        path = write_points(tmp_path / "p.txt", pts)
+        code, out, err = run_cli(capsys, "beta", path)
+        assert code == 0 and err == ""
+        assert "\nbeta 0\n" in out and "\nvacuous false\n" in out
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "beta", str(tmp_path / "absent.txt"))
         assert code == 2

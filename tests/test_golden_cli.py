@@ -18,6 +18,13 @@ the in-process runner; check_console then holds the installed script to the
 same copies:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The same change regenerates the frozen tables of the engine's tests
+(FROZEN, FROZEN_CARLESON and FROZEN_BUILD in test_lockstep.py,
+FROZEN_DICHOTOMY in test_verify.py).  This prints each of them, from the
+code as it is, as the source to paste over the old one:
+
+    PYTHONPATH=src python tests/test_lockstep.py
 """
 
 from __future__ import annotations

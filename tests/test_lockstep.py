@@ -8,6 +8,7 @@ batch of balls must give each ball the result it gets alone.
 
 import hashlib
 import math
+import pprint
 
 import numpy as np
 import pytest
@@ -248,7 +249,7 @@ def _table():
             pts = np.column_stack([ts, ts * ts, (2.0 / 3.0) * ts ** 3])
         c = HeisPoint(*(float(v) for v in pts[m // 2]))
         for budget in (BetaBudget(), BUILDER_BUDGET):
-            out.append((pts, Ball(c, 1.5), budget, t))
+            out.append((pts, Ball(c, 1.5), budget))
     return out
 
 
@@ -257,64 +258,65 @@ def _fields(res):
     return tuple(float(v).hex() for v in vals) + (res.vacuous,)
 
 
-#: _fields of every _table() case, recorded with the sequential engine
-#: (scipy.optimize.minimize polish) under numpy 2.4.6 and scipy 1.17.1
+#: _fields of every _table() case, recorded with the engine that fits in
+#: the members' frame, under numpy 2.4.6 and scipy 1.17.1; printed, with
+#: the other frozen tables, by running this module as a script
 FROZEN = [
-    ('0x1.22ddfff426d61p-6', '0x1.170d99a1e75adp+1', '-0x1.7f62e340d3540p-7',
-     '0x1.851e82a7edc82p-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
-     '0x1.d694f8e68e4acp-2', '0x1.c059630d36454p-4', False),
-    ('0x1.23241ad50b963p-6', '0x1.1709b11245a98p+1', '-0x1.81c8cd1223c70p-7',
-     '0x1.8528f251c179cp-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
-     '0x1.d694f8e68e4acp-2', '0x1.c047dc54fd151p-4', False),
-    ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1',
-     '0x1.db2f8fe6643a4p+1', '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1',
-     '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
-    ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1',
-     '0x1.db2f8fe6643a4p+1', '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1',
-     '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
-    ('0x1.cb0ec439327b0p-3', '0x1.921fb52269d60p+1', '-0x1.4f8e755478302p-2',
-     '0x1.5b8dc9abdf96dp-28', '-0x1.0000000000000p-1', '0x1.0000000000000p-2',
-     '-0x1.5555555555555p-4', '0x1.0defad7baeac0p-5', False),
-    ('0x1.cb2d837bdb2a1p-3', '0x1.921c565a13b8ep+1', '-0x1.4f7bef0be0358p-2',
-     '-0x1.bc210df0f177cp-13', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
-     '0x1.5555555555555p-1', '0x1.0d74b0710bf04p-5', False),
-    ('0x1.cae00a5c69597p-3', '0x1.ef85dd1946487p+0', '-0x1.0c1fbe61cc68ap-4',
-     '-0x1.1d6bcd861bc1dp-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
-     '-0x1.49b2c7f3ccf06p-2', '0x1.25e4165270d18p-4', False),
-    ('0x1.cdc9942e4831fp-3', '0x1.f28c8beb42024p+0', '-0x1.0f232dcfe2f58p-4',
-     '-0x1.0e970ee9c36d8p-3', '-0x1.a00cc0ec6688ap-2', '-0x1.380f712193c9cp-1',
-     '-0x1.24e6ac916608ap-1', '0x1.201102aeb3208p-4', False),
-    ('0x1.5d333adf13f78p-3', '0x1.ffcb44b1a6d4bp-1', '0x1.93e36bd8e6e45p-1',
-     '0x1.4902a9ee0a8bep+2', '-0x1.eb42a9bcd5058p-1', '-0x1.207e7fd768dbap-2',
-     '0x1.b6ae3a1bebcd4p+2', '0x1.b8f57e2ab3d78p-5', False),
-    ('0x1.5de3a612fa100p-3', '0x1.001360d7aefa8p+0', '0x1.94bbd311758b9p-1',
-     '0x1.48b1127c0e4cap+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
-     '0x1.4902ab94f0d9fp+1', '0x1.b633d15b1b770p-5', False),
-    ('0x1.d296129efe263p-3', '0x1.921fb35a2b75fp+1', '-0x1.452feab34ae27p-2',
-     '-0x1.23a99c70c0000p-19', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
-     '0x1.5555555555555p-1', '0x1.8225760cb776ap-4', False),
-    ('0x1.e75432a311788p-3', '0x1.7ecb5c965eb59p-5', '0x1.5788080f47ff0p-2',
-     '0x1.7fcc4bfb3db00p-5', '-0x1.2c234f72c2350p-1', '0x1.5fe2c713c9356p-2',
-     '-0x1.13098700c093ap-3', '0x1.58a9360490d14p-4', False),
-    ('0x1.1aeff1c7a03d2p-2', '0x1.48a7049a3feb1p-2', '0x1.c6733a7acd65ap-3',
-     '0x1.434cde40d712ap-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
-     '0x1.42ad0e694ae7cp-1', '0x1.ec68d505b7e80p-7', False),
-    ('0x1.1d477dd63e45dp-2', '0x1.8e0cdae11d221p-3', '0x1.05d7fd21b0e82p-2',
-     '0x1.0e0db2875a400p-12', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
-     '0x1.42ad0e694ae7cp-1', '0x1.a1775331f6d20p-7', False),
-    ('0x1.e7cb30797a187p-3', '0x1.9c42ed7be8924p-1', '0x1.751419acdafd7p-1',
-     '0x1.302095fd092f2p+2', '-0x1.fff494cb43a57p-1', '0x1.b08626b060d9cp-7',
-     '0x1.906f2be664f53p+2', '0x1.00f993fce8f60p-7', False),
-    ('0x1.eb946b9433a5cp-3', '0x1.9c884c4ad4219p-1', '0x1.7468422bc1d00p-1',
-     '0x1.2fe47db78ad6bp+2', '-0x1.fff494cb43a57p-1', '0x1.b08626b060d9cp-7',
-     '0x1.906f2be664f53p+2', '0x1.a2c539d38f4a8p-6', False),
+    ('0x1.22dcdf524fb9fp-6', '0x1.170cfd3942566p+1', '-0x1.7f75c368ab1f0p-7',
+     '0x1.8522ee68abc16p-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
+     '0x1.d694f8e68e4acp-2', '0x1.c059ab35ac0c5p-4', False),
+    ('0x1.23842fc0e86dbp-6', '0x1.17068d3d6566dp+1', '-0x1.7fd28bf442548p-7',
+     '0x1.853a4c709994fp-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
+     '0x1.d694f8e68e4acp-2', '0x1.c02fd71a05dfcp-4', False),
+    ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1', '0x1.db2f8fe6643a4p+1',
+     '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1', '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
+    ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1', '0x1.db2f8fe6643a4p+1',
+     '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1', '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
+    ('0x1.cb0ec368a97d0p-3', '0x1.921fb542517bcp+1', '-0x1.4f8e742cfa96ep-2',
+     '-0x1.fb0df2c2e39bcp-28', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '0x1.5555555555555p-1', '0x1.0defb0bdd2a4ap-5', False),
+    ('0x1.cb56f18cab07dp-3', '0x1.921633b3811d3p+1', '-0x1.4f6ea9205081ap-2',
+     '-0x1.73b8636853fcdp-11', '0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '0x1.5555555555555p-1', '0x1.7fb6d22fc2a97p-5', False),
+    ('0x1.cadf16bd6538dp-3', '0x1.ef758c990f356p+0', '-0x1.0c2fd11ce7a53p-4',
+     '-0x1.1f14759773f45p-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
+     '-0x1.49b2c7f3ccf06p-2', '0x1.221af988f2b67p-5', False),
+    ('0x1.cae8e886744bbp-3', '0x1.eea1c2d63b708p+0', '-0x1.0c98de7439a67p-4',
+     '-0x1.33c332d7a460fp-3', '-0x1.a00cc0ec6688ap-2', '-0x1.380f712193c9cp-1',
+     '-0x1.24e6ac916608ap-1', '0x1.21f3b264b66a6p-5', False),
+    ('0x1.5d333e9ec1259p-3', '0x1.ffcb40077782cp-1', '0x1.93e36aa2c54adp-1',
+     '0x1.4902a9372375ep+2', '-0x1.82f19bb3a28a4p-1', '-0x1.4f49e7f775883p-1',
+     '0x1.ed84015f6946ep+2', '0x1.b8f56f2bff200p-5', False),
+    ('0x1.5d42d9b107df1p-3', '0x1.ffc5ee96f14f2p-1', '0x1.93f6b7fb348dap-1',
+     '0x1.4907b56c90537p+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
+     '0x1.4902ab94f0d9fp+1', '0x1.b8b702e2e43bdp-5', False),
+    ('0x1.d295e4eed5af0p-3', '0x1.490373f3202dcp-21', '0x1.453042182fd6cp-2',
+     '0x1.8300ae2b9151cp-21', '-0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '-0x1.5555555555555p-1', '0x1.6e1e50a177610p-6', False),
+    ('0x1.d2abc760aa685p-3', '0x1.2a027e19c7bc0p-13', '0x1.4533d2b51efbfp-2',
+     '0x1.8c2d4bc4fa02cp-13', '-0x1.0000000000000p+0', '0x1.0000000000000p+0',
+     '-0x1.5555555555555p-1', '0x1.6d6f3d12d1950p-6', False),
+    ('0x1.1674c793407c2p-2', '0x1.7734591befddfp-2', '0x1.cd9bc3c2a75e3p-3',
+     '0x1.9f56360529bdep-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
+     '0x1.42ad0e694ae7cp-1', '0x1.3de70dc8d803ep-6', False),
+    ('0x1.196f31f63a038p-2', '0x1.8f847adfac9bep-2', '0x1.baed7c2314bfcp-3',
+     '0x1.ad9e3b39a86b2p-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
+     '0x1.42ad0e694ae7cp-1', '0x1.0e4067993f8fep-6', False),
+    ('0x1.e7cb31e82b619p-3', '0x1.9c42ed7ea4f39p-1', '0x1.75141b230d625p-1',
+     '0x1.30209677533a9p+2', '0x1.58eea2a9d6da3p-1', '0x1.7a5f6075d4885p-1',
+     '0x1.a9c7386664ddep+0', '0x1.00f97d11d45e1p-7', False),
+    ('0x1.e7cc495531580p-3', '0x1.9c4319bb13433p-1', '0x1.75153409d333ap-1',
+     '0x1.3020264b2a6f1p+2', '-0x1.6c6b937b20382p-1', '-0x1.67a42fcf7e1d0p-1',
+     '0x1.f5cf5de66497cp+2', '0x1.ff4fa4b5994bdp-13', False),
 ]
 
 
+def _fixed_table_fields():
+    return [_fields(beta_heis(pts, ball, budget)) for pts, ball, budget in _table()]
+
+
 def test_beta_heis_field_equal_on_fixed_table():
-    got = [_fields(beta_heis(pts, ball, budget, seed=seed))
-           for pts, ball, budget, seed in _table()]
-    assert got == FROZEN
+    assert _fixed_table_fields() == FROZEN
 
 
 def test_budget_without_refits_or_polish():
@@ -352,7 +354,7 @@ def test_kernels_take_one_member_array_per_line():
 
 
 def _mixed_table():
-    """(points, ball, seed) with 0, 1, 2, 3, 50 and 120 members (above both
+    """(points, ball) with 0, 1, 2, 3, 50 and 120 members (above both
     budgets' max_members), repeated points, balls centred on a member and off
     the set, and one set seen through two balls."""
     rng = np.random.default_rng(20261019)
@@ -362,36 +364,47 @@ def _mixed_table():
     repeated = cloud[rng.integers(0, 4, 30)]
     far = Ball(HeisPoint(9.0, 9.0, 9.0), 1.0)
     return [
-        (cloud, far, 1),                                         # no members
-        (cloud, Ball(HeisPoint(*cloud[0]), 1e-9), 2),            # one member
-        (cloud[:2], Ball(HeisPoint(*cloud[0]), 3.0), 3),         # two
-        (cloud[:3], Ball(HeisPoint(0.3, -0.2, 0.1), 3.0), 4),    # three
-        (helix, Ball(HeisPoint(0.1, 0.2, 4.0), 20.0), 5),        # 50
-        (cloud, Ball(HeisPoint(*cloud[7]), 3.0), 6),             # 120
-        (repeated, Ball(HeisPoint(*repeated[0]), 3.0), 7),       # repeated points
-        (helix, Ball(HeisPoint(0.9, 0.4, 1.0), 1.0), 8),         # a part of the helix
-        (cloud[:3], Ball(HeisPoint(*cloud[1]), 3.0), 9),         # an item again, new seed
+        (cloud, far),                                         # no members
+        (cloud, Ball(HeisPoint(*cloud[0]), 1e-9)),            # one member
+        (cloud[:2], Ball(HeisPoint(*cloud[0]), 3.0)),         # two
+        (cloud[:3], Ball(HeisPoint(0.3, -0.2, 0.1), 3.0)),    # three
+        (helix, Ball(HeisPoint(0.1, 0.2, 4.0), 20.0)),        # 50
+        (cloud, Ball(HeisPoint(*cloud[7]), 3.0)),             # 120
+        (repeated, Ball(HeisPoint(*repeated[0]), 3.0)),       # repeated points
+        (helix, Ball(HeisPoint(0.9, 0.4, 1.0), 1.0)),         # a part of the helix
+        (cloud[:3], Ball(HeisPoint(*cloud[1]), 3.0)),         # an item again, another array
     ]
 
 
 @pytest.mark.parametrize("budget", [BetaBudget(), BUILDER_BUDGET], ids=["default", "builder"])
 def test_batch_equals_one_at_a_time(budget):
     table = _mixed_table()
-    got = beta_heis_many([(p, b) for p, b, _ in table], budget, [s for _, _, s in table])
-    want = [beta_heis(p, b, budget, seed=s) for p, b, s in table]
+    got = beta_heis_many(table, budget)
+    want = [beta_heis(p, b, budget) for p, b in table]
     assert [_fields(r) for r in got] == [_fields(r) for r in want]
     assert got[0].vacuous and not any(r.vacuous for r in got[1:])
 
 
 def _sizes_table():
-    """(points, ball, seed) with 2, 3, 48, 96 and 300 members: below, at and
+    """(points, ball) with 2, 3, 48, 96 and 300 members: below, at and
     above both budgets' max_members, so one batch mixes subsample lengths."""
     rng = np.random.default_rng(20261020)
     out = []
-    for seed, m in enumerate((2, 3, 48, 96, 300)):
+    for m in (2, 3, 48, 96, 300):
         pts = sample_box(rng, m, 0.5)
-        out.append((pts, Ball(HeisPoint(*pts[0]), 4.0), seed))
+        out.append((pts, Ball(HeisPoint(*pts[0]), 4.0)))
     return out
+
+
+def _member_sets(items):
+    """The distinct (point array, member set) keys of the items that the
+    engine fits: two or more members, not all at one point."""
+    keys = set()
+    for p, b in items:
+        idx = members_in_ball(p, b)
+        if idx.size >= 2 and np.ptp(p[idx], axis=0).any():
+            keys.add((id(p), idx.tobytes()))
+    return keys
 
 
 def test_chunk_boundaries_do_not_change_results(monkeypatch):
@@ -403,22 +416,54 @@ def test_chunk_boundaries_do_not_change_results(monkeypatch):
         return solve(fits, budget)
 
     monkeypatch.setattr(heistsp.beta, "_solve", spy)
-    assert [len(members_in_ball(p, b)) for p, b, _ in _sizes_table()] == [2, 3, 48, 96, 300]
-    for table, budget in [(_mixed_table(), BUILDER_BUDGET), (_sizes_table(), BUILDER_BUDGET),
+    assert [len(members_in_ball(p, b)) for p, b in _sizes_table()] == [2, 3, 48, 96, 300]
+    for items, budget in [(_mixed_table(), BUILDER_BUDGET), (_sizes_table(), BUILDER_BUDGET),
                           (_sizes_table(), BetaBudget())]:
-        items, seeds = [(p, b) for p, b, _ in table], [s for _, _, s in table]
-        fitted = sum(len(members_in_ball(p, b)) >= 2 for p, b in items)
+        fitted = len(_member_sets(items))
         chunks.clear()
-        whole = beta_heis_many(items, budget, seeds)
-        assert chunks == [fitted]      # every ball with two or more members, in one chunk
+        whole = beta_heis_many(items, budget)
+        assert chunks == [fitted]      # every distinct member set to fit, in one chunk
         with monkeypatch.context() as m:
             m.setattr(heistsp.beta, "BATCH_PAIRS", 1)
-            one_by_one = beta_heis_many(items, budget, seeds)
+            one_by_one = beta_heis_many(items, budget)
         assert chunks[1:] == [1] * fitted
         assert [_fields(r) for r in one_by_one] == [_fields(r) for r in whole]
         # a ragged batch of mixed subsample lengths equals one ball at a time
-        alone = [beta_heis(p, b, budget, seed=s) for (p, b), s in zip(items, seeds)]
+        alone = [beta_heis(p, b, budget) for p, b in items]
         assert [_fields(r) for r in alone] == [_fields(r) for r in whole]
+
+
+@pytest.mark.parametrize("bound", [None, 1], ids=["one-chunk", "chunk-per-set"])
+def test_balls_with_equal_members_share_one_fit(bound, monkeypatch):
+    """Balls of one call with the same members get the same witness line and
+    the same sup, beta * diam(B), bit for bit, from one fit; with a chunk per
+    set, the repeats arrive after their fit's chunk has been solved."""
+    if bound is not None:
+        monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", bound)
+    fits = []
+    solve = heistsp.beta._solve
+
+    def spy(chunk, budget):
+        fits.extend(f.key for f in chunk)
+        return solve(chunk, budget)
+
+    monkeypatch.setattr(heistsp.beta, "_solve", spy)
+    arr = sample_box(np.random.default_rng(31), 40, 0.5)
+    other = sample_box(np.random.default_rng(32), 12, 0.5)
+    c = HeisPoint(*arr[0])
+    # every ball below holds all of arr; the radii differ by powers of two,
+    # so beta * diam(B) is exact
+    balls = [Ball(c, 4.0), Ball(c, 8.0), Ball(HeisPoint(0.1, -0.1, 0.2), 4.0), Ball(c, 64.0)]
+    items = ([(arr, balls[0]), (other, Ball(ORIGIN, 4.0)), (arr, balls[1])]
+             + [(arr, b) for b in balls[2:]])
+    got = beta_heis_many(items, BetaBudget())
+    assert len(fits) == len(set(fits)) == 2
+    same = [got[0], got[2], got[3], got[4]]
+    for res, ball in zip(same, balls):
+        assert res.line == same[0].line and res.achieving_point == same[0].achieving_point
+        assert res.beta * (2.0 * ball.radius) == same[0].beta * (2.0 * balls[0].radius)
+        assert res.certified_gap * ball.radius == same[0].certified_gap * balls[0].radius
+    assert _fields(got[4]) == _fields(beta_heis(arr, balls[3]))
 
 
 @pytest.mark.parametrize("budget", [BetaBudget(), BUILDER_BUDGET], ids=["default", "builder"])
@@ -427,11 +472,10 @@ def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
     line-member pairs, unless it serves one ball alone, and the bound
     leaves every result unchanged."""
     rng = np.random.default_rng(20261021)
-    items, seeds = [], []
-    for seed in range(60):
+    items = []
+    for _ in range(60):
         pts = sample_box(rng, int(rng.choice([2, 3, 12, 48, 96, 300])), 0.5)
         items.append((pts, Ball(HeisPoint(*pts[0]), 4.0)))
-        seeds.append(seed)
     calls, chunk = [], [0]
     kernel, solve = heistsp.beta.quartic_dists, heistsp.beta._solve
 
@@ -449,7 +493,7 @@ def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
     for bound in (heistsp.beta.BATCH_PAIRS, 3000, 200):
         calls.clear()
         monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", bound)
-        got = [_fields(r) for r in beta_heis_many(items, budget, seeds)]
+        got = [_fields(r) for r in beta_heis_many(items, budget)]
         assert all(rows <= bound or balls == 1 for rows, balls in calls), bound
         assert max(rows for rows, _ in calls) > bound // 2      # the bound is reached
         want = want or got
@@ -466,10 +510,10 @@ def test_carleson_sum_polishes_in_one_lockstep(monkeypatch):
 
     monkeypatch.setattr(heistsp.beta, "_nelder_mead", spy)
     arr = as_array(lifted_circle(50))
-    rep = carleson_sum(build_nets(arr), 3.0, 4.0, BetaBudget(), seed=0)
-    fitted = sum(len(members_in_ball(arr, Ball(t.point, 4.0 * 2.0 ** -t.k))) >= 2
-                 for t in rep.terms)
-    assert starts == [BetaBudget().nm_starts * fitted]
+    rep = carleson_sum(build_nets(arr), 3.0, 4.0, BetaBudget())
+    fitted = _member_sets([(arr, Ball(t.point, 4.0 * 2.0 ** -t.k)) for t in rep.terms])
+    # one lockstep; its starts are each distinct member set's nm_starts
+    assert starts == [BetaBudget().nm_starts * len(fitted)] == [285]
 
 
 @pytest.mark.parametrize("n", [5, 9, 10, 13, 48, 64, 96, 97, 1000])
@@ -477,11 +521,11 @@ def test_pair_candidates_equal_one_draw_per_pair(n):
     # the library draws each round's missing pairs in one call; with ten to
     # two hundred starts on as few as 9 points many draws have i == j
     rng = np.random.default_rng(n)
-    for seed in range(6):
+    for _ in range(6):
         canon = sample_box(rng, n, 1.0)
         for starts in (10, 24, 200):
             budget = BetaBudget(pair_starts=starts)
-            assert _pair_candidates(canon, budget, seed) == pair_candidates(canon, starts, seed)
+            assert _pair_candidates(canon, budget) == pair_candidates(canon, starts)
 
 
 @pytest.mark.parametrize("n", [3, 1000, 2 ** 31 + 1, 3 * 2 ** 30 + 7])
@@ -494,58 +538,60 @@ def test_one_integer_draw_equals_a_draw_per_pair(n):
         assert b.integers(0, n, (40, 2)).tolist() == per_pair
 
 
-def test_seed_count_must_match():
-    with pytest.raises(ValueError):
-        beta_heis_many([([ORIGIN], Ball(ORIGIN, 1.0))], None, [0, 1])
+LIFTED = [("circle", lifted_circle), ("sine", lifted_sine), ("parabola", lifted_parabola)]
 
 
 #: (terms, total as hex, SHA-1 of the terms as hex) of carleson_sum at r = 3,
-#: a = 4, seed 0 and the default budget (the effort of build's default
-#: --budget 24) on the 50-point lifted fixtures, recorded with the
-#: one-ball-at-a-time engine
+#: a = 4 and the default budget (the effort of build's default --budget 24)
+#: on the 50-point lifted fixtures
 FROZEN_CARLESON = {
-    "circle": (103, "0x1.79fa3f8bb1582p-4", "0367c8636a27df2961f3b4406b1bff9e428ca899"),
-    "sine": (92, "0x1.3843d9724115ap-5", "5549d119308603536960d19ca7d27fb8e5af8e4c"),
-    "parabola": (122, "0x1.6cc4f3b49520dp-6", "b8086c41ead036b618d14c1b21e28838d7b8971e"),
+    "circle": (103, '0x1.79fa40771da74p-4', 'd68c4a26ee45c6b72a7239ac05ab137a8de1efd0'),
+    "sine": (92, '0x1.3843968dbded7p-5', 'a951b4f3d55bba8824782af7cff5d60de6e475c1'),
+    "parabola": (122, '0x1.6cc44c9a72dd6p-6', '1facba978e4b4a73f99f722f70dfce21a2be935d'),
 }
 
 
-@pytest.mark.parametrize("name, make", [("circle", lifted_circle), ("sine", lifted_sine),
-                                        ("parabola", lifted_parabola)])
+@pytest.mark.parametrize("name, make", LIFTED)
 def test_carleson_terms_frozen_on_lifted_fixtures(name, make):
-    rep = carleson_sum(build_nets(as_array(make(50))), 3.0, 4.0, BetaBudget(), seed=0)
+    assert _carleson_digest(make) == FROZEN_CARLESON[name]
+
+
+def _carleson_digest(make):
+    rep = carleson_sum(build_nets(as_array(make(50))), 3.0, 4.0, BetaBudget())
     lines = ["%d %s %s %s %s" % (t.k, float(t.beta).hex(), float(t.contribution).hex(),
                                  float(t.gap).hex(), " ".join(float(v).hex() for v in t.point))
              for t in rep.terms]
     digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
-    assert (len(rep.terms), float(rep.total).hex(), digest) == FROZEN_CARLESON[name]
+    return len(rep.terms), float(rep.total).hex(), digest
 
 
 #: SHA-1 of the curve vertices, of the ledger entries (costs as hex) and of
-#: the sorted snapshots of _build at seed 0 on the 50-point lifted fixtures,
-#: recorded before the reflect-first polish
+#: the sorted snapshots of _build on the 50-point lifted fixtures
 FROZEN_BUILD = {
-    "circle": ("e1a2ac4be3df1d5a4cfec753433a1b656e91e169",
-               "1f9cf4d341e335b711721ce20f881f401611eb10",
-               "e1d8ca1454ae8e1719be89d64af265d55b2b96d7"),
-    "sine": ("99e03523d2ecfa63a04eb6795162833baa060287",
-             "9549f6c1bcd406800c97f725ad3705000482809f",
-             "68d86e94c45a0a5b1b781f05f6f759bd9c7f3be9"),
-    "parabola": ("3074ddc4e851f5f40725f26a25d91cd0ad9fa2d2",
-                 "999bb9749698ce591ca2990c40504b8bf6799449",
-                 "f857f69a518ae56a0667a47390d54de4c0f5e7f1"),
+    "circle": ('e1a2ac4be3df1d5a4cfec753433a1b656e91e169',
+               '1f9cf4d341e335b711721ce20f881f401611eb10',
+               'e1d8ca1454ae8e1719be89d64af265d55b2b96d7'),
+    "sine": ('99e03523d2ecfa63a04eb6795162833baa060287',
+             '9549f6c1bcd406800c97f725ad3705000482809f',
+             '68d86e94c45a0a5b1b781f05f6f759bd9c7f3be9'),
+    "parabola": ('3074ddc4e851f5f40725f26a25d91cd0ad9fa2d2',
+                 'e2de75c1479dbf4d592a8e15dff56f54a7de7914',
+                 'f857f69a518ae56a0667a47390d54de4c0f5e7f1'),
 }
 
 
-@pytest.mark.parametrize("name, make", [("circle", lifted_circle), ("sine", lifted_sine),
-                                        ("parabola", lifted_parabola)])
+@pytest.mark.parametrize("name, make", LIFTED)
 def test_build_frozen_on_lifted_fixtures(name, make):
-    curve, ledger, _ = _build(make(50), BuilderConfig(seed=0))
+    assert _build_digest(make) == FROZEN_BUILD[name]
+
+
+def _build_digest(make):
+    curve, ledger, _ = _build(make(50), BuilderConfig())
     texts = (repr([tuple(v) for v in curve.vertices]),
              repr([(e.k, e.anchor, e.case, e.op, e.point, e.cost.hex(), e.deleted_edge)
                    for e in ledger.entries]),
              repr(sorted(ledger.snapshots.items())))
-    assert tuple(hashlib.sha1(t.encode()).hexdigest() for t in texts) == FROZEN_BUILD[name]
+    return tuple(hashlib.sha1(t.encode()).hexdigest() for t in texts)
 
 
 @pytest.mark.parametrize("name, pts", [
@@ -557,9 +603,9 @@ def test_theorem_a_check_is_one_engine_call(name, pts, monkeypatch):
     beta_heis_many call, which gives the results of _build followed by
     carleson_sum; on a 50-point lifted curve at build's default budget that
     call is one chunk and one Nelder-Mead lockstep."""
-    cfg = BuilderConfig(beta_budget=BetaBudget(), seed=0)
+    cfg = BuilderConfig(beta_budget=BetaBudget())
     curve, ledger, hierarchy = _build(pts, cfg)
-    rep = carleson_sum(hierarchy, cfg.r, cfg.carleson_a, cfg.beta_budget, seed=cfg.seed)
+    rep = carleson_sum(hierarchy, cfg.r, cfg.carleson_a, cfg.beta_budget)
     length = curve_length(curve)
     bound = rep.diam_e + rep.total
 
@@ -620,14 +666,37 @@ coords = st.floats(-1.0, 1.0, allow_nan=False)
 small_sets = st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=12)
 
 
-@given(st.lists(st.tuples(small_sets, st.tuples(coords, coords, coords), st.floats(0.05, 3.0),
-                          st.integers(0, 2 ** 31 - 1)), min_size=1, max_size=5))
+@given(st.lists(st.tuples(small_sets, st.tuples(coords, coords, coords), st.floats(0.05, 3.0)),
+                min_size=1, max_size=5))
 @settings(max_examples=25, deadline=None)
 def test_batch_equals_one_at_a_time_on_random_sets(cases):
-    items, seeds = [], []
-    for pts, center, radius, seed in cases:
-        items.append((np.array(pts), Ball(HeisPoint(*center), radius)))
-        seeds.append(seed)
-    got = beta_heis_many(items, BUILDER_BUDGET, seeds)
-    want = [beta_heis(arr, ball, BUILDER_BUDGET, seed=s) for (arr, ball), s in zip(items, seeds)]
+    items = [(np.array(pts), Ball(HeisPoint(*center), radius)) for pts, center, radius in cases]
+    got = beta_heis_many(items, BUILDER_BUDGET)
+    want = [beta_heis(arr, ball, BUILDER_BUDGET) for arr, ball in items]
     assert [_fields(r) for r in got] == [_fields(r) for r in want]
+
+
+def _source(name, table):
+    """The Python source of name = table, a list or a dict of str keys, one
+    entry per line."""
+    if isinstance(table, dict):
+        entries, brackets = [('"%s": ' % k, v) for k, v in table.items()], "{}"
+    else:
+        entries, brackets = [("", v) for v in table], "[]"
+    out = ["%s = %s" % (name, brackets[0])]
+    for head, v in entries:
+        pad = "\n" + " " * (4 + len(head))
+        body = pprint.pformat(v, width=95 - len(head), compact=True, sort_dicts=False).replace("\n", pad)
+        out.append("    %s%s," % (head, body))
+    out.append(brackets[1])
+    return "\n".join(out)
+
+
+if __name__ == "__main__":
+    # every frozen table, of this module and of test_verify, from the code as it is
+    from test_verify import DICHOTOMY_CASES, _dichotomy_fits
+    print(_source("FROZEN", _fixed_table_fields()))
+    print(_source("FROZEN_CARLESON", {name: _carleson_digest(make) for name, make in LIFTED}))
+    print(_source("FROZEN_BUILD", {name: _build_digest(make) for name, make in LIFTED}))
+    print(_source("FROZEN_DICHOTOMY", {name: _dichotomy_fits(check, n)[2]
+                                       for name, check, n in DICHOTOMY_CASES}))

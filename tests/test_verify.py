@@ -163,39 +163,51 @@ def _beta_fields(res):
 #: (samples, violations, worst margin, extras) with every float as hex, and
 #: the count and SHA-1 of the beta results each check fitted, in order
 FROZEN_DICHOTOMY = {
-    "sharp-turn": (
-        (24, 0, "0x1.4f9cfb11a06bcp-9",
-         {"branches": {"return": 12, "ball": 12}, "window_const": "0x1.0000000000000p-1",
-          "ball_floor": "0x1.a36e2eb1c432dp-14", "ball_score_min": "0x1.5cb86c872e8d5p-9"}),
-        12, "faae47ccd3ec44103df9f71de53320b15b6acd98"),
-    "angle-improvement": (
-        (6, 0, "0x1.0000000000000p+0",
-         {"branches": {"projected": 0, "ball": 6}, "tilde_floor": "0x1.999999999999ap-5",
-          "ball_floor": "0x1.5798ee2308c3ap-27"}),
-        12, "336ce10002997bf6f3a2edeffd18d4f1d690037d"),
+    "sharp-turn": ((24, 0, '0x1.4fa5ad28e4c86p-9',
+                    {'branches': {'return': 12, 'ball': 12},
+                     'window_const': '0x1.0000000000000p-1',
+                     'ball_floor': '0x1.a36e2eb1c432dp-14',
+                     'ball_score_min': '0x1.5cc11e9e72e9fp-9'}),
+                   12, 'ccbf2ea62744cbc77a77ef6e5d36da477acd30dc'),
+    "angle-improvement": ((6, 0, '0x1.0000000000000p+0',
+                           {'branches': {'projected': 0, 'ball': 6},
+                            'tilde_floor': '0x1.999999999999ap-5',
+                            'ball_floor': '0x1.5798ee2308c3ap-27'}),
+                          12, '35a87ad287a1f0805164cc4f623398d1f8c3730c'),
 }
 
 
-@pytest.mark.parametrize("name, check, n", [
-    ("sharp-turn", check_sharp_turn_dichotomy, 24),
-    ("angle-improvement", check_angle_improvement_dichotomy, 6),
-])
-def test_dichotomy_fits_frozen_and_batched(name, check, n, monkeypatch):
+DICHOTOMY_CASES = [("sharp-turn", check_sharp_turn_dichotomy, 24),
+                   ("angle-improvement", check_angle_improvement_dichotomy, 6)]
+
+
+def _dichotomy_fits(check, n):
+    """check(0, n) with its beta_heis_many calls recorded: the check's
+    result, the length of each call, and the entry of FROZEN_DICHOTOMY."""
     calls = []
     fit = heistsp.verify.beta_heis_many
 
-    def spy(items, budget=None, seeds=None):
-        out = fit(items, budget, seeds)
+    def spy(items, budget=None):
+        out = fit(items, budget)
         calls.append(out)
         return out
 
-    monkeypatch.setattr(heistsp.verify, "beta_heis_many", spy)
-    r = check(0, n)
-    if name == "sharp-turn":    # one call for every ball-branch instance
-        assert [len(c) for c in calls] == [r.extras["branches"]["ball"]]
-    else:                       # one two-item call per instance
-        assert [len(c) for c in calls] == [2] * n
+    heistsp.verify.beta_heis_many = spy
+    try:
+        r = check(0, n)
+    finally:
+        heistsp.verify.beta_heis_many = fit
     fitted = [_beta_fields(res) for c in calls for res in c]
     digest = hashlib.sha1(repr(fitted).encode()).hexdigest()
     got = (r.samples, r.violations, r.worst_margin.hex(), _hexed(r.extras))
-    assert (got, len(fitted), digest) == FROZEN_DICHOTOMY[name]
+    return r, [len(c) for c in calls], (got, len(fitted), digest)
+
+
+@pytest.mark.parametrize("name, check, n", DICHOTOMY_CASES)
+def test_dichotomy_fits_frozen_and_batched(name, check, n):
+    r, calls, frozen = _dichotomy_fits(check, n)
+    if name == "sharp-turn":    # one call for every ball-branch instance
+        assert calls == [r.extras["branches"]["ball"]]
+    else:                       # one two-item call per instance
+        assert calls == [2] * n
+    assert frozen == FROZEN_DICHOTOMY[name]
