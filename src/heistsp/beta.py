@@ -38,9 +38,10 @@ and the shrinks run in blocks of whole lines, a start's simplex kept whole,
 under the same bound.  A Nelder-Mead start repeated in its set is polished
 once.  Each member set is set up just before its chunk is solved and keeps
 only its member indices, gathered for its witness; a solved set keeps only
-its witness, so memory follows the chunk.  beta_heis_oracle runs its height
-searches through the same one-set rows and keeps scipy.optimize.minimize as
-an independent reference.
+its witness, so memory follows the chunk.  beta_heis_oracle runs on the same
+kernels over one set's rows: its grid one theta at a time through
+_max_dists_blocked, its height refit through _best_heights, and its polish
+as one _nelder_mead start, so the package needs no scipy.
 
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate, in units of beta (floored at GAP_FLOOR in the members'
@@ -84,8 +85,9 @@ from .lines import (
 
 
 def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on first use: only the oracle needs
-    scipy, so importing heistsp does not load scipy.optimize."""
+    """scipy.optimize.minimize, imported on first use.  Nothing in heistsp
+    calls it (the polishes run _nelder_mead); kept importable because the
+    benchmark's tracer wraps it."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(fun, x0, **kwargs)
 
@@ -427,14 +429,14 @@ _TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, N
 _TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
 
 
-def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
-                 fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
+def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], maxiter: int,
+                 xatol: float, fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
     """(min, argmin) of the max line distance to its ball's members from each
     start in x0s, start i in ball balls[i] of rows.
 
     A lockstep replay of scipy 1.17.1's _minimize_neldermead (default
-    coefficients, maxiter given, no bounds) from the simplex
-    x0 + diag(_NM_STEPS).  Every start keeps its own simplex, arithmetic,
+    coefficients, maxiter given, no bounds) from the initial simplex
+    x0 + diag(steps).  Every start keeps its own simplex, arithmetic,
     argsort and convergence test; the iteration counter they share starts at
     1 as scipy's does, whatever ball a start belongs to, and a start that
     converges leaves the lockstep.  An iteration evaluates the reflections of
@@ -456,7 +458,7 @@ def _nelder_mead(rows: _Rows, balls, x0s, maxiter: int, xatol: float,
     x0, balls = x0[first], balls[first]     # the ball of each row of sim and fsim
     n = x0.shape[1]
     live = np.arange(len(x0))                   # the start of each row of sim and fsim
-    sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(_NM_STEPS)], axis=1)
+    sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(steps)], axis=1)
     fsim = _max_dists_blocked(rows, balls, sim).reshape(-1, n + 1)
     out: list = [None] * len(x0)
 
@@ -593,7 +595,8 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
 
     # stage B: Nelder-Mead polish from the best few
     starts, counts, owner = flatten([[p for _, p in s[:budget.nm_starts]] for s in scored])
-    polished = _split(_nelder_mead(rows, owner, starts, budget.nm_iter, 1e-10, 1e-13), counts)
+    polished = _split(_nelder_mead(rows, owner, starts, _NM_STEPS, budget.nm_iter, 1e-10, 1e-13),
+                      counts)
     out = []
     for s, polished_b in zip(scored, polished):
         best = s[0]
@@ -673,10 +676,12 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
 
     Exhaustive canonical-frame grid over (theta, offset, height) with
     bounds derived from the ball, followed by one local refinement (exact
-    height refit plus a Nelder-Mead polish from the best cell).  The
-    result is an upper bound on the true infimum, decreasing as the grid
-    refines.
+    height refit plus a Nelder-Mead polish from the best cell, its initial
+    simplex one grid step along each axis).  The result is an upper bound
+    on the true infimum, decreasing as the grid refines.
     """
+    if resolution < 1:
+        raise ValueError("oracle resolution must be at least 1, got %d" % resolution)
     if resolution > 400:
         raise ResourceBudgetError("oracle resolution capped at 400 per axis")
     setup = _setup(points, ball)
@@ -705,36 +710,24 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     # member, which caps |height| by the bound below
     h_max = (rmax + 4.0 * d0) ** 2 + 2.0 * c_max * rmax + 1e-9
 
-    thetas = np.linspace(0.0, math.pi, resolution, endpoint=False)
-    offsets = np.linspace(-c_max, c_max, resolution)
-    heights = np.linspace(-h_max, h_max, resolution)
-
+    # the (offset, height) cells of one theta, offset-major
+    cells = np.stack(np.meshgrid(np.linspace(-c_max, c_max, resolution),
+                                 np.linspace(-h_max, h_max, resolution), indexing="ij"),
+                     axis=-1).reshape(-1, 2)
+    ball0 = np.zeros(len(cells), dtype=np.intp)
+    # the first cell in scan order (theta, offset, height) that beats the incumbent
     best = (d0, (0.0, 0.0, h0))
-    for th in thetas:
-        cs, sn = math.cos(th), math.sin(th)
-        for c_ in offsets:
-            # (res_h, n): every grid height against every member
-            dmax = quartic_dists(*canon_coords(canon, cs, sn, c_, heights[:, None])).max(axis=1)
-            j = int(np.argmin(dmax))
-            if dmax[j] < best[0]:
-                best = (float(dmax[j]), (float(th), float(c_), float(heights[j])))
+    for th in np.linspace(0.0, math.pi, resolution, endpoint=False).tolist():
+        dmax = _max_dists_blocked(rows, ball0, np.column_stack([np.full(len(cells), th), cells]))
+        k = int(np.argmin(dmax))
+        if dmax[k] < best[0]:
+            best = (float(dmax[k]), (th, *cells[k].tolist()))
 
-    grid_val = best[0] / 2.0
-    th, c_, h = best[1]
-    h = _best_heights(rows.lines([0]), [th], [c_])[0]
-    refined = [(th, c_, h)]
-
-    def objective(x: np.ndarray) -> float:
-        return float(line_dists_arr(canon, HorizontalLine(x[0], x[1], x[2])).max())
-
-    x0 = np.array(refined[0])
+    th, c_, _ = best[1]
+    x0 = (th, c_, _best_heights(rows.lines([0]), [th], [c_])[0])
     spacing = max(math.pi / resolution, 2.0 * c_max / resolution)
-    simplex = np.vstack([x0, x0 + np.diag([spacing, spacing, 2.0 * h_max / resolution])])
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxiter": 400, "xatol": 1e-11, "fatol": 1e-14, "disp": False,
-                            "initial_simplex": simplex})
-    cand = [(objective(np.array(refined[0])), refined[0]),
-            (float(res.fun), tuple(float(v) for v in res.x))]
-    cand.sort(key=lambda t: (t[0], t[1]))
-    return _witness(members, origin, unit, cand[0][1],
-                    max(GAP_FLOOR, grid_val - cand[0][0] / 2.0)).result(ball)
+    cand = min((float(_max_dists(rows.lines([0]), [x0])[0]), x0),
+               _nelder_mead(rows, [0], [x0], (spacing, spacing, 2.0 * h_max / resolution),
+                            400, 1e-11, 1e-14)[0])
+    return _witness(members, origin, unit, cand[1],
+                    max(GAP_FLOOR, best[0] / 2.0 - cand[0] / 2.0)).result(ball)

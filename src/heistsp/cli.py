@@ -332,18 +332,22 @@ def cmd_theorem_b(args) -> int:
     return 0
 
 
+#: the largest verify --samples: an exact check peaks at up to 200 bytes per
+#: sample, about 200 MB at the cap; above it a run exits 3 before any draw.
+MAX_SAMPLES = 10 ** 6
+
+
 def cmd_verify(args) -> int:
     counts = None
     if args.samples is not None:
+        if args.samples > MAX_SAMPLES:
+            raise ResourceBudgetError("--samples %d exceeds the cap of %d"
+                                      % (args.samples, MAX_SAMPLES))
         # exact checks run at the requested count; the constructed-family
         # checks scale proportionally (with a small floor)
         scale = args.samples / DEFAULT_COUNTS["shortest-to-line"]
-        counts = {}
-        for cid, n in DEFAULT_COUNTS.items():
-            if cid in EXACT_CHECK_IDS:
-                counts[cid] = args.samples
-            else:
-                counts[cid] = max(4, int(round(n * scale)))
+        counts = {cid: args.samples if cid in EXACT_CHECK_IDS else max(4, int(round(n * scale)))
+                  for cid, n in DEFAULT_COUNTS.items()}
     results = run_suite(seed=args.seed, sample_counts=counts)
     payload = report_dict(results, args.seed)
     if args.out:

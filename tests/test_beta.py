@@ -100,6 +100,14 @@ class TestBetaHeis:
         res = beta_heis_oracle([HeisPoint(0.1, 0.2, 0.0)], Ball(ORIGIN, 1.0))
         assert res.beta == 0.0
 
+    def test_oracle_resolution_below_one(self):
+        pts = intro_triple(0.1)
+        for res in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                beta_heis_oracle(pts, Ball(ORIGIN, 2.0), resolution=res)
+        # one cell per axis: the grid is a single line, then the polish
+        assert beta_heis_oracle(pts, Ball(ORIGIN, 2.0), resolution=1).beta > 0.0
+
     def test_oracle_budget_guards(self):
         with pytest.raises(ResourceBudgetError):
             beta_heis_oracle([ORIGIN, HeisPoint(0, 0, 1)], Ball(ORIGIN, 1.0), resolution=500)

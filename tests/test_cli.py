@@ -12,7 +12,7 @@ import heistsp.cli
 import heistsp.multiscale
 from heistsp.beta import ResourceBudgetError
 from heistsp.cli import InputError, PointSetFile, load_points, main, save_points
-from heistsp.verify import run_suite
+from heistsp.verify import EXACT_CHECK_IDS, run_suite
 from heistsp.core import HeisPoint
 from conftest import corner_curve_vertices, horizontal_points, intro_triple
 
@@ -382,6 +382,26 @@ def test_resampling_beyond_its_cap_exits_3(cmd, tmp_path, capsys):
     assert code == 3
     assert "needs more than" in err and "Traceback" not in err
     assert out == ""
+
+
+def test_samples_above_cap_exits_3(capsys, monkeypatch):
+    # at the cap an exact check peaks near 200 MB; above it the run stops
+    # before the suite draws a sample.  The suite is replaced, so neither
+    # count is run.
+    asked = []
+
+    def no_suite(seed, sample_counts):
+        asked.append(sample_counts)
+        return []
+
+    monkeypatch.setattr(heistsp.cli, "run_suite", no_suite)
+    cap = heistsp.cli.MAX_SAMPLES
+    code, out, err = run_cli(capsys, "verify", "--samples", str(cap + 1))
+    assert code == 3 and asked == []
+    assert "exceeds the cap" in err and "Traceback" not in err
+    assert out == ""
+    assert run_cli(capsys, "verify", "--samples", str(cap))[0] == 0
+    assert [asked[0][cid] for cid in EXACT_CHECK_IDS] == [cap] * len(EXACT_CHECK_IDS)
 
 
 

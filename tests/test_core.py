@@ -273,11 +273,11 @@ def test_group_law_kernels_on_floats_and_arrays():
     assert dist_arr(a, b).tobytes() == dist_arr(b, a).tobytes()
 
 
-def test_import_loads_no_scipy():
-    """Importing heistsp, or building a curve that needs connectivity repair,
-    loads no scipy module: scipy is imported on first use only (the
-    Nelder-Mead oracle), which keeps the set-up cost of every command that
-    does not need it low."""
+def test_import_loads_no_scipy(tmp_path):
+    """Importing heistsp, building a curve that needs connectivity repair or
+    running the grid oracle loads no scipy module; with scipy made
+    unimportable, the oracle and the beta and theorem-b commands still run.
+    The runtime needs numpy only: scipy is the lockstep tests' reference."""
     src = os.path.dirname(os.path.dirname(heistsp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
@@ -286,8 +286,23 @@ def test_import_loads_no_scipy():
              "_, ledger = build_curve([HeisPoint(*(rnd.uniform(-1, 1) for _ in range(3))) "
              "for _ in range(40)]); "
              "assert sum(e.case == 'bridge' for e in ledger.entries) >= 2")
-    for work in ("import heistsp", build):
+    oracle = ("from heistsp import Ball, HeisPoint, beta_heis_oracle; "
+              "res = beta_heis_oracle([HeisPoint(0, 0, 0), HeisPoint(1, 0, 0.2), "
+              "HeisPoint(0.5, 0.5, 0)], Ball(HeisPoint(0, 0, 0), 2.0), resolution=16); "
+              "assert res.beta > 0.0")
+    for work in ("import heistsp", build, oracle):
         code = work + "; import sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
         assert out.stdout.strip() == "[]", work
+    path = tmp_path / "tri.txt"
+    path.write_text("0 0 0\n1 0 0.2\n0.5 0.5 0\n")
+    # None in sys.modules makes every import of scipy raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; " + oracle + "; "
+            "from heistsp.cli import main; "
+            "assert main(['beta', %r]) == 0; assert main(['theorem-b', %r]) == 0"
+            % (str(path), str(path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "beta " in out.stdout and "ratio " in out.stdout

@@ -9,9 +9,9 @@ number of cases that differ:
 
     PYTHONPATH=tests python -c "import sys, test_golden_cli as g; sys.exit(g.check_console())"
 
-The expected files were produced with numpy 2.4.6 and scipy 1.17.1 on
-CPython 3.11; other versions may round differently and legitimately fail
-this module while the rest of the suite passes.
+The expected files were produced with numpy 2.4.6 on CPython 3.11 (the
+commands import no scipy); other versions may round differently and
+legitimately fail this module while the rest of the suite passes.
 
 Regenerate the expected files (after an intended output change only) with
 the in-process runner; check_console then holds the installed script to the
@@ -20,8 +20,8 @@ same copies:
     PYTHONPATH=src python tests/test_golden_cli.py
 
 The same change regenerates the frozen tables of the engine's tests
-(FROZEN, FROZEN_CARLESON and FROZEN_BUILD in test_lockstep.py,
-FROZEN_DICHOTOMY in test_verify.py).  This prints each of them, from the
+(FROZEN, FROZEN_ORACLE, FROZEN_CARLESON and FROZEN_BUILD in
+test_lockstep.py, FROZEN_DICHOTOMY in test_verify.py).  This prints each of them, from the
 code as it is, as the source to paste over the old one:
 
     PYTHONPATH=src python tests/test_lockstep.py

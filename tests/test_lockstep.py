@@ -3,7 +3,8 @@
 Every comparison here is exact: the batched distance kernel, the lockstep
 golden-section height search and the lockstep Nelder-Mead must reproduce
 line_dists_arr, golden_min and scipy.optimize.minimize bit for bit, and a
-batch of balls must give each ball the result it gets alone.
+batch of balls must give each ball the result it gets alone.  scipy is the
+reference here only; no runtime path imports it.
 """
 
 import hashlib
@@ -41,9 +42,11 @@ from heistsp.beta import (
     _nelder_mead,
     beta_heis,
     beta_heis_many,
+    beta_heis_oracle,
     members_in_ball,
 )
 from conftest import lifted_circle, lifted_parabola, lifted_sine
+from test_acceptance import _beta_fixtures
 from test_golden_cli import FIXTURES as GOLDEN_FIXTURES
 from sequential import golden_min, pair_candidates, quartic
 
@@ -151,14 +154,23 @@ def test_lockstep_heights_equal_golden_min():
     assert _best_heights(_one_ball(horizontal, 1), [0.0], [0.0]) == [0.0]
 
 
-def _scipy_polish(arr, x0, maxiter):
+#: (initial simplex steps, xatol, fatol) of the two polishes: the engine's,
+#: and beta_heis_oracle's, whose steps are one grid cell along each axis
+#: (here at resolution 48, theta spacing, heights in [-20, 20])
+POLISHES = {"engine": (_NM_STEPS, 1e-10, 1e-13),
+            "oracle": ((math.pi / 48, math.pi / 48, 40.0 / 48), 1e-11, 1e-14)}
+
+
+def _scipy_polish(arr, x0, maxiter, polish=POLISHES["engine"]):
+    steps, xatol, fatol = polish
+
     def objective(x):
         return float(line_dists_arr(arr, HorizontalLine(x[0], x[1], x[2])).max())
 
     x0 = np.array(x0)
-    simplex = np.vstack([x0, x0 + np.diag(_NM_STEPS)])
+    simplex = np.vstack([x0, x0 + np.diag(steps)])
     return minimize(objective, x0, method="Nelder-Mead",
-                    options={"maxiter": maxiter, "xatol": 1e-10, "fatol": 1e-13,
+                    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol,
                              "disp": False, "initial_simplex": simplex})
 
 
@@ -166,8 +178,10 @@ STARTS = [(0.5 * math.pi, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3, 0.1, -0.2)]
 
 
 @pytest.mark.parametrize("n_starts", [1, 2, 3])
-@pytest.mark.parametrize("case", ["three-point", "cloud", "shrink"])
-def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
+@pytest.mark.parametrize("case, polish", [
+    pytest.param(case, polish, id=case if polish == "engine" else case + "-oracle")
+    for polish in POLISHES for case in ("three-point", "cloud", "shrink")])
+def test_lockstep_nelder_mead_equals_scipy(case, polish, n_starts, monkeypatch):
     maxiter = 120
     if case == "three-point":
         arr = np.array([(-0.5, 0.0, 0.0), (0.0, 0.0, 0.05), (0.5, 0.0, 0.0)])
@@ -180,7 +194,7 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
     # and each line's row count tells its start
     sets = [np.concatenate([arr] * (i + 1)) for i in range(n_starts)]
     starts = STARTS[:n_starts]
-    refs = [_scipy_polish(arr, x0, maxiter) for x0 in starts]
+    refs = [_scipy_polish(arr, x0, maxiter, POLISHES[polish]) for x0 in starts]
     calls = []
     max_dists = heistsp.beta._max_dists
 
@@ -190,7 +204,8 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
         return max_dists(lines, params)
 
     monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
-    got = _nelder_mead(_Rows(sets), list(range(n_starts)), starts, maxiter, 1e-10, 1e-13)
+    steps, xatol, fatol = POLISHES[polish]
+    got = _nelder_mead(_Rows(sets), list(range(n_starts)), starts, steps, maxiter, xatol, fatol)
     assert len(got) == n_starts
     lines = np.bincount(np.concatenate([s for _, s in calls]), minlength=n_starts)
     # a shrink call evaluates three new vertices of each start it shrinks
@@ -200,9 +215,11 @@ def test_lockstep_nelder_mead_equals_scipy(case, n_starts, monkeypatch):
         assert fun == float(ref.fun)
         assert x == tuple(float(v) for v in ref.x)
         assert lines[i] == ref.nfev      # each start evaluates the points scipy evaluates
-        if case == "three-point":
+        if case == "three-point" and polish == "engine":
             assert ref.nit < maxiter      # converged early
-    if case == "shrink":
+    # the fixtures exercise convergence and the shrink under the engine's
+    # steps; under the oracle's, the replay alone is checked
+    if case == "shrink" and polish == "engine":
         assert shrinks[0] > 0, "no shrink step was exercised"
 
 
@@ -222,8 +239,8 @@ def test_lockstep_nelder_mead_polishes_each_distinct_start_once(monkeypatch):
         return max_dists(lines, params)
 
     monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
-    got = _nelder_mead(_Rows([arr, np.concatenate([arr, arr])]), balls, starts, 120,
-                       1e-10, 1e-13)
+    got = _nelder_mead(_Rows([arr, np.concatenate([arr, arr])]), balls, starts, _NM_STEPS,
+                       120, 1e-10, 1e-13)
     for (fun, x), x0 in zip(got, starts):
         assert fun == float(refs[x0].fun)
         assert x == tuple(float(v) for v in refs[x0].x)
@@ -319,11 +336,92 @@ def test_beta_heis_field_equal_on_fixed_table():
     assert _fixed_table_fields() == FROZEN
 
 
+def _oracle_table():
+    """(points, ball, resolution) of beta_heis_oracle: criterion 5's fixtures
+    at resolution 48, and ten sample_box sets at resolutions 24 and 32.  Every
+    other set is flattened towards the x axis, so the grid spacing of the
+    polish's first two steps is the theta spacing pi / resolution on those
+    and the offset spacing on the rest."""
+    out = [(pts, ball, 48) for _, pts, ball in _beta_fixtures()]
+    rng = np.random.default_rng(20261022)
+    for k, m in enumerate((3, 4, 5, 6, 8, 10, 12, 16, 20, 30)):
+        pts = sample_box(rng, m, 1.0)
+        if k % 2:
+            pts[:, 1:] *= 0.05
+        out += [(pts, Ball(ORIGIN, 2.0), res) for res in (24, 32)]
+    return out
+
+
+def _oracle_fields():
+    return [tuple(float(v).hex() for v in (r.beta, *r.line, r.certified_gap))
+            for r in (beta_heis_oracle(*case) for case in _oracle_table())]
+
+
+#: (beta, line, certified_gap) as hex of every _oracle_table() case, recorded
+#: under numpy 2.4.6 when the oracle still polished with scipy 1.17.1's
+#: Nelder-Mead: its one _nelder_mead start gives the same bits
+FROZEN_ORACLE = [
+    ('0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x0.0p+0', '0x1.12e0be826d695p-31'),
+    ('0x1.306fe0a352c91p-2', '0x1.7a38543b1bc20p+1', '-0x1.6a08db0bd89bap-2',
+     '0x1.0000000000002p-1', '0x1.ccd02e25079e1p-5'),
+    ('0x1.8f9d98eab6da3p-7', '0x1.8f10031815692p-5', '-0x1.4c56053e3a858p-58',
+     '0x1.8fda670ad7552p-4', '0x1.660af62151384p-5'),
+    ('0x1.1a01f1e0b253fp-2', '0x1.76906afc97ccbp+1', '0x1.1163cea64c809p-4',
+     '0x1.4719d326b6a92p-8', '0x1.1f02f4aeab036p-6'),
+    ('0x1.2afdf1c169866p-3', '0x1.7330f62d8de6ap-3', '0x1.4689ae0fa1b54p-1',
+     '0x1.c085d402b122fp+1', '0x1.e6502d3b7c665p-6'),
+    ('0x1.3ef67023b0a4fp-3', '0x1.078f530379d48p+0', '0x1.77109fd18d833p-1',
+     '-0x1.c5b0a66f1f214p+0', '0x1.a2a0850a2117fp-6'),
+    ('0x1.3f0d43aab23c8p-3', '0x1.10ad1ff05bc12p+0', '0x1.8a17b8119d182p-1',
+     '-0x1.d080fe991dd10p+0', '0x1.a1e9e8d2145bdp-6'),
+    ('0x1.c02580e388adcp-5', '0x1.1643ae7fd7036p-4', '0x1.70766289b20e4p-8',
+     '0x1.0f3b097b23ea0p-7', '0x1.cd518a1a26533p-8'),
+    ('0x1.c052fdf54fed1p-5', '0x1.16fdf325e11abp-4', '0x1.73ea98069a8c8p-8',
+     '0x1.0fe4eec8f9f09p-7', '0x1.cbe5a18bec594p-8'),
+    ('0x1.83a1f25051c83p-3', '0x1.4ed5d5a0cde35p+1', '0x1.d04db7ee5f190p-6',
+     '-0x1.3144b6490b92ap-6', '0x1.6b10874d6d416p-7'),
+    ('0x1.83a1f1ef1db72p-3', '0x1.4ed5d5d31954ep+1', '0x1.d04dc16675818p-6',
+     '-0x1.314493c82799cp-6', '0x1.6b108d60ae506p-7'),
+    ('0x1.c656e72db7d24p-5', '0x1.26e934fb3dfdfp-5', '0x1.624ccd290d07ap-9',
+     '0x1.0722d12a7481dp-5', '0x1.a7c7eb67c823cp-10'),
+    ('0x1.c61d7fbb3b0d2p-5', '0x1.26bb3eb0acb87p-5', '0x1.602e7062e0f06p-9',
+     '0x1.06eb44e14c3f0p-5', '0x1.aef4d9b760c51p-10'),
+    ('0x1.ae82e880a68c6p-3', '0x1.1667d5957549ep+1', '-0x1.4503d35042d00p-4',
+     '0x1.6c129ca65363fp-4', '0x1.9c1b0edd580ecp-5'),
+    ('0x1.ae86612c32fbbp-3', '0x1.17304f0baa61cp+1', '-0x1.46b7d459d550bp-4',
+     '0x1.93aadbf615a70p-4', '0x1.9c0d2c2f26521p-5'),
+    ('0x1.9b5e746fc332fp-5', '0x1.49a5da1253729p-6', '0x1.32e114fe46489p-8',
+     '0x1.92326ea90bebep-10', '0x1.33e9ff8750886p-7'),
+    ('0x1.9b6047e6497dfp-5', '0x1.4993fadc5c406p-6', '0x1.32f14567259fcp-8',
+     '0x1.91c93251ef518p-10', '0x1.33e2b1ad375c3p-7'),
+    ('0x1.0632562704f42p-2', '0x1.9b925d2e01c02p-3', '0x1.6a24cf8a45212p-4',
+     '-0x1.e3253044b4b2cp-2', '0x1.9a3e0a53da0f7p-7'),
+    ('0x1.0636110d62c87p-2', '0x1.9c0c48735d76bp-3', '0x1.6a2438e7ba008p-4',
+     '-0x1.e2e410d7440a1p-2', '0x1.99c6ad881f852p-7'),
+    ('0x1.be8ae810e108dp-5', '0x1.ed964cb14240dp-7', '0x1.11cf735e4ac1fp-7',
+     '0x1.073020c9747cap-6', '0x1.710f78672e98bp-8'),
+    ('0x1.be8ae810e0ae0p-5', '0x1.ed964cb13c983p-7', '0x1.11cf735e4a585p-7',
+     '0x1.073020c971cc2p-6', '0x1.710f7867316f9p-8'),
+    ('0x1.f2352c1de1b3bp-3', '0x1.73382ab0706bap+1', '-0x1.1e4c607640a3fp-7',
+     '0x1.98a061cb3d67fp-2', '0x1.7c11ba0128203p-6'),
+    ('0x1.f27b8a6fcb628p-3', '0x1.7306625e94d7bp+1', '-0x1.0d72eb58827b6p-7',
+     '0x1.9871f6e275eadp-2', '0x1.79dec771daaa9p-6'),
+    ('0x1.04f26f9838bebp-4', '0x1.888ebfd8abfb1p-5', '-0x1.f9aea3c93b1f9p-9',
+     '0x1.6691b9007a449p-6', '0x1.9cb955fc6f34ep-7'),
+    ('0x1.05b2d4fbd7359p-4', '0x1.7251a88e2b45cp-5', '-0x1.6906adb981d4ep-9',
+     '0x1.67657af2d77efp-6', '0x1.96b62adf7b7dep-7'),
+]
+
+
+def test_oracle_field_equal_on_fixed_table():
+    assert _oracle_fields() == FROZEN_ORACLE
+
+
 def test_budget_without_refits_or_polish():
     pts = [ORIGIN, HeisPoint(0.0, 0.0, 1.0)]
     res = beta_heis(pts, Ball(ORIGIN, 1.0), BetaBudget(refine_starts=0, nm_starts=0))
     assert res.beta > 0.0
-    assert _nelder_mead(_Rows([np.zeros((2, 3))]), [], [], 10, 1e-10, 1e-13) == []
+    assert _nelder_mead(_Rows([np.zeros((2, 3))]), [], [], _NM_STEPS, 10, 1e-10, 1e-13) == []
 
 
 def test_kernels_take_one_member_array_per_line():
@@ -348,8 +446,8 @@ def test_kernels_take_one_member_array_per_line():
         [_best_heights(_one_ball(sets[b], 1), [t], [c])[0]
          for b, t, c in zip(balls, thetas, offsets)]
     starts = [tuple(p) for p in params]
-    assert _nelder_mead(rows, balls, starts, 60, 1e-10, 1e-13) == \
-        [_nelder_mead(_Rows([sets[b]]), [0], [x0], 60, 1e-10, 1e-13)[0]
+    assert _nelder_mead(rows, balls, starts, _NM_STEPS, 60, 1e-10, 1e-13) == \
+        [_nelder_mead(_Rows([sets[b]]), [0], [x0], _NM_STEPS, 60, 1e-10, 1e-13)[0]
          for b, x0 in zip(balls, starts)]
 
 
@@ -696,6 +794,7 @@ if __name__ == "__main__":
     # every frozen table, of this module and of test_verify, from the code as it is
     from test_verify import DICHOTOMY_CASES, _dichotomy_fits
     print(_source("FROZEN", _fixed_table_fields()))
+    print(_source("FROZEN_ORACLE", _oracle_fields()))
     print(_source("FROZEN_CARLESON", {name: _carleson_digest(make) for name, make in LIFTED}))
     print(_source("FROZEN_BUILD", {name: _build_digest(make) for name, make in LIFTED}))
     print(_source("FROZEN_DICHOTOMY", {name: _dichotomy_fits(check, n)[2]
