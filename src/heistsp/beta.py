@@ -148,6 +148,16 @@ def members_in_ball(arr: np.ndarray, ball: Ball) -> np.ndarray:
     return np.flatnonzero(within(dist_point_arr(ball.center, arr), ball.radius))
 
 
+def _ball_members(points: Sequence[HeisPoint] | np.ndarray,
+                  ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """The point array and the indices of its members of the ball, whose
+    radius must be finite and positive."""
+    if not 0.0 < ball.radius < math.inf:
+        raise ValueError("ball radius must be finite and positive, got %r" % (ball.radius,))
+    arr = points if isinstance(points, np.ndarray) else as_array(points)
+    return arr, members_in_ball(arr, ball)
+
+
 class _Lines(NamedTuple):
     """Lines in ragged member rows: row j holds a member of line line[j]'s
     ball, each line's rows run consecutively from first[line]."""
@@ -318,8 +328,7 @@ def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> f
     ball's canonical frame, pi(E & B) moved to the unit disc at the origin,
     so the value is covariant under left translation and dilation.
     """
-    arr = points if isinstance(points, np.ndarray) else as_array(points)
-    idx = members_in_ball(arr, ball)
+    arr, idx = _ball_members(points, ball)
     if idx.size == 0:
         warnings.warn("beta_euclidean_2d: empty intersection, vacuous 0")
         return 0.0
@@ -353,8 +362,7 @@ def _setup(points: Sequence[HeisPoint] | np.ndarray,
            ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray]:
     """The point array and the indices of the members of E & B, or the final
     result when fewer than two points are members."""
-    arr = points if isinstance(points, np.ndarray) else as_array(points)
-    idx = members_in_ball(arr, ball)
+    arr, idx = _ball_members(points, ball)
     if idx.size == 0:
         center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
                                      g=ball.center, lam=ball.radius)

@@ -219,7 +219,11 @@ def _ball_components(seq: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, 
     distance is needed.  Returns the sorted member ids and a component
     label for each: consecutive in-ball path positions form a run, and runs
     that share a vertex id (the path revisits a vertex) are one component,
-    labelled by its least run.
+    labelled by its least run.  Each round gives every vertex the least
+    label of the runs that visit it and every run the least label of its
+    vertices; labels only fall, and when a round changes none, each
+    component holds its least run's index.  A chain of runs linked one
+    shared vertex at a time takes one round per link.
     """
     inball = np.zeros(int(seq.max()) + 1, dtype=bool)
     inball[members] = True
@@ -227,30 +231,16 @@ def _ball_components(seq: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, 
     step = np.empty(len(pos), dtype=bool)
     step[0] = True
     np.not_equal(pos[1:] - pos[:-1], 1, out=step[1:])
-    run = np.cumsum(step) - 1
-    vert = seq[pos]
-    # each vertex's first run; a visit in a later run joins the two
-    first = np.full(len(inball), len(pos))
-    np.minimum.at(first, vert, run)
-    head = first[vert]
+    run, starts, vert = np.cumsum(step) - 1, np.flatnonzero(step), seq[pos]
+    label, run_label = np.full(len(inball), len(pos)), np.arange(len(starts))
+    while True:
+        np.minimum.at(label, vert, run_label[run])
+        least = np.minimum.reduceat(label[vert], starts)
+        if np.array_equal(least, run_label):
+            break
+        run_label = least
     ids = np.flatnonzero(inball)
-    label = first[ids]
-    join = head != run
-    if join.any():
-        n_runs = int(run[-1]) + 1
-        root = list(range(n_runs))
-
-        def find(r: int) -> int:
-            while root[r] != r:
-                root[r] = r = root[root[r]]
-            return r
-
-        for key in set((run[join] * n_runs + head[join]).tolist()):
-            a, b = find(key // n_runs), find(key % n_runs)
-            if a != b:
-                root[max(a, b)] = min(a, b)
-        label = np.array([find(r) for r in range(n_runs)])[label]
-    return ids, label
+    return ids, label[ids]
 
 
 def _nearest(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

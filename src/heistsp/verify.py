@@ -28,7 +28,7 @@ two line distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -498,15 +498,5 @@ def report_dict(results: Sequence[LemmaCheck], seed: int) -> dict:
     return {
         "seed": seed,
         "passed": suite_passed(results),
-        "checks": [
-            {
-                "id": r.id,
-                "samples": r.samples,
-                "violations": r.violations,
-                "worst_margin": r.worst_margin,
-                "seed": r.seed,
-                "extras": r.extras,
-            }
-            for r in results
-        ],
+        "checks": [asdict(r) for r in results],
     }

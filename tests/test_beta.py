@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,16 @@ class TestBetaEuclidean:
         assert convex_hull_2d(col).shape[0] == 2
         w, theta, off = min_width_strip(col)
         assert w == 0.0 and theta == pytest.approx(0.0) and off == pytest.approx(0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("fn", [beta_heis, lambda pts, ball: beta_heis_many([(pts, ball)])[0],
+                                beta_heis_oracle, beta_euclidean_2d],
+                         ids=["heis", "many", "oracle", "euclidean"])
+def test_ball_radius_must_be_finite_and_positive(fn, radius):
+    # one ValueError naming the radius, before any scan: not a division by
+    # zero, a dilation error, a numpy warning or a vacuous beta of 0
+    with pytest.raises(ValueError, match="radius must be finite and positive, got %s"
+                       % re.escape(repr(radius))):
+        fn(intro_triple(0.1), Ball(ORIGIN, radius))

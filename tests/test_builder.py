@@ -306,6 +306,34 @@ def test_ball_components_partition_the_in_ball_walk(walk, data):
     assert ids.tolist() == sorted(members)
     assert [[a == b for b in comp.tolist()] for a in comp.tolist()] == \
         [[label[a] == label[b] for b in ids.tolist()] for a in ids.tolist()]
+    # each label is the index of its component's least run of consecutive
+    # in-ball positions
+    run, first_run, inside = -1, {}, False
+    for v in walk:
+        if v in nbrs and not inside:
+            run += 1
+        inside = v in nbrs
+        if inside:
+            first_run.setdefault(v, run)
+    least = {}
+    for v, r in first_run.items():
+        least[label[v]] = min(least.get(label[v], r), r)
+    assert comp.tolist() == [least[label[v]] for v in ids.tolist()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 60])
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_ball_components_chain_of_runs(k, order):
+    # members 0..k; each pair (i, i + 1) is its own run, the runs separated
+    # by visits of the non-member k + 1, so the least label crosses one run
+    # per round
+    pairs = [(i, i + 1) for i in range(k)]
+    if order == "decreasing":
+        pairs.reverse()
+    walk = [v for pair in pairs for v in (*pair, k + 1)]
+    ids, comp = _ball_components(np.array(walk), np.arange(k + 1, dtype=np.int32))
+    assert ids.tolist() == list(range(k + 1))
+    assert comp.tolist() == [0] * (k + 1)
 
 
 #: coordinates of magnitude 1e-3 to 1e3, of either sign
