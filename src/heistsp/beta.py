@@ -36,10 +36,12 @@ and the trial points after them) stay under BATCH_PAIRS line-member pairs
 per kernel call; the one-shot calls (candidate scores, initial simplices)
 and the shrinks run in blocks of whole lines, a start's simplex kept whole,
 under the same bound.  A Nelder-Mead start repeated in its set is polished
-once.  Each member set is set up just before its chunk is solved and keeps
-only its member indices, gathered for its witness; a solved set keeps only
-its witness, so memory follows the chunk.  beta_heis_oracle runs on the same
-kernels over one set's rows: its grid one theta at a time through
+once.  One pass over the items sets up each distinct member set at its
+first item and adds it to the open chunk, which is solved when the next set
+would take it past the bound, and at the end.  A set keeps only its member
+indices, gathered for its witness, until its chunk is solved, and then only
+its witness, so memory follows the chunk.  beta_heis_oracle runs on the
+same kernels over one set's rows: its grid one theta at a time through
 _max_dists_blocked, its height refit through _best_heights, and its polish
 as one _nelder_mead start, so the package needs no scipy.
 
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 import warnings
 
 import numpy as np
@@ -525,10 +527,10 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
 
 class _Fit:
     """One member set of two or more points on its way through the engine:
-    its key, point array and member indices, its frame, optimisation
-    subsample, strip fit and pair candidate lines."""
+    its witness slot in beta_heis_many, point array and member indices, its
+    frame, optimisation subsample, strip fit and pair candidate lines."""
 
-    def __init__(self, key: tuple[int, bytes], points: np.ndarray, idx: np.ndarray,
+    def __init__(self, key: int, points: np.ndarray, idx: np.ndarray,
                  origin: HeisPoint, unit: float, canon: np.ndarray, budget: BetaBudget):
         # the members are the rows idx of points, gathered only for the witness
         self.key, self.points, self.idx, self.origin, self.unit = key, points, idx, origin, unit
@@ -549,21 +551,6 @@ class _Fit:
         # reflections (the trial points after them are fewer lines, and the
         # one-shot calls and the shrinks run in blocks under BATCH_PAIRS)
         self.pairs = max(1, budget.refine_starts, budget.nm_starts) * len(sub)
-
-
-def _chunks(fits: Iterable[_Fit]) -> Iterator[list[_Fit]]:
-    """Consecutive runs of fits whose kernel calls stay within BATCH_PAIRS,
-    each yielded once the fit after it (or the end) closes it."""
-    chunk: list[_Fit] = []
-    pairs = 0
-    for f in fits:
-        if chunk and pairs + f.pairs > BATCH_PAIRS:
-            yield chunk
-            chunk, pairs = [], 0
-        chunk.append(f)
-        pairs += f.pairs
-    if chunk:
-        yield chunk
 
 
 def _split(values: list, counts: list[int]) -> list[list]:
@@ -620,50 +607,51 @@ def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]
     """beta_heis of every (points, ball) item, with all member sets in
     lockstep: each step of the engine is one broadcast over the sets of a
     chunk (see BATCH_PAIRS).  Each distinct (points object, member set) is
-    fitted once, and every item with those members divides its witness's
-    sup by its own diameter.  Each result equals the one beta_heis gives for
-    its item alone.
+    fitted once, into its witness slot, and every item with those members
+    divides the slot's sup by its own diameter.  Each result equals the one
+    beta_heis gives for its item alone.
     """
     if budget is None:
         budget = BetaBudget()
-    out: list = [None] * len(items)
-    solved: dict[tuple[int, bytes], _Witness] = {}
-    waiting: dict[tuple[int, bytes], list[int]] = {}    # the items of each unsolved key
+    slots: dict[tuple[int, bytes], int] = {}
+    witnesses: list[_Witness | None] = []
+    chunk: list[_Fit] = []
+    pairs = 0
 
-    def solve(key: tuple[int, bytes], witness: _Witness) -> None:
-        solved[key] = witness
-        for k in waiting.pop(key):
-            out[k] = witness.result(items[k][1])
-
-    def fits() -> Iterator[_Fit]:
-        for k, (points, ball) in enumerate(items):
-            setup = _setup(points, ball)
-            if isinstance(setup, BetaResult):
-                out[k] = setup
-                continue
-            arr, idx = setup
-            key = (id(points), idx.tobytes())
-            if key in solved:           # its chunk is solved already
-                out[k] = solved[key].result(ball)
-            elif key in waiting:
-                waiting[key].append(k)
-            else:
-                waiting[key] = [k]
-                # the members are not held across the yield: the fit keeps
-                # its frame's copy (or subsample) only
-                origin, unit, canon = _member_frame(arr[idx])
-                if unit == 0.0:
-                    solve(key, _point_witness(point_of(arr[idx[0]])))
-                else:
-                    yield _Fit(key, arr, idx, origin, unit, canon, budget)
-
-    # each set is set up just before its chunk is solved and dropped after
-    # it, so what is held follows BATCH_PAIRS rather than the batch
-    for chunk in _chunks(fits()):
+    def flush() -> None:
         for f, (params, gap) in zip(chunk, _solve(chunk, budget)):
-            solve(f.key, _witness(f.points[f.idx], f.origin, f.unit, params, gap))
+            witnesses[f.key] = _witness(f.points[f.idx], f.origin, f.unit, params, gap)
         chunk.clear()
-    return out
+
+    def set_up(points, ball: Ball) -> BetaResult | int:
+        """The item's result, or the slot of its member set, which is framed
+        and joins the open chunk when new.  Its arrays die with the call."""
+        nonlocal pairs
+        setup = _setup(points, ball)
+        if isinstance(setup, BetaResult):
+            return setup
+        arr, idx = setup
+        slot = slots.setdefault((id(points), idx.tobytes()), len(witnesses))
+        if slot < len(witnesses):
+            return slot
+        origin, unit, canon = _member_frame(arr[idx])
+        if unit == 0.0:
+            witnesses.append(_point_witness(point_of(arr[idx[0]])))
+            return slot
+        witnesses.append(None)
+        f = _Fit(slot, arr, idx, origin, unit, canon, budget)
+        if chunk and pairs + f.pairs > BATCH_PAIRS:
+            flush()
+            pairs = 0
+        chunk.append(f)
+        pairs += f.pairs
+        return slot
+
+    setups = [set_up(points, ball) for points, ball in items]
+    if chunk:
+        flush()
+    return [s if isinstance(s, BetaResult) else witnesses[s].result(ball)
+            for s, (_, ball) in zip(setups, items)]
 
 
 def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,

@@ -51,6 +51,7 @@ from .lines import foot_params_arr
 from .multiscale import (
     MAX_LEVELS,
     NetHierarchy,
+    ScaleRangeError,
     build_nets,
     _carleson_balls,
     _carleson_report,
@@ -58,10 +59,6 @@ from .multiscale import (
 )
 # not called here: kept importable because the benchmark's tracer wraps it here
 from .multiscale import carleson_sum  # noqa: F401
-
-
-class ScaleRangeError(ValueError):
-    """The scale range cannot resolve every input point."""
 
 
 @dataclass

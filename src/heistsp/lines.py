@@ -234,16 +234,9 @@ def sigma_l(a: HeisPoint, b: HeisPoint, line: HorizontalLine) -> float:
     return sigma(a, b) + trapezoid_area(a, b, line)
 
 
-def transform_line(line: HorizontalLine, g: HeisPoint | None = None,
-                   lam: float = 1.0) -> HorizontalLine:
+def transform_line(line: HorizontalLine, g: HeisPoint, lam: float) -> HorizontalLine:
     """Image of the line under p -> g * dilate(lam, p); again a horizontal line."""
-    q0 = line_point_at(line, 0.0)
-    q1 = line_point_at(line, 1.0)
-    if lam != 1.0:
-        q0 = dilate(lam, q0)
-        q1 = dilate(lam, q1)
-    if g is not None:
-        q0 = group_mul(g, q0)
-        q1 = group_mul(g, q1)
+    q0 = group_mul(g, dilate(lam, line_point_at(line, 0.0)))
+    q1 = group_mul(g, dilate(lam, line_point_at(line, 1.0)))
     theta = math.atan2(q1.y - q0.y, q1.x - q0.x)
     return line_from_point_direction(q0, theta)

@@ -25,6 +25,10 @@ from .beta import beta_heis  # noqa: F401
 from .curves import PolygonalCurve, curve_length, resample_curve
 
 
+class ScaleRangeError(ValueError):
+    """The scale range cannot resolve every input point."""
+
+
 @dataclass
 class NetHierarchy:
     points: np.ndarray                 # (n, 3), the input set
@@ -39,12 +43,21 @@ def build_nets(points: Sequence[HeisPoint] | np.ndarray, k_min: int | None = Non
     """Nested 2^-k nets for k in [k_min, k_max].
 
     Without k_min and k_max the range is default_scale_range's, taken from
-    the same traversal and diameter that the nets use.
+    the same traversal and diameter that the nets use.  Raises
+    ScaleRangeError when two distinct points are at distance 0, which no
+    net separates.
     """
     arr = points if isinstance(points, np.ndarray) else as_array(points)
     if arr.shape[0] == 0:
         raise ValueError("cannot build nets of an empty set")
     order, radii = farthest_point_order(arr)
+    # exact duplicates are one point (0.0 and -0.0 are one key) and get
+    # radius 0; every other point needs a positive one
+    unresolved = len(set(map(tuple, arr.tolist()))) - sum(r > 0.0 for r in radii)
+    if unresolved > 0:
+        raise ScaleRangeError("%d points lie at distance 0 from another, distinct point: they "
+                              "are closer than the metric's resolution in double precision "
+                              "(about 1e-77)" % unresolved)
     diam = None
     if k_min is None and k_max is None:
         diam = diameter(arr)

@@ -348,6 +348,16 @@ def test_unresolvable_close_pair_exits_2(tmp_path, capsys):
     assert "dropped" in err
 
 
+@pytest.mark.parametrize("cmd", ["build", "carleson", "theorem-a", "theorem-b"])
+def test_points_below_the_metrics_resolution_exit_2(cmd, tmp_path, capsys):
+    # every distance among these points underflows to 0
+    path = write_points(tmp_path / "tiny.txt", [HeisPoint(0, 0, 0), HeisPoint(1e-100, 0, 0),
+                                                HeisPoint(2e-100, 1e-100, 0)])
+    code, out, err = run_cli(capsys, cmd, path, "--out", str(tmp_path / "run"))
+    assert code == 2 and out == ""
+    assert "metric's resolution" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["beta", "build", "carleson", "theorem-a", "theorem-b"])
 def test_point_beyond_range_exits_2(cmd, tmp_path, capsys):
     # the diameter of this pair overflows to inf

@@ -7,9 +7,11 @@ batch of balls must give each ball the result it gets alone.  scipy is the
 reference here only; no runtime path imports it.
 """
 
+import gc
 import hashlib
 import math
 import pprint
+import weakref
 
 import numpy as np
 import pytest
@@ -596,6 +598,36 @@ def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
         assert max(rows for rows, _ in calls) > bound // 2      # the bound is reached
         want = want or got
         assert got == want
+
+
+@pytest.mark.parametrize("bound", [200, 3000])
+def test_live_fits_stay_within_one_chunk(bound, monkeypatch):
+    """When a chunk is solved, the only fits alive are its own and the one
+    that closed it: what a batch holds follows BATCH_PAIRS, not the batch."""
+    rng = np.random.default_rng(20261022)
+    items = []
+    for _ in range(40):
+        pts = sample_box(rng, int(rng.choice([2, 3, 12, 48, 96, 300])), 0.5)
+        items.append((pts, Ball(HeisPoint(*pts[0]), 4.0)))
+    live = weakref.WeakSet()
+    held = []
+    init, solve = heistsp.beta._Fit.__init__, heistsp.beta._solve
+
+    def spy_init(self, *args):
+        init(self, *args)
+        live.add(self)
+
+    def spy_solve(fits, budget):
+        gc.collect()
+        held.append((len(live), len(fits)))
+        return solve(fits, budget)
+
+    monkeypatch.setattr(heistsp.beta._Fit, "__init__", spy_init)
+    monkeypatch.setattr(heistsp.beta, "_solve", spy_solve)
+    monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", bound)
+    beta_heis_many(items, BetaBudget())
+    assert len(held) >= 3
+    assert all(alive <= chunk + 1 for alive, chunk in held), held
 
 
 def test_carleson_sum_polishes_in_one_lockstep(monkeypatch):

@@ -11,6 +11,7 @@ from heistsp.core import HeisPoint, ORIGIN, as_array, diameter, dilate, dist, di
 from heistsp.curves import PolygonalCurve, curve_length, resample_curve
 from heistsp.multiscale import (
     NetHierarchy,
+    ScaleRangeError,
     build_nets,
     carleson_sum,
     default_scale_range,
@@ -96,6 +97,14 @@ class TestNets:
         assert build_nets([HeisPoint(1, 2, 3)] * 2).nets == {0: [0]}
         with pytest.raises(ValueError):
             build_nets(arr, 0)
+
+    def test_points_below_the_metrics_resolution_are_refused(self):
+        # d(0, 1e-100) underflows to 0, which no net separates
+        with pytest.raises(ScaleRangeError, match="resolution"):
+            build_nets([ORIGIN, HeisPoint(1e-100, 0, 0), HeisPoint(1, 0, 0)])
+        # an exact duplicate, 0.0 and -0.0 alike, is one point
+        h = build_nets([ORIGIN, HeisPoint(1, 0, 0), ORIGIN, HeisPoint(-0.0, 0, 0)])
+        assert h.nets[h.k_max] == [0, 1]
 
     def test_farthest_order_prefix(self):
         rng = np.random.default_rng(35)
