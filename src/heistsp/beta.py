@@ -16,34 +16,36 @@ function of the point array and the member set alone.
 The engine runs in lockstep, over many balls at once: beta_heis_many takes
 (point set, ball) items, and beta_heis is its one-item case.  Items with
 the same point array and the same members share one fit, since they differ
-only in the radius that divides the sup.  The member sets' optimisation
-subsamples are ragged member rows, one flat (R, 3) array with each set's
-rows consecutive (_Rows), and each step evaluates all the lines it needs,
-for all sets, in one kernel call: every line is paired with its own set's
-rows only, the distances of all pairs come from one lines.quartic_dists
-call, and each line's max (or min) is one np.maximum.reduceat over the
-line starts.  All candidates are scored together; the golden-section
-height searches run side by side, first for the strip lines and then for
-every refit candidate; and the Nelder-Mead starts of all sets advance
-together, each iteration evaluating the reflections of every start in one
-call and then only the one further trial point each start's branch reads
-(a shrink takes one more call).  Each search replays its sequential form
-bit for bit (the scalar golden-section search, through
-lines.golden_min_many, and scipy 1.17.1's Nelder-Mead), and a line reads no
-row but its set's, so a result does not depend on the batch it runs in.  A
-batch runs in chunks whose iterative steps (height searches, reflections
-and the trial points after them) stay under BATCH_PAIRS line-member pairs
-per kernel call; the one-shot calls (candidate scores, initial simplices)
-and the shrinks run in blocks of whole lines, a start's simplex kept whole,
-under the same bound.  A Nelder-Mead start repeated in its set is polished
-once.  One pass over the items sets up each distinct member set at its
-first item and adds it to the open chunk, which is solved when the next set
-would take it past the bound, and at the end.  A set keeps only its member
-indices, gathered for its witness, until its chunk is solved, and then only
-its witness, so memory follows the chunk.  beta_heis_oracle runs on the
-same kernels over one set's rows: its grid one theta at a time through
-_max_dists_blocked, its height refit through _best_heights, and its polish
-as one _nelder_mead start, so the package needs no scipy.
+only in the radius that divides the sup.  The sets' optimisation
+subsamples are ragged rows, one flat (R, 3) array with each set's rows
+consecutive (_Rows), and each step evaluates all the lines it needs, for
+all sets, in one kernel call: every line is paired with its own set's rows
+only, their distances come from one lines.quartic_dists call, and each
+line's max is one np.maximum.reduceat.  All candidates are scored
+together; the golden-section height searches run side by side; and the
+Nelder-Mead starts of all sets advance together, each iteration evaluating
+every start's reflection in one call and then only the trial point each
+start's branch reads.  Each search replays its sequential form bit for bit
+(lines.golden_min_many; scipy 1.17.1's Nelder-Mead), and a line reads no
+row but its set's, so a result does not depend on the batch it runs in.
+A batch runs in chunks whose iterative steps stay under BATCH_PAIRS
+line-member pairs per kernel call; the one-shot calls and the shrinks run
+in blocks under the same bound.
+
+The set-up runs in ragged passes too, each bit for bit with the per-set
+form it replaces.  The items are scanned in blocks over one point array,
+under BATCH_PAIRS distances a pass (_memberships), and a block's new
+member sets are framed in one pass (_frames); each then joins the open
+chunk, which is solved when the next set would take it past the bound,
+and at the end.  A chunk's strips, pair candidates and pair lines are one
+pass each (_strips, _pair_candidates, _pair_lines), and its witnesses' exact
+sups one pass per run of sets under BATCH_PAIRS members (_witnesses).  Only
+each hull's monotone chain, a large set's subsample traversal, each witness
+line's transform_line, and math's atan2, cos and sin per pair run one at a
+time.  A set keeps its member indices and subsample until its chunk is
+solved, and then only its witness, so memory follows the chunk.
+beta_heis_oracle runs on the same kernels and passes over one set, so the
+package needs no scipy.
 
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate, in units of beta (floored at GAP_FLOOR in the members'
@@ -65,13 +67,12 @@ from .core import (
     HeisPoint,
     as_array,
     point_of,
-    dilate_arr,
-    dist_point_arr,
+    dist_arr,
+    dist_point_arr,     # kept importable because the benchmark's tracer wraps it
     farthest_point_order,
     frame,
-    group_inv,
-    left_translate_arr,
     norm_arr,
+    product,
     within,
 )
 from .lines import (
@@ -79,7 +80,7 @@ from .lines import (
     canon_coords,
     golden_min_many,
     horizontal_line,
-    line_dists_arr,
+    line_dists_arr,     # kept importable because the benchmark's tracer wraps it
     line_through_two,
     quartic_dists,
     transform_line,
@@ -145,19 +146,54 @@ class BetaResult:
     vacuous: bool = False
 
 
+def _memberships(points: Sequence[HeisPoint] | np.ndarray,
+                 balls: Sequence[Ball]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The point array and its rows inside each closed ball (tolerance 1e-12
+    * radius), in one distance pass: their indices, ascending per ball and
+    concatenated, and each ball's count.  Radii must be finite and positive."""
+    for ball in balls:
+        if not 0.0 < ball.radius < math.inf:
+            raise ValueError("ball radius must be finite and positive, got %r" % (ball.radius,))
+    arr = points if isinstance(points, np.ndarray) else as_array(points)
+    centers = np.array([b.center for b in balls], dtype=float).reshape(-1, 1, 3)
+    inside = within(dist_arr(centers, arr), np.array([[b.radius] for b in balls]))
+    idx = np.flatnonzero(inside)
+    idx %= max(1, arr.shape[0])         # the column: the row of arr
+    return arr, idx, np.count_nonzero(inside, axis=1)
+
+
 def members_in_ball(arr: np.ndarray, ball: Ball) -> np.ndarray:
     """Indices of rows inside the closed ball (tolerance 1e-12 * radius)."""
-    return np.flatnonzero(within(dist_point_arr(ball.center, arr), ball.radius))
+    return _memberships(arr, [ball])[1]
 
 
-def _ball_members(points: Sequence[HeisPoint] | np.ndarray,
-                  ball: Ball) -> tuple[np.ndarray, np.ndarray]:
-    """The point array and the indices of its members of the ball, whose
-    radius must be finite and positive."""
-    if not 0.0 < ball.radius < math.inf:
-        raise ValueError("ball radius must be finite and positive, got %r" % (ball.radius,))
-    arr = points if isinstance(points, np.ndarray) else as_array(points)
-    return arr, members_in_ball(arr, ball)
+def _per_row(values: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """values[i] for each of the count[i] rows of set i (for one set, values
+    itself, which broadcasts without a copy)."""
+    return values if len(count) == 1 else np.repeat(values, count, axis=0)
+
+
+def _ragged(count: np.ndarray) -> np.ndarray:
+    """0, 1, ..., count[i] - 1 for each i in turn."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
+def _blocks(sizes: np.ndarray):
+    """(i, j) of runs of entries of sizes adding up to at most BATCH_PAIRS
+    (a larger entry alone)."""
+    ends, i = np.cumsum(sizes), 0
+    while i < len(ends):
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + BATCH_PAIRS, "right")))
+        yield i, j
+        i = j
+
+
+def _first_max(v: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The index in v of the first greatest value (or first NaN, as np.argmax
+    picks) of each run of count[i] >= 1 consecutive values."""
+    start = np.cumsum(count) - count
+    hit = np.flatnonzero((v == _per_row(np.maximum.reduceat(v, start), count)) | np.isnan(v))
+    return hit[np.searchsorted(hit, start)]
 
 
 class _Lines(NamedTuple):
@@ -209,14 +245,9 @@ def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     balls = np.asarray(balls, dtype=np.intp)
     per = params[0].size // 3 if len(params) else 1     # lines per entry
-    ends = np.cumsum(rows.count[balls] * per)
     out = [np.empty(0)]
-    i = 0
-    while i < len(balls):
-        j = int(np.searchsorted(ends, (ends[i - 1] if i else 0) + BATCH_PAIRS, side="right"))
-        j = max(i + 1, j)
+    for i, j in _blocks(rows.count[balls] * per):
         out.append(_max_dists(rows.lines(np.repeat(balls[i:j], per)), params[i:j]))
-        i = j
     return np.concatenate(out)
 
 
@@ -248,38 +279,89 @@ def _best_heights(lines: _Lines, thetas, offsets) -> list[float]:
         a, b, HEIGHT_ITERS)[0].tolist()
 
 
-def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
-    """Andrew monotone chain; returns hull vertices in ccw order.
+def _chain(seq: list) -> list:
+    """Half of Andrew's monotone chain over points sorted by x then y, on
+    Python floats: numpy's IEEE operations without a numpy call per step."""
+    out = []
+    for qx, qy in seq:
+        while len(out) > 1:
+            (ax, ay), (bx, by) = out[-2], out[-1]
+            if (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) > 0:
+                break
+            out.pop()
+        out.append((qx, qy))
+    return out
 
-    The points, rounded to 15 decimals, are sorted by x then y and each one
-    equal to the one before it is dropped: the sorted distinct points of
-    np.unique(axis=0), without its structured-row sort.
-    """
-    pts = pts.round(decimals=15)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    keep = np.ones(pts.shape[0], dtype=bool)
-    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    p = pts[keep]
-    if p.shape[0] <= 2:
-        return p
 
-    def half(seq):
-        # on Python floats: the same IEEE operations as on numpy rows, without
-        # a numpy call per step
-        out = []
-        for qx, qy in seq:
-            while len(out) > 1:
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) > 0:
-                    break
-                out.pop()
-            out.append((qx, qy))
-        return out
+def _hulls(pts: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The convex hull of each run of count[i] consecutive rows of pts: its
+    vertices in ccw order, each hull's consecutive, and their counts.  The
+    rows, rounded to 15 decimals, are sorted by x then y and each equal to
+    the one before it is dropped (the distinct rows of np.unique(axis=0),
+    without its row sort), all runs in one pass; then each run's monotone
+    chain."""
+    set_of = np.repeat(np.arange(len(count)), count)
+    p = pts.round(decimals=15)
+    p = p[np.lexsort((p[:, 1], p[:, 0], set_of))]
+    keep = np.ones(p.shape[0], dtype=bool)
+    keep[1:] = (p[1:] != p[:-1]).any(axis=1) | (set_of[1:] != set_of[:-1])
+    seq = p[keep].tolist()
+    ends = np.cumsum(np.bincount(set_of[keep], minlength=len(count))).tolist()
+    hulls = [s if len(s) <= 2 else _chain(s)[:-1] + _chain(s[::-1])[:-1]
+             for s in (seq[a:e] for a, e in zip([0] + ends[:-1], ends))]
+    return (np.array([v for h in hulls for v in h], dtype=float).reshape(-1, 2),
+            np.array([len(h) for h in hulls], dtype=np.intp))
 
-    seq = p.tolist()
-    lower = half(seq)
-    upper = half(seq[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+
+def _strips(pts: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """min_width_strip of each run of count[i] >= 1 consecutive rows of pts:
+    arrays of widths, thetas and offsets.  Hull edge e's strip spans the
+    hull's signed offsets from it; the edges are scored in passes under
+    BATCH_PAIRS (edge, vertex) pairs (an edge over more alone), and the
+    first narrowest edge wins."""
+    hull, m = _hulls(pts, count)
+    h0, start = np.cumsum(m) - m, np.cumsum(count) - count
+    width, theta, offset = np.zeros(len(count)), np.zeros(len(count)), np.zeros(len(count))
+    # a hull of at most two points: the width-0 strip along it, midway
+    # between its rows' extreme signed offsets (through a lone point)
+    flat = np.flatnonzero(m <= 2)
+    if flat.size:
+        d = (hull[h0[flat] + m[flat] - 1] - hull[h0[flat]]).tolist()
+        theta[flat] = [math.atan2(dy, dx) if dx != 0.0 or dy != 0.0 else 0.0 for dx, dy in d]
+        cos, sin = (_per_row(np.array(list(map(f, theta[flat].tolist()))), count[flat])
+                    for f in (math.cos, math.sin))
+        x, y = pts[np.repeat(m <= 2, count)].T
+        s, at = frame(cos, sin, x, y)[1], np.cumsum(count[flat]) - count[flat]
+        offset[flat] = 0.5 * (np.maximum.reduceat(s, at) + np.minimum.reduceat(s, at))
+        offset[count == 1] = pts[start[count == 1], 1]
+    wide = np.flatnonzero(m > 2)
+    if wide.size:
+        mw, top = m[wide], m[wide].max()
+        # each hull's vertices as a row of top, padded with its first vertex,
+        # which moves no extreme offset
+        pad = h0[wide][:, None] + np.where(np.arange(top) < mw[:, None], np.arange(top), 0)
+        hx, hy = hull[pad, 0], hull[pad, 1]
+        e = _ragged(mw) + np.repeat(h0[wide], mw)   # each edge's first vertex
+        nxt = e + 1
+        nxt[np.cumsum(mw) - 1] = h0[wide]
+        d = hull[nxt] - hull[e]
+        ln = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
+        own = np.repeat(np.arange(wide.size), mw)  # each edge's hull
+        s_max, s_min = np.empty(len(e)), np.empty(len(e))
+        for i, j in _blocks(np.full(len(e), top)):
+            w = own[i] if own[i] == own[j - 1] else own[i:j]    # one hull: its row
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = (-d[i:j, 1:] * hx[w] + d[i:j, :1] * hy[w]) / ln[i:j, None]
+            s_max[i:j], s_min[i:j] = s.max(axis=1), s.min(axis=1)
+        with np.errstate(invalid="ignore"):
+            widths = s_max - s_min
+        widths[(ln == 0.0) | np.isnan(widths)] = math.inf   # never taken
+        k = _first_max(-widths, mw)
+        ok = widths[k] < math.inf       # else no edge: (inf, 0, 0)
+        width[wide] = widths[k]
+        theta[wide] = [math.atan2(dy, dx) if o else 0.0 for (dx, dy), o in zip(d[k].tolist(), ok)]
+        offset[wide] = np.where(ok, 0.5 * (s_max[k] + s_min[k]), 0.0)
+    return width, theta, offset
 
 
 def min_width_strip(pts: np.ndarray) -> tuple[float, float, float]:
@@ -290,35 +372,8 @@ def min_width_strip(pts: np.ndarray) -> tuple[float, float, float]:
     (the optimal direction is attained on a hull edge).
     """
     pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 1:
-        return 0.0, 0.0, float(pts[0, 1])
-    hull = convex_hull_2d(pts)
-    if hull.shape[0] <= 2:
-        d = hull[-1] - hull[0]
-        theta = math.atan2(d[1], d[0]) if np.any(d != 0.0) else 0.0
-        s = frame(math.cos(theta), math.sin(theta), pts[:, 0], pts[:, 1])[1]
-        return 0.0, theta, 0.5 * float(s.max() + s.min())
-    # edge i runs from hull[i] to hull[i + 1]; its strip's signed offsets s
-    # of all hull vertices form row i, in blocks of edges under BATCH_PAIRS
-    # entries, since the hull can hold every point
-    m = hull.shape[0]
-    d = np.roll(hull, -1, axis=0) - hull
-    lns = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
-    width, edge, offset = math.inf, -1, 0.0
-    step = max(1, BATCH_PAIRS // m)
-    for start in range(0, m, step):
-        dd, ln = d[start:start + step], lns[start:start + step]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (-dd[:, 1:] * hull[:, 0] + dd[:, :1] * hull[:, 1]) / ln[:, None]
-        s_max, s_min = s.max(axis=1), s.min(axis=1)
-        widths = s_max - s_min
-        widths[(ln == 0.0) | np.isnan(widths)] = math.inf   # never taken
-        k = int(np.argmin(widths))
-        if widths[k] < width:
-            width, edge, offset = float(widths[k]), start + k, 0.5 * float(s_max[k] + s_min[k])
-    if edge < 0:
-        return math.inf, 0.0, 0.0
-    return width, math.atan2(d[edge, 1], d[edge, 0]), offset
+    width, theta, offset = _strips(pts, np.array([pts.shape[0]]))
+    return float(width[0]), float(theta[0]), float(offset[0])
 
 
 def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> float:
@@ -330,7 +385,7 @@ def beta_euclidean_2d(points: Sequence[HeisPoint] | np.ndarray, ball: Ball) -> f
     ball's canonical frame, pi(E & B) moved to the unit disc at the origin,
     so the value is covariant under left translation and dilation.
     """
-    arr, idx = _ball_members(points, ball)
+    arr, idx, _ = _memberships(points, [ball])
     if idx.size == 0:
         warnings.warn("beta_euclidean_2d: empty intersection, vacuous 0")
         return 0.0
@@ -360,68 +415,157 @@ def _point_witness(p: HeisPoint) -> _Witness:
     return _Witness(0.0, line_through_two(p, HeisPoint(p.x + 1.0, p.y, p.z)), p, 0.0)
 
 
-def _setup(points: Sequence[HeisPoint] | np.ndarray,
-           ball: Ball) -> BetaResult | tuple[np.ndarray, np.ndarray]:
-    """The point array and the indices of the members of E & B, or the final
-    result when fewer than two points are members."""
-    arr, idx = _ball_members(points, ball)
+def _few(arr: np.ndarray, idx: np.ndarray, ball: Ball) -> BetaResult:
+    """The final result of a ball with fewer than two members, the rows idx
+    of arr."""
     if idx.size == 0:
         center_line = transform_line(horizontal_line(0.0, 0.0, 0.0),
                                      g=ball.center, lam=ball.radius)
         return BetaResult(0.0, center_line, ball.center, 0.0, vacuous=True)
-    if idx.size == 1:
-        return _point_witness(point_of(arr[idx[0]])).result(ball)
-    return arr, idx
+    return _point_witness(point_of(arr[idx[0]])).result(ball)
 
 
-def _member_frame(members: np.ndarray) -> tuple[HeisPoint, float, np.ndarray]:
-    """The members' frame and the members in it: the origin is their
-    coordinate mean, the unit their largest gauge distance from it, so the
-    members lie in the closed unit ball at the origin.  The mean is taken
-    about the first member, so coincident members have their point as the
-    origin exactly.  The unit is 0 when the members coincide to double
-    precision; they are then returned unscaled."""
-    origin = point_of(members[0] + (members - members[0]).mean(axis=0))
-    rel = left_translate_arr(group_inv(origin), members)
-    unit = float(norm_arr(rel).max())
-    return origin, unit, dilate_arr(1.0 / unit, rel) if unit > 0.0 else rel
+def _frames(members: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame of each member set, set i the next count[i] rows, and its
+    members in it: the origin (a row) is their coordinate mean about the
+    first member, summed in row order as .mean(axis=0) sums, so coincident
+    members have their point as the origin exactly; the unit is their
+    largest gauge distance from it (0 if they coincide to double precision,
+    and then they are left unscaled)."""
+    start = np.cumsum(count) - count
+    first = members[start]
+    dev = members - _per_row(first, count)
+    if len(count) == 1:         # no per-row set index, for a large set's memory
+        total = dev.sum(axis=0, keepdims=True)
+    else:
+        set_of = np.repeat(np.arange(len(count)), count)
+        total = np.column_stack([np.bincount(set_of, c, len(count)) for c in dev.T])
+    del dev
+    origin = first + total / count[:, None]
+    rel = np.column_stack(product(*-_per_row(origin, count).T, *members.T))
+    unit = np.maximum.reduceat(norm_arr(rel), start)
+    lam = 1.0 / np.where(unit == 0.0, 1.0, unit)
+    if not (lam > 0.0).all():
+        raise ValueError("dilation factor must be positive, got %r" % float(lam[~(lam > 0.0)][0]))
+    lam = _per_row(lam, count)
+    rel *= lam[:, None]
+    rel[:, 2] *= lam
+    return origin, unit, rel
 
 
-def _witness(members: np.ndarray, origin: HeisPoint, unit: float,
-             params: tuple[float, float, float], gap: float) -> _Witness:
-    """The witness of the line params of the members' frame: the exact sup
-    over the members."""
-    witness = transform_line(horizontal_line(*params), g=origin, lam=unit)
-    d_all = line_dists_arr(members, witness)
-    k = int(np.argmax(d_all))
-    return _Witness(float(d_all[k]), witness, point_of(members[k]), gap * unit)
+def _subsamples(canon: np.ndarray, count: np.ndarray, max_members: int) -> np.ndarray:
+    """Each set's optimisation subsample, set i the next count[i] rows: its
+    rows, or the max_members picks of a farthest-point traversal of them, in
+    row order."""
+    start = (np.cumsum(count) - count).tolist()
+    big = [(a, c, farthest_point_order(canon[a:a + c], max_members)[0])
+           for a, c in zip(start, count.tolist()) if c > max_members]
+    times = np.ones(canon.shape[0], dtype=np.intp)      # each row's copies
+    for a, c, picks in big:
+        times[a:a + c] = 0
+        np.add.at(times, a + np.array(picks), 1)
+    return np.repeat(canon, times, axis=0)
 
 
-#: the generator of _pair_candidates' fill pairs, the same for every set
+class _Fit:
+    """A member set of two or more points, not all at one point, in the open
+    chunk: its witness slot, point array and member indices (gathered again
+    for its witness), its frame's origin and unit, and its subsample."""
+
+    def __init__(self, key: int, points: np.ndarray, idx: np.ndarray, origin: HeisPoint,
+                 unit: float, sub: np.ndarray):
+        self.key, self.points, self.idx, self.origin, self.unit, self.sub = \
+            key, points, idx, origin, unit, sub
+
+
+def _witnesses(fits: list[_Fit], solved: list) -> list[_Witness]:
+    """The witness of each fit's solved (line of its frame, certified gap):
+    the exact sup over its members and the first member at it, one pass per
+    run of fits under BATCH_PAIRS members (a larger fit alone)."""
+    lines = [transform_line(horizontal_line(*params), g=f.origin, lam=f.unit)
+             for f, (params, _) in zip(fits, solved)]
+    count, out = np.array([f.idx.size for f in fits]), []
+    for i, j in _blocks(count):
+        # one fit's members are gathered without the copy of a concatenation
+        members = np.concatenate([f.points[f.idx] for f in fits[i:j]]) if j > i + 1 else \
+            fits[i].points[fits[i].idx]
+        th, off, h = (_per_row(v, count[i:j]) for v in np.array(lines[i:j]).T)
+        d = quartic_dists(*canon_coords(members, np.cos(th), np.sin(th), off, h))
+        out += [_Witness(float(d[k]), line, point_of(members[k]), gap * f.unit)
+                for k, line, f, (_, gap) in zip(_first_max(d, count[i:j]).tolist(), lines[i:j],
+                                                fits[i:j], solved[i:j])]
+    return out
+
+
+#: the generator of the fill pairs, the same for every set
 PAIR_SEED = (0, 9463)
 
 
-def _pair_candidates(canon: np.ndarray, budget: BetaBudget) -> list[tuple[int, int]]:
-    n = canon.shape[0]
-    if n <= 8:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ext = sorted({*canon.argmin(axis=0).tolist(), *canon.argmax(axis=0).tolist(),
-                  int(np.argmax(norm_arr(canon)))})
-    pairs = [(a, b) for k, a in enumerate(ext) for b in ext[k + 1:]]
-    if len(pairs) < budget.pair_starts:
+def _fill_pairs(n: int, have: int, starts: int) -> np.ndarray:
+    """The pairs a set of n > 8 rows takes after its `have` extreme pairs:
+    rows i != j from the generator PAIR_SEED, each round's missing pairs in
+    one draw (the stream of one draw per pair), up to starts pairs in all."""
+    pairs: list[tuple[int, int]] = []
+    if have < starts:
         rng = np.random.default_rng(PAIR_SEED)
-        while len(pairs) < budget.pair_starts:
-            # the missing pairs in one draw: the generator's stream is the
-            # same as one two-value draw per pair
-            ij = rng.integers(0, n, (budget.pair_starts - len(pairs), 2)).tolist()
+        while have + len(pairs) < starts:
+            ij = rng.integers(0, n, (starts - have - len(pairs), 2)).tolist()
             pairs += [(min(i, j), max(i, j)) for i, j in ij if i != j]
-    return pairs[:budget.pair_starts]
+    return np.array(pairs[:starts - have], dtype=np.intp).reshape(-1, 2)
 
 
-def _pair_lines(sub: np.ndarray, pairs: list[tuple[int, int]]) -> list[HorizontalLine]:
-    """line_through_two(sub[i], sub[j]) for each pair, on Python floats."""
-    pts = sub.tolist()
-    return [line_through_two(HeisPoint(*pts[i]), HeisPoint(*pts[j])) for i, j in pairs]
+def _pair_candidates(sub: np.ndarray, count: np.ndarray,
+                     budget: BetaBudget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs (i, j), i < j, of rows of sub, set s its next
+    count[s] rows, and their sets, each set's pairs consecutive: all pairs of
+    a set of at most 8 rows; else the pairs of its extreme rows (the first
+    least and greatest of each coordinate and the first farthest from the
+    origin, ascending), then _fill_pairs, budget.pair_starts in all."""
+    start, small = np.cumsum(count) - count, count <= 8
+    # the extreme rows, sorted, or every row of a small set, each once
+    ext = np.stack([_first_max(v, count) for v in (*-sub.T, *sub.T, norm_arr(sub))], axis=1)
+    ext = np.sort(np.where(small[:, None], np.minimum(np.arange(8), count[:, None] - 1),
+                           np.column_stack([ext - start[:, None], ext[:, :1] - start[:, None]])),
+                  axis=1)
+    new = np.ones(ext.shape, dtype=bool)
+    new[:, 1:] = ext[:, 1:] != ext[:, :-1]
+    a, b = np.triu_indices(8, 1)                # their pairs, in ascending order
+    ok = new[:, a] & new[:, b]
+    ok &= (np.cumsum(ok, axis=1) <= budget.pair_starts) | small[:, None]
+    at, k = np.nonzero(ok)
+    # each set's fill, drawn once per distinct (rows, pairs so far) of the chunk
+    have = np.where(small, budget.pair_starts, ok.sum(axis=1))
+    key = count * (budget.pair_starts + 1) + have      # have <= pair_starts
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    fills = [_fill_pairs(int(count[f]), int(have[f]), budget.pair_starts) for f in first.tolist()]
+    fill = np.concatenate([fills[t] for t in inv.tolist()])
+    owner = np.concatenate([at, np.repeat(np.arange(len(count)), [len(fills[t]) for t in inv])])
+    order = np.argsort(owner, kind="stable")    # each set's extreme pairs, then its fill
+    owner = owner[order]
+    ii = np.concatenate([ext[at, a[k]], fill[:, 0]])[order] + start[owner]
+    jj = np.concatenate([ext[at, b[k]], fill[:, 1]])[order] + start[owner]
+    return ii, jj, owner
+
+
+def _pair_lines(rows: "_Rows", budget: BetaBudget) -> tuple[np.ndarray, np.ndarray]:
+    """line_through_two(sub[i], sub[j]) for each candidate pair of every set
+    whose projections are not np.isclose: (theta, offset, height) rows, each
+    set's consecutive, and each set's count.  atan2, cos and sin are math's,
+    one call per pair, as in line_through_two."""
+    sub = rows.cols.T
+    ii, jj, owner = _pair_candidates(sub, rows.count, budget)
+    far = ~np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)
+    a, b = sub[ii[far]], sub[jj[far]]
+    theta = np.array(list(map(math.atan2, (b[:, 1] - a[:, 1]).tolist(),
+                              (b[:, 0] - a[:, 0]).tolist())), dtype=float)
+    # theta_mod_pi, with both of its rounding guards
+    t = theta - np.floor(theta / math.pi) * math.pi
+    t = np.where(t < 0.0, t + math.pi, t)
+    t = np.where(t >= math.pi, t - math.pi, t)
+    gx, gy = frame(*(np.array(list(map(f, t.tolist())), dtype=float) for f in (math.cos, math.sin)),
+                   a[:, 0], a[:, 1])
+    return (np.column_stack([t, gy, a[:, 2] + 2.0 * gx * gy]),
+            np.bincount(owner[far], minlength=len(rows.count)))
 
 
 #: Nelder-Mead initial simplex: x0 plus these steps along each axis, at
@@ -482,8 +626,10 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
     lines = rows.lines(balls)       # one line per live start, for its trial points
     while live.size:
         if iterations < maxiter:
-            done = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= xatol)
-                    & (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol))
+            # scipy's test, its simplex spread read only where fatol holds
+            done = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+            near = np.flatnonzero(done)
+            done[near] = np.abs(sim[near, 1:] - sim[near, :1]).max(axis=(1, 2)) <= xatol
         else:
             done = np.ones(live.size, dtype=bool)
         if done.any():
@@ -495,16 +641,19 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
                 break
             lines = rows.lines(balls)
         xbar = np.add.reduce(sim[:, :-1], 1) / n
-        trial = _TRIAL_A * xbar[:, None, :] - _TRIAL_B * sim[:, -1:]
-        fxr = _max_dists(lines, trial[:, 0])
+        xr = _TRIAL_A[0] * xbar - _TRIAL_B[0] * sim[:, -1]
+        fxr = _max_dists(lines, xr)
         # the trial point read after the reflection: expansion (1),
         # outside (2) or inside (3) contraction, or none (0)
         second = np.where(fxr < fsim[:, 0], 1,
                           np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
         f2 = np.full(live.size, np.inf)     # the second trial's value, where evaluated
+        x2 = np.empty_like(xr)              # and its point
         more = np.flatnonzero(second)
         if more.size:
-            f2[more] = _max_dists(rows.lines(balls[more]), trial[more, second[more]])
+            k = second[more]
+            x2[more] = _TRIAL_A[k] * xbar[more] - _TRIAL_B[k] * sim[more, -1]
+            f2[more] = _max_dists(rows.lines(balls[more]), x2[more])
         # scipy's branches: a start takes its second trial point when that
         # passes its branch's test; a failed expansion falls back to the
         # reflection (0), a failed contraction to a shrink (-1)
@@ -512,7 +661,7 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
         pick = np.where(keep, second, np.where(second == 1, 0, -1))
         moved = np.flatnonzero(pick >= 0)
         if moved.size:
-            sim[moved, -1] = trial[moved, pick[moved]]
+            sim[moved, -1] = np.where((pick == 0)[:, None], xr, x2)[moved]
             fsim[moved, -1] = np.where(pick == 0, fxr, f2)[moved]
         shrink = np.flatnonzero(pick < 0)
         if shrink.size:
@@ -523,34 +672,6 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
         iterations += 1
         sim, fsim = sort(sim, fsim)
     return [out[j] for j in copy]
-
-
-class _Fit:
-    """One member set of two or more points on its way through the engine:
-    its witness slot in beta_heis_many, point array and member indices, its
-    frame, optimisation subsample, strip fit and pair candidate lines."""
-
-    def __init__(self, key: int, points: np.ndarray, idx: np.ndarray,
-                 origin: HeisPoint, unit: float, canon: np.ndarray, budget: BetaBudget):
-        # the members are the rows idx of points, gathered only for the witness
-        self.key, self.points, self.idx, self.origin, self.unit = key, points, idx, origin, unit
-        sub = canon
-        if canon.shape[0] > budget.max_members:
-            # deterministic farthest-point subsample, kept in row order
-            sub = canon[sorted(farthest_point_order(canon, budget.max_members)[0])]
-        self.sub = sub
-        _, self.th_s, self.off_s = min_width_strip(sub[:, :2])
-        pairs = _pair_candidates(sub, budget)
-        if pairs:
-            ii, jj = np.array(pairs).T
-            same = np.isclose(sub[ii, :2], sub[jj, :2]).all(axis=1)   # np.allclose per pair
-            pairs = [p for p, skip in zip(pairs, same.tolist()) if not skip]
-        self.pair_lines = _pair_lines(sub, pairs)
-        # (line, member) pairs of its widest iterative call: a height search
-        # step of the strip line or the refits, or the Nelder-Mead
-        # reflections (the trial points after them are fewer lines, and the
-        # one-shot calls and the shrinks run in blocks under BATCH_PAIRS)
-        self.pairs = max(1, budget.refine_starts, budget.nm_starts) * len(sub)
 
 
 def _split(values: list, counts: list[int]) -> list[list]:
@@ -565,6 +686,8 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
     member rows."""
     rows = _Rows([f.sub for f in fits])
     balls = np.arange(len(fits))
+    _, th_s, off_s = _strips(rows.cols[:2].T, rows.count)
+    pair_lines, n_pairs = _pair_lines(rows, budget)
 
     def flatten(groups: list[list]) -> tuple[list, list[int], np.ndarray]:
         """The groups' items as one list, the count per group and the ball of each item."""
@@ -572,9 +695,11 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
         return [x for g in groups for x in g], counts, np.repeat(balls, counts)
 
     # stage A: direct candidates, scored together; the best few get their height refit
-    strip_h = _best_heights(rows.lines(balls), [f.th_s for f in fits], [f.off_s for f in fits])
-    cands = [[(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0), (f.th_s, f.off_s, h)] + f.pair_lines
-             for f, h in zip(fits, strip_h)]
+    strip_h = _best_heights(rows.lines(balls), th_s, off_s)
+    cands = [[(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0), (th, off, h)] + lines
+             for th, off, h, lines in zip(th_s.tolist(), off_s.tolist(), strip_h,
+                                          _split(list(map(tuple, pair_lines.tolist())),
+                                                 n_pairs.tolist()))]
     flat, counts, owner = flatten(cands)
     scored = [sorted(zip(v, c))     # by value, ties by line
               for v, c in zip(_split(_max_dists_blocked(rows, owner, flat).tolist(), counts),
@@ -611,47 +736,73 @@ def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]
     divides the slot's sup by its own diameter.  Each result equals the one
     beta_heis gives for its item alone.
     """
-    if budget is None:
-        budget = BetaBudget()
+    budget = budget or BetaBudget()
+    # (line, member) pairs per subsample row in a fit's widest iterative call:
+    # a height search step, or the Nelder-Mead reflections
+    width = max(1, budget.refine_starts, budget.nm_starts)
+    results: list[BetaResult | int] = []      # each item's result, or its set's slot
     slots: dict[tuple[int, bytes], int] = {}
     witnesses: list[_Witness | None] = []
     chunk: list[_Fit] = []
     pairs = 0
 
     def flush() -> None:
-        for f, (params, gap) in zip(chunk, _solve(chunk, budget)):
-            witnesses[f.key] = _witness(f.points[f.idx], f.origin, f.unit, params, gap)
-        chunk.clear()
-
-    def set_up(points, ball: Ball) -> BetaResult | int:
-        """The item's result, or the slot of its member set, which is framed
-        and joins the open chunk when new.  Its arrays die with the call."""
         nonlocal pairs
-        setup = _setup(points, ball)
-        if isinstance(setup, BetaResult):
-            return setup
-        arr, idx = setup
-        slot = slots.setdefault((id(points), idx.tobytes()), len(witnesses))
-        if slot < len(witnesses):
-            return slot
-        origin, unit, canon = _member_frame(arr[idx])
-        if unit == 0.0:
-            witnesses.append(_point_witness(point_of(arr[idx[0]])))
-            return slot
-        witnesses.append(None)
-        f = _Fit(slot, arr, idx, origin, unit, canon, budget)
-        if chunk and pairs + f.pairs > BATCH_PAIRS:
-            flush()
-            pairs = 0
-        chunk.append(f)
-        pairs += f.pairs
-        return slot
+        for f, w in zip(chunk, _witnesses(chunk, _solve(chunk, budget))):
+            witnesses[f.key] = w
+        chunk.clear()
+        pairs = 0
 
-    setups = [set_up(points, ball) for points, ball in items]
+    def set_up(points, balls: list[Ball]) -> None:
+        """Give each item of a block its result or its set's slot; frame the
+        new sets in one pass and add each to the open chunk, which is solved
+        first if the set would take it past BATCH_PAIRS.  The block's arrays
+        die with the call."""
+        nonlocal pairs
+        arr, idx, count = _memberships(points, balls)
+        new = []            # (slot, member indices) of each new set
+        for ball, end, c in zip(balls, np.cumsum(count).tolist(), count.tolist()):
+            own = idx[end - c:end]
+            slot = slots.setdefault((id(points), own.tobytes()), len(witnesses)) if c > 1 else None
+            results.append(_few(arr, own, ball) if slot is None else slot)
+            if slot == len(witnesses):
+                witnesses.append(None)
+                new.append((slot, own))
+        if not new:
+            return
+        count = np.array([own.size for _, own in new])
+        origin, unit, canon = _frames(
+            arr[new[0][1] if len(new) == 1 else np.concatenate([own for _, own in new])], count)
+        fit = unit > 0.0
+        sub = _subsamples(canon[np.repeat(fit, count)] if not fit.all() else canon, count[fit],
+                          budget.max_members)
+        del canon
+        n_sub = np.minimum(count[fit], budget.max_members)
+        subs = iter(np.split(sub, np.cumsum(n_sub)[:-1]))
+        for (slot, own), o, u in zip(new, origin.tolist(), unit.tolist()):
+            if u == 0.0:
+                witnesses[slot] = _point_witness(point_of(arr[own[0]]))
+                continue
+            f = _Fit(slot, arr, own, HeisPoint(*o), u, next(subs))
+            if chunk and pairs + width * len(f.sub) > BATCH_PAIRS:
+                flush()
+            chunk.append(f)
+            pairs += width * len(f.sub)
+
+    i = 0
+    while i < len(items):
+        # a block: the next items over one points object, under BATCH_PAIRS
+        # distances (an item over more alone)
+        points, j = items[i][0], i + 1
+        stop = min(len(items), i + max(1, BATCH_PAIRS // max(1, len(points))))
+        while j < stop and items[j][0] is points:
+            j += 1
+        set_up(points, [ball for _, ball in items[i:j]])
+        i = j
     if chunk:
         flush()
-    return [s if isinstance(s, BetaResult) else witnesses[s].result(ball)
-            for s, (_, ball) in zip(setups, items)]
+    return [r if isinstance(r, BetaResult) else witnesses[r].result(ball)
+            for r, (_, ball) in zip(results, items)]
 
 
 def beta_heis(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
@@ -680,20 +831,18 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
         raise ValueError("oracle resolution must be at least 1, got %d" % resolution)
     if resolution > 400:
         raise ResourceBudgetError("oracle resolution capped at 400 per axis")
-    setup = _setup(points, ball)
-    if isinstance(setup, BetaResult):
-        return setup
-    arr, idx = setup
+    arr, idx, _ = _memberships(points, [ball])
+    if idx.size < 2:
+        return _few(arr, idx, ball)
     n = idx.size
     if n > 10_000:
         raise ResourceBudgetError("oracle limited to 1e4 members, got %d" % n)
     if resolution ** 3 * n > ORACLE_MAX_CELLS:
         raise ResourceBudgetError("oracle grid of %d cells over %d members exceeds "
                                   "the cost guard" % (resolution ** 3, n))
-    members = arr[idx]
-    origin, unit, canon = _member_frame(members)
-    if unit == 0.0:
-        return _point_witness(point_of(members[0])).result(ball)
+    origin, unit, canon = _frames(arr[idx], np.array([n]))
+    if unit[0] == 0.0:
+        return _point_witness(point_of(arr[idx[0]])).result(ball)
 
     # incumbent from the two center lines fixes the search box
     rows = _Rows([canon])
@@ -725,5 +874,6 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
     cand = min((float(_max_dists(rows.lines([0]), [x0])[0]), x0),
                _nelder_mead(rows, [0], [x0], (spacing, spacing, 2.0 * h_max / resolution),
                             400, 1e-11, 1e-14)[0])
-    return _witness(members, origin, unit, cand[1],
-                    max(GAP_FLOOR, best[0] / 2.0 - cand[0] / 2.0)).result(ball)
+    fit = _Fit(0, arr, idx, point_of(origin[0]), float(unit[0]), canon)
+    return _witnesses([fit], [(cand[1], max(GAP_FLOOR, best[0] / 2.0 - cand[0] / 2.0))])[0] \
+        .result(ball)

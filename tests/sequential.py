@@ -3,7 +3,11 @@
 The tests compare the array kernels of heistsp.lines against these scalar
 references bit for bit (golden_min, the quartic profile) or to a tolerance
 (line distances by golden section), and beta's pair candidates against
-pair_candidates, which draws one pair per generator call.
+pair_candidates, which draws one pair per generator call.  The beta
+engine's set-up passes run over every member set of a chunk at once; the
+per-set forms they replace, one member set a call, are kept here as their
+reference: member_frame, subsample, min_width_strip (with convex_hull_2d),
+pair_candidates, pair_lines and witness.
 """
 
 import math
@@ -11,8 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from heistsp.core import HeisPoint, norm_arr
-from heistsp.lines import HorizontalLine
+from heistsp.core import (HeisPoint, dilate_arr, farthest_point_order, frame, group_inv,
+                          left_translate_arr, norm_arr, point_of)
+from heistsp.lines import (HorizontalLine, horizontal_line, line_dists_arr, line_through_two,
+                           transform_line)
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,3 +77,97 @@ def pair_candidates(canon: np.ndarray, pair_starts: int) -> list[tuple[int, int]
             if i != j:
                 pairs.append((min(int(i), int(j)), max(int(i), int(j))))
     return pairs[:pair_starts]
+
+
+def member_frame(members: np.ndarray) -> tuple[HeisPoint, float, np.ndarray]:
+    """The members' frame and the members in it: the origin is their
+    coordinate mean, taken about the first member, the unit their largest
+    gauge distance from it; the members are left unscaled when it is 0."""
+    origin = point_of(members[0] + (members - members[0]).mean(axis=0))
+    rel = left_translate_arr(group_inv(origin), members)
+    unit = float(norm_arr(rel).max())
+    return origin, unit, dilate_arr(1.0 / unit, rel) if unit > 0.0 else rel
+
+
+def subsample(canon: np.ndarray, max_members: int) -> np.ndarray:
+    """The optimisation subsample: the rows of a farthest-point traversal of
+    max_members picks, in row order, when there are more rows than that."""
+    if canon.shape[0] <= max_members:
+        return canon
+    return canon[sorted(farthest_point_order(canon, max_members)[0])]
+
+
+def convex_hull_2d(pts: np.ndarray) -> np.ndarray:
+    """Andrew monotone chain over the distinct rounded points, one set a call."""
+    pts = pts.round(decimals=15)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    p = pts[keep]
+    if p.shape[0] <= 2:
+        return p
+
+    def half(seq):
+        out = []
+        for qx, qy in seq:
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if (bx - ax) * (qy - ay) - (by - ay) * (qx - ax) > 0:
+                    break
+                out.pop()
+            out.append((qx, qy))
+        return out
+
+    seq = p.tolist()
+    return np.array(half(seq)[:-1] + half(seq[::-1])[:-1])
+
+
+def min_width_strip(pts: np.ndarray, hull=convex_hull_2d) -> tuple[float, float, float]:
+    """(width, theta, offset) of the minimal strip of a planar set, scoring
+    one hull edge after another in blocks under BATCH_PAIRS entries."""
+    from heistsp.beta import BATCH_PAIRS
+    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 1:
+        return 0.0, 0.0, float(pts[0, 1])
+    h = hull(pts)
+    if h.shape[0] <= 2:
+        d = h[-1] - h[0]
+        theta = math.atan2(d[1], d[0]) if np.any(d != 0.0) else 0.0
+        s = frame(math.cos(theta), math.sin(theta), pts[:, 0], pts[:, 1])[1]
+        return 0.0, theta, 0.5 * float(s.max() + s.min())
+    m = h.shape[0]
+    d = np.roll(h, -1, axis=0) - h
+    lns = np.array([math.hypot(dx, dy) for dx, dy in d.tolist()])
+    width, edge, offset = math.inf, -1, 0.0
+    step = max(1, BATCH_PAIRS // m)
+    for start in range(0, m, step):
+        dd, ln = d[start:start + step], lns[start:start + step]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (-dd[:, 1:] * h[:, 0] + dd[:, :1] * h[:, 1]) / ln[:, None]
+            s_max, s_min = s.max(axis=1), s.min(axis=1)
+            widths = s_max - s_min
+        widths[(ln == 0.0) | np.isnan(widths)] = math.inf
+        k = int(np.argmin(widths))
+        if widths[k] < width:
+            width, edge, offset = float(widths[k]), start + k, 0.5 * float(s_max[k] + s_min[k])
+    if edge < 0:
+        return math.inf, 0.0, 0.0
+    return width, math.atan2(d[edge, 1], d[edge, 0]), offset
+
+
+def pair_lines(sub: np.ndarray, pairs: list[tuple[int, int]]) -> list[HorizontalLine]:
+    """line_through_two(sub[i], sub[j]) for each pair whose projections are
+    not np.isclose."""
+    pts = sub.tolist()
+    return [line_through_two(HeisPoint(*pts[i]), HeisPoint(*pts[j])) for i, j in pairs
+            if not np.isclose(sub[i, :2], sub[j, :2]).all()]
+
+
+def witness(members: np.ndarray, origin: HeisPoint, unit: float,
+            params: tuple[float, float, float]) -> tuple[float, HorizontalLine, HeisPoint]:
+    """The line params of the members' frame in the input's coordinates, the
+    members' largest distance to it and the first member at that distance."""
+    line = transform_line(horizontal_line(*params), g=origin, lam=unit)
+    d = line_dists_arr(members, line)
+    k = int(np.argmax(d))
+    return float(d[k]), line, point_of(members[k])

@@ -24,7 +24,6 @@ from heistsp.beta import (
     beta_heis,
     beta_heis_many,
     beta_heis_oracle,
-    convex_hull_2d,
     min_width_strip,
     members_in_ball,
 )
@@ -33,6 +32,7 @@ from hypothesis import strategies as st
 
 import heistsp.beta
 from conftest import intro_triple, horizontal_points
+import sequential
 
 #: frozen regression: optimal beta of {0, (0,0,1)} in the unit ball at 0
 PAIR_BETA = 0.297302
@@ -176,7 +176,7 @@ class TestBetaHeis:
 
 
 def hull_by_unique(pts):
-    """convex_hull_2d as it was with np.unique(axis=0) as its dedupe."""
+    """The one-set hull, sequential.convex_hull_2d, with np.unique(axis=0) as its dedupe."""
     pts = np.unique(pts.round(decimals=15), axis=0)
     if pts.shape[0] <= 2:
         return pts
@@ -257,9 +257,10 @@ class TestBetaEuclidean:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
            zeros=st.integers(0, 12), dups=st.integers(0, 12))
     def test_strip_matches_unique_dedupe(self, seed, n, zeros, dups):
-        """min_width_strip gives the floats it gave with np.unique(axis=0) as
-        the hull's dedupe, on points with repeats, including coordinates
-        that round to +0.0 and -0.0 (equal, so merged by either dedupe)."""
+        """min_width_strip gives the floats of the one-set strip with
+        np.unique(axis=0) as the hull's dedupe, on points with repeats,
+        including coordinates that round to +0.0 and -0.0 (equal, so merged
+        by either dedupe)."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1.0, 1.0, (n, 2))
         # coordinates within 1e-16 of 0 that round(15) sends to +-0.0
@@ -267,15 +268,14 @@ class TestBetaEuclidean:
         tiny[:, rng.integers(0, 2)] = rng.choice(pts.ravel(), zeros)
         pts = np.concatenate([pts, tiny, pts[rng.integers(0, n, dups)]])
         pts = pts[rng.permutation(pts.shape[0])]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(heistsp.beta, "convex_hull_2d", hull_by_unique)
-            reference = min_width_strip(pts)
-        assert min_width_strip(pts) == reference
+        reference = sequential.min_width_strip(pts, hull_by_unique)
+        assert [v.hex() for v in min_width_strip(pts)] == [v.hex() for v in reference]
 
     def test_hull_degenerates(self):
-        assert convex_hull_2d(np.array([[0.0, 0.0]])).shape[0] == 1
+        hull = heistsp.beta._hulls
+        assert hull(np.array([[0.0, 0.0]]), np.array([1]))[1].tolist() == [1]
         col = np.column_stack([np.linspace(0, 1, 5), np.zeros(5)])
-        assert convex_hull_2d(col).shape[0] == 2
+        assert hull(col, np.array([5]))[1].tolist() == [2]
         w, theta, off = min_width_strip(col)
         assert w == 0.0 and theta == pytest.approx(0.0) and off == pytest.approx(0.0)
 

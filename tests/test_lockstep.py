@@ -23,7 +23,7 @@ import heistsp.beta
 import heistsp.builder
 import heistsp.multiscale
 from heistsp.builder import BuilderConfig, ScaleRangeError, _build, theorem_a_check
-from heistsp.core import ORIGIN, HeisPoint, as_array, sample_box
+from heistsp.core import ORIGIN, HeisPoint, as_array, point_of, sample_box
 from heistsp.curves import curve_length
 from heistsp.multiscale import build_nets, carleson_sum
 from heistsp.lines import (
@@ -50,7 +50,8 @@ from heistsp.beta import (
 from conftest import lifted_circle, lifted_parabola, lifted_sine
 from test_acceptance import _beta_fixtures
 from test_golden_cli import FIXTURES as GOLDEN_FIXTURES
-from sequential import golden_min, pair_candidates, quartic
+from sequential import (golden_min, member_frame, min_width_strip, pair_candidates, pair_lines,
+                        quartic, subsample, witness)
 
 
 def _masked_quartic_dists(xt, yt, zt):
@@ -569,15 +570,22 @@ def test_balls_with_equal_members_share_one_fit(bound, monkeypatch):
 @pytest.mark.parametrize("budget", [BetaBudget(), BUILDER_BUDGET], ids=["default", "builder"])
 def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
     """No kernel call of a mixed batch evaluates more than BATCH_PAIRS
-    line-member pairs, unless it serves one ball alone, and the bound
-    leaves every result unchanged."""
+    line-member pairs, unless it serves one ball alone; no membership scan,
+    frame pass or other ragged set-up or witness pass reads more than
+    BATCH_PAIRS rows, unless it serves one set alone; and the bound leaves
+    every result unchanged."""
     rng = np.random.default_rng(20261021)
     items = []
     for _ in range(60):
         pts = sample_box(rng, int(rng.choice([2, 3, 12, 48, 96, 300])), 0.5)
         items.append((pts, Ball(HeisPoint(*pts[0]), 4.0)))
-    calls, chunk = [], [0]
+    # balls over one shared array, whose memberships are scanned in blocks
+    shared = sample_box(rng, 300, 0.5)
+    items += [(shared, Ball(HeisPoint(*p), r)) for p, r in zip(shared[:40], [0.3, 4.0] * 20)]
+    calls, passes, chunk = [], [], [0]
     kernel, solve = heistsp.beta.quartic_dists, heistsp.beta._solve
+    witnesses, scan, frames, first_max = (heistsp.beta._witnesses, heistsp.beta._memberships,
+                                          heistsp.beta._frames, heistsp.beta._first_max)
 
     def spy_kernel(xt, yt, zt):
         calls.append((np.broadcast(xt, yt, zt).size, chunk[0]))
@@ -587,15 +595,37 @@ def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
         chunk[0] = len(fits)
         return solve(fits, budget)
 
-    monkeypatch.setattr(heistsp.beta, "quartic_dists", spy_kernel)
-    monkeypatch.setattr(heistsp.beta, "_solve", spy_solve)
+    def spy_witnesses(fits, solved):
+        chunk[0] = None         # a witness pass's rows are counted by _first_max
+        return witnesses(fits, solved)
+
+    def spy_scan(arr, balls):
+        passes.append((len(arr) * len(balls), len(balls)))
+        return scan(arr, balls)
+
+    def spy_frames(members, count):
+        passes.append((len(members), len(count)))
+        return frames(members, count)
+
+    def spy_first_max(v, count):
+        passes.append((v.size, len(count)))
+        return first_max(v, count)
+
+    for name, spy in [("quartic_dists", spy_kernel), ("_solve", spy_solve),
+                      ("_witnesses", spy_witnesses), ("_memberships", spy_scan),
+                      ("_frames", spy_frames), ("_first_max", spy_first_max)]:
+        monkeypatch.setattr(heistsp.beta, name, spy)
     want = None
     for bound in (heistsp.beta.BATCH_PAIRS, 3000, 200):
         calls.clear()
+        passes.clear()
         monkeypatch.setattr(heistsp.beta, "BATCH_PAIRS", bound)
         got = [_fields(r) for r in beta_heis_many(items, budget)]
-        assert all(rows <= bound or balls == 1 for rows, balls in calls), bound
-        assert max(rows for rows, _ in calls) > bound // 2      # the bound is reached
+        solving = [(rows, balls) for rows, balls in calls if balls is not None]
+        assert all(rows <= bound or balls == 1 for rows, balls in solving), bound
+        assert max(rows for rows, _ in solving) > bound // 2      # the bound is reached
+        assert all(rows <= bound or sets == 1 for rows, sets in passes), bound
+        assert any(sets > 1 for _, sets in passes)       # passes serve several sets
         want = want or got
         assert got == want
 
@@ -654,8 +684,21 @@ def test_pair_candidates_equal_one_draw_per_pair(n):
     for _ in range(6):
         canon = sample_box(rng, n, 1.0)
         for starts in (10, 24, 200):
-            budget = BetaBudget(pair_starts=starts)
-            assert _pair_candidates(canon, budget) == pair_candidates(canon, starts)
+            ii, jj, _ = _pair_candidates(canon, np.array([n]), BetaBudget(pair_starts=starts))
+            assert list(zip(ii.tolist(), jj.tolist())) == pair_candidates(canon, starts)
+
+
+def test_pair_candidates_of_a_chunk_equal_each_sets():
+    # sets on both sides of the 8-row all-pairs limit in one chunk, at every
+    # pair_starts up to 90: each set gets its own pairs and its own fill
+    rng = np.random.default_rng(5)
+    sets = [sample_box(rng, n, 1.0) for n in (2, 8, 9, 9, 10, 30, 8)]
+    rows = _Rows(sets)
+    for starts in range(1, 91):
+        ii, jj, owner = _pair_candidates(rows.cols.T, rows.count, BetaBudget(pair_starts=starts))
+        got = zip(owner.tolist(), (ii - rows.start[owner]).tolist(), (jj - rows.start[owner]).tolist())
+        assert list(got) == [(k, i, j) for k, s in enumerate(sets)
+                             for i, j in pair_candidates(s, starts)], starts
 
 
 @pytest.mark.parametrize("n", [3, 1000, 2 ** 31 + 1, 3 * 2 ** 30 + 7])
@@ -790,6 +833,99 @@ def test_theorem_a_check_fits_nothing_without_two_resolved_points(monkeypatch):
     assert res.ledger.entries == [] and res.ledger.snapshots == {}
     with pytest.raises(ScaleRangeError):      # raised while planning, before any fit
         theorem_a_check([ORIGIN, HeisPoint(1.0, 0.0, 0.0), HeisPoint(1e-20, 0.0, 0.0)])
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(np.asarray(values, dtype=float))]
+
+
+#: sub rows whose pair directions take both wrap guards of theta_mod_pi:
+#: atan2 of (-5e-324, 1) over pi rounds to -0.0, which leaves t < 0, and
+#: -2e-17 + pi rounds to pi, which leaves t >= pi
+WRAPS = [np.array([[0.0, 0.0, 0.0], [1.0, -5e-324, 0.3], [0.5, -1e-17, -0.2]]),
+         np.array([[0.2, 0.0, 0.1], [0.7, -1e-17, 0.0], [-0.3, 0.0, 0.2], [0.2, 1e-300, 0.0]])]
+
+
+@st.composite
+def _chunk_sets(draw):
+    """Member sets of one chunk, drawn to mix 2-8, 9-120 and more than
+    max_members members, coincident members, vertical stacks and more than
+    max_members members at fewer distinct points (so the subsample repeats
+    rows), with a budget, a BATCH_PAIRS bound and a witness line per set."""
+    kinds = draw(st.lists(st.sampled_from(["few", "mid", "big", "coincident", "stack", "repeats"]),
+                          min_size=1, max_size=6))
+    budget = BetaBudget(pair_starts=draw(st.sampled_from([10, 24, 70])),
+                        max_members=draw(st.sampled_from([48, 96])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sets = []
+    for kind in kinds:
+        lo, hi = {"few": (2, 9), "mid": (9, 121), "big": (budget.max_members + 1, 160),
+                  "repeats": (budget.max_members + 1, 160)}.get(kind, (2, 20))
+        lam = 10.0 ** rng.uniform(-3, 3)
+        pts = sample_box(rng, int(rng.integers(lo, hi)), lam) + rng.uniform(-5, 5, 3)
+        if kind == "coincident":
+            pts[:] = pts[0]
+        elif kind == "stack":
+            pts[:, :2] = pts[0, :2]
+        elif kind == "repeats":
+            pts = pts[rng.integers(0, 20, len(pts))]
+        sets.append(pts)
+    params = rng.uniform([0.0, -0.5, -0.5], [math.pi, 0.5, 0.5], (len(sets), 3))
+    return sets, budget, draw(st.sampled_from([heistsp.beta.BATCH_PAIRS, 150])), params
+
+
+@given(_chunk_sets())
+@settings(max_examples=30, deadline=None)
+def test_chunk_passes_equal_per_set_forms(case):
+    """The engine's set-up passes over a chunk equal the per-set forms of
+    tests/sequential.py bit for bit: frames, subsamples, strips, pair
+    candidates, pair lines and witnesses."""
+    sets, budget, bound, params = case
+    count = np.array([len(s) for s in sets])
+    start = np.cumsum(count) - count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heistsp.beta, "BATCH_PAIRS", bound)
+        origin, unit, canon = heistsp.beta._frames(np.concatenate(sets), count)
+        frames = [member_frame(s) for s in sets]
+        for (o, u, c), o2, u2, a, n in zip(frames, origin, unit, start, count):
+            assert (_hex(o), _hex(u), _hex(c)) == (_hex(o2), _hex(u2), _hex(canon[a:a + n]))
+        fit = unit > 0.0
+        subs = [subsample(c, budget.max_members) for _, u, c in frames if u > 0.0]
+        sub = heistsp.beta._subsamples(canon[np.repeat(fit, count)], count[fit],
+                                       budget.max_members)
+        assert _hex(sub) == _hex(np.concatenate(subs or [np.empty((0, 3))]))
+        subs += WRAPS
+        rows = _Rows(subs)
+        want = [min_width_strip(s[:, :2]) for s in subs]
+        got = heistsp.beta._strips(rows.cols[:2].T, rows.count)
+        assert [_hex(v) for v in got] == [_hex(v) for v in zip(*want)]
+        pairs = [pair_candidates(s, budget.pair_starts) for s in subs]
+        ii, jj, owner = _pair_candidates(rows.cols.T, rows.count, budget)
+        assert (list(zip(owner.tolist(), (ii - rows.start[owner]).tolist(),
+                         (jj - rows.start[owner]).tolist()))
+                == [(k, i, j) for k, p in enumerate(pairs) for i, j in p])
+        want = [pair_lines(s, p) for s, p in zip(subs, pairs)]
+        lines, n_lines = heistsp.beta._pair_lines(rows, budget)
+        assert n_lines.tolist() == [len(w) for w in want]
+        assert _hex(lines) == _hex([line for w in want for line in w])
+        fits = [heistsp.beta._Fit(k, s, np.arange(len(s)), point_of(o), float(u), None)
+                for k, (s, o, u) in enumerate(zip(sets, origin, unit)) if u > 0.0]
+        got = heistsp.beta._witnesses(fits, [(tuple(params[f.key]), 0.0) for f in fits])
+        for f, w in zip(fits, got):
+            sup, line, point = witness(f.points, f.origin, f.unit, tuple(params[f.key]))
+            assert (_hex(w.sup), _hex(w.line), _hex(w.point)) == (_hex(sup), _hex(line),
+                                                                  _hex(point))
+
+
+def test_wrap_rows_take_both_guards():
+    assert math.atan2(-5e-324, 1.0) / math.pi == 0.0 and math.atan2(-5e-324, 1.0) < 0.0
+    assert math.floor(math.atan2(-1e-17, 0.5) / math.pi) == -1
+    assert math.atan2(-1e-17, 0.5) + math.pi == math.pi
+    lines, _ = heistsp.beta._pair_lines(_Rows(WRAPS), BetaBudget())
+    assert (lines[:, 0] >= 0.0).all() and (lines[:, 0] < math.pi).all()
+    # one point: its strip runs through it, -0.0 kept
+    point = np.array([[-0.5, -0.0]])
+    assert _hex(heistsp.beta.min_width_strip(point)) == _hex(min_width_strip(point))
 
 
 coords = st.floats(-1.0, 1.0, allow_nan=False)
