@@ -20,12 +20,15 @@ only in the radius that divides the sup.  The sets' optimisation
 subsamples are ragged rows, one flat (R, 3) array with each set's rows
 consecutive (_Rows), and each step evaluates all the lines it needs, for
 all sets, in one kernel call: every line is paired with its own set's rows
-only, their distances come from one lines.quartic_dists call, and each
-line's max is one np.maximum.reduceat.  All candidates are scored
-together; the golden-section height searches run side by side; and the
-Nelder-Mead starts of all sets advance together, each iteration evaluating
-every start's reflection in one call and then only the trial point each
-start's branch reads.  Each search replays its sequential form bit for bit
+only (_Lines, x, y and z columns and a row count per line), its parameters
+reach its rows by np.repeat, their distances come from one
+lines.quartic_dists call, and each line's max is one np.maximum.reduceat.
+All candidates are scored together and ranked by one np.lexsort; the
+golden-section height searches run side by side; and the Nelder-Mead
+starts of all sets advance together over one block of their rows, gathered
+once per change of the live starts, each iteration evaluating every start's
+reflection in one call and then only the trial point each start's branch
+reads.  Each search replays its sequential form bit for bit
 (lines.golden_min_many; scipy 1.17.1's Nelder-Mead), and a line reads no
 row but its set's, so a result does not depend on the batch it runs in.
 A batch runs in chunks whose iterative steps stay under BATCH_PAIRS
@@ -197,11 +200,17 @@ def _first_max(v: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 class _Lines(NamedTuple):
-    """Lines in ragged member rows: row j holds a member of line line[j]'s
-    ball, each line's rows run consecutively from first[line]."""
-    members: np.ndarray     # (P, 3), column-contiguous, as the kernels read columns
-    line: np.ndarray        # (P,) the line of each row
-    first: np.ndarray       # (L,) the first row of each line
+    """Lines in ragged member rows: line i's count[i] rows run consecutively
+    from first[i], held as the x, y and z columns the kernels read."""
+    cols: np.ndarray        # (3, P)
+    count: np.ndarray       # (L,)
+    first: np.ndarray       # (L,)
+
+    def subset(self, keep: np.ndarray) -> _Lines:
+        """The lines where keep holds, their rows copied out of this block."""
+        count = self.count[keep]
+        return _Lines(self.cols.compress(np.repeat(keep, self.count), axis=1), count,
+                      np.cumsum(count) - count)
 
 
 class _Rows:
@@ -220,21 +229,18 @@ class _Rows:
         count = self.count[balls]
         first = np.cumsum(count) - count
         idx = np.arange(count.sum()) + np.repeat(self.start[balls] - first, count)
-        return _Lines(self.cols.take(idx, axis=1).T, np.repeat(np.arange(len(balls)), count),
-                      first)
+        return _Lines(self.cols.take(idx, axis=1), count, first)
 
 
 def _max_dists(lines: _Lines, params) -> np.ndarray:
     """max_i d(p_i, L) over each line's members, for the line (theta,
     offset, height) of each row of params, shaped (L, 3)."""
-    params = np.asarray(params, dtype=float).reshape(-1, 3)
-    c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
-    j = lines.line
-    # a column gathers faster than params[j, 1]; the gathers are freed
+    th, off, h = np.asarray(params, dtype=float).reshape(-1, 3).T
+    # each line's cos, sin, offset and height on each of its rows, freed
     # before the kernel runs
-    d = quartic_dists(*canon_coords(lines.members, c[j], s[j],
-                                    params[:, 1][j], params[:, 2][j]))
-    return np.maximum.reduceat(d, lines.first)
+    canon = canon_coords(lines.cols.T, *np.repeat([np.cos(th), np.sin(th), off, h], lines.count,
+                                                  axis=1))
+    return np.maximum.reduceat(quartic_dists(*canon), lines.first)
 
 
 def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
@@ -264,18 +270,18 @@ def _best_heights(lines: _Lines, thetas, offsets) -> list[float]:
     heights finds the optimum.  All lines search in lockstep
     (golden_min_many), one kernel call per step.
     """
+    count = lines.count
     th = np.asarray(thetas, dtype=float)
-    off = np.asarray(offsets, dtype=float)
-    j = lines.line
-    off_j = off[j]
+    off = _per_row(np.asarray(offsets, dtype=float), count)
     # the canonical coordinates at height 0
-    xt, yt, z0 = canon_coords(lines.members, np.cos(th)[j], np.sin(th)[j], off_j, 0.0)
+    xt, yt, z0 = canon_coords(lines.cols.T, _per_row(np.cos(th), count),
+                              _per_row(np.sin(th), count), off, 0.0)
     # h with zero mismatch at the co-horizontal foot
-    targets = lines.members[:, 2] - 2.0 * xt * yt + 2.0 * off_j * xt
+    targets = lines.cols[2] - 2.0 * xt * yt + 2.0 * off * xt
     a = np.minimum.reduceat(targets, lines.first)
     b = np.maximum.reduceat(targets, lines.first)
     return golden_min_many(
-        lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - h[j]), lines.first),
+        lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - _per_row(h, count)), lines.first),
         a, b, HEIGHT_ITERS)[0].tolist()
 
 
@@ -299,14 +305,18 @@ def _hulls(pts: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, rounded to 15 decimals, are sorted by x then y and each equal to
     the one before it is dropped (the distinct rows of np.unique(axis=0),
     without its row sort), all runs in one pass; then each run's monotone
-    chain."""
+    chain.  Runs of equal rows are dropped before the sort as well: the
+    first of each equal class survives either way."""
     set_of = np.repeat(np.arange(len(count)), count)
     p = pts.round(decimals=15)
-    p = p[np.lexsort((p[:, 1], p[:, 0], set_of))]
-    keep = np.ones(p.shape[0], dtype=bool)
-    keep[1:] = (p[1:] != p[:-1]).any(axis=1) | (set_of[1:] != set_of[:-1])
-    seq = p[keep].tolist()
-    ends = np.cumsum(np.bincount(set_of[keep], minlength=len(count))).tolist()
+    for sort in (False, True):
+        if sort:
+            p = p[np.lexsort((p[:, 1], p[:, 0], set_of))]
+        keep = np.ones(p.shape[0], dtype=bool)
+        keep[1:] = (p[1:] != p[:-1]).any(axis=1) | (set_of[1:] != set_of[:-1])
+        p, set_of = p[keep], set_of[keep]
+    seq = p.tolist()
+    ends = np.cumsum(np.bincount(set_of, minlength=len(count))).tolist()
     hulls = [s if len(s) <= 2 else _chain(s)[:-1] + _chain(s[::-1])[:-1]
              for s in (seq[a:e] for a, e in zip([0] + ends[:-1], ends))]
     return (np.array([v for h in hulls for v in h], dtype=float).reshape(-1, 2),
@@ -559,7 +569,7 @@ def _pair_lines(rows: "_Rows", budget: BetaBudget) -> tuple[np.ndarray, np.ndarr
     theta = np.array(list(map(math.atan2, (b[:, 1] - a[:, 1]).tolist(),
                               (b[:, 0] - a[:, 0]).tolist())), dtype=float)
     # theta_mod_pi, with both of its rounding guards
-    t = theta - np.floor(theta / math.pi) * math.pi
+    t = theta - (np.floor(theta / math.pi) + 0.0) * math.pi   # k = -0.0 as the int 0
     t = np.where(t < 0.0, t + math.pi, t)
     t = np.where(t >= math.pi, t - math.pi, t)
     gx, gy = frame(*(np.array(list(map(f, t.tolist())), dtype=float) for f in (math.cos, math.sin)),
@@ -579,8 +589,16 @@ _RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
 #: reflection, expansion, outside and inside contraction.  scipy writes the
 #: inside contraction (1 - psi) * xbar + psi * worst, which rounds exactly as
 #: subtracting -psi * worst does.
-_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])[:, None]
-_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])[:, None]
+_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])
+_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])
+
+
+def _sort(sim: np.ndarray) -> np.ndarray:
+    """Each simplex's vertices by value, as scipy's argsort orders them: one
+    argsort and one flat gather."""
+    ind = sim[:, :, 3].argsort(axis=1)
+    ind += 4 * np.arange(len(sim))[:, None]
+    return sim.reshape(-1, 4).take(ind, axis=0)
 
 
 def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], maxiter: int,
@@ -593,13 +611,16 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
     x0 + diag(steps).  Every start keeps its own simplex, arithmetic,
     argsort and convergence test; the iteration counter they share starts at
     1 as scipy's does, whatever ball a start belongs to, and a start that
-    converges leaves the lockstep.  An iteration evaluates the reflections of
-    all live starts in one kernel call and then, in a second, the one further
-    trial point that each start's branch reads (expansion, outside or inside
-    contraction, or none), so every start evaluates the points scipy does.
-    Shrinks take one more call, in blocks under BATCH_PAIRS rows.  A start
-    repeated in the same ball, bit for bit, is polished once and its copies
-    share the result.
+    converges leaves the lockstep.  The live starts' member rows are one
+    block, gathered at the start and cut down as starts leave.  An iteration
+    evaluates the reflections of all live starts over it in one kernel call
+    and then, in a second over the rows of the starts that need it, the one
+    further trial point that each start's branch reads (expansion, outside
+    or inside contraction, or none), so every start evaluates the points
+    scipy does.  Shrinks take one more call, in blocks under BATCH_PAIRS
+    rows.  On a sorted simplex scipy's max |f0 - fi| is f[-1] - f[0], and
+    its centroid's np.add.reduce is (x0 + x1) + x2.  A start repeated in the
+    same ball, bit for bit, is polished once and its copies share the result.
     """
     x0 = np.array(x0s, dtype=float).reshape(-1, 3)
     balls = np.asarray(balls, dtype=np.intp)
@@ -609,68 +630,64 @@ def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], max
     copy = [distinct.setdefault((b, x.tobytes()), len(distinct))
             for b, x in zip(balls.tolist(), x0)]
     first = np.unique(copy, return_index=True)[1]
-    x0, balls = x0[first], balls[first]     # the ball of each row of sim and fsim
-    n = x0.shape[1]
-    live = np.arange(len(x0))                   # the start of each row of sim and fsim
-    sim = np.concatenate([x0[:, None, :], x0[:, None, :] + np.diag(steps)], axis=1)
-    fsim = _max_dists_blocked(rows, balls, sim).reshape(-1, n + 1)
+    x0, balls = x0[first], balls[first]     # the ball of each simplex
+    live = np.arange(len(x0))               # the start of each simplex
+    # each live start's simplex: vertex k's point and value in sim[:, k]
+    sim = np.empty((len(x0), 4, 4))
+    sim[:, 0, :3] = x0
+    sim[:, 1:, :3] = x0[:, None, :] + np.diag(steps)
+    sim[:, :, 3] = _max_dists_blocked(rows, balls, sim[:, :, :3]).reshape(-1, 4)
     out: list = [None] * len(x0)
-
-    def sort(sim, fsim):
-        ind = np.argsort(fsim, axis=1)
-        rows = np.arange(len(fsim))[:, None]
-        return sim[rows, ind], fsim[rows, ind]
-
-    sim, fsim = sort(*sort(sim, fsim))   # scipy sorts twice before its first iteration
+    sim = _sort(_sort(sim))     # scipy sorts twice before its first iteration
     iterations = 1
-    lines = rows.lines(balls)       # one line per live start, for its trial points
+    lines = rows.lines(balls)
     while live.size:
+        f = sim[:, :, 3]
         if iterations < maxiter:
             # scipy's test, its simplex spread read only where fatol holds
-            done = np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+            done = f[:, -1] - f[:, 0] <= fatol
             near = np.flatnonzero(done)
-            done[near] = np.abs(sim[near, 1:] - sim[near, :1]).max(axis=(1, 2)) <= xatol
+            done[near] = np.abs(sim[near, 1:, :3] - sim[near, :1, :3]).max(axis=(1, 2)) <= xatol
         else:
             done = np.ones(live.size, dtype=bool)
         if done.any():
-            for r in np.flatnonzero(done).tolist():
-                out[live[r]] = (float(np.min(fsim[r])), tuple(sim[r, 0].tolist()))
+            for r, fmin in zip(np.flatnonzero(done).tolist(), f[done].min(axis=1).tolist()):
+                out[live[r]] = (fmin, tuple(sim[r, 0, :3].tolist()))
             keep = ~done
-            sim, fsim, balls, live = sim[keep], fsim[keep], balls[keep], live[keep]
+            sim, balls, live = sim[keep], balls[keep], live[keep]
             if not live.size:
                 break
-            lines = rows.lines(balls)
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        xr = _TRIAL_A[0] * xbar - _TRIAL_B[0] * sim[:, -1]
+            lines = lines.subset(keep)
+            f = sim[:, :, 3]
+        xbar = sim[:, 0, :3] + sim[:, 1, :3]
+        xbar += sim[:, 2, :3]
+        xbar /= 3
+        worst = sim[:, -1, :3]
+        xr = _TRIAL_A[0] * xbar - _TRIAL_B[0] * worst
         fxr = _max_dists(lines, xr)
         # the trial point read after the reflection: expansion (1),
         # outside (2) or inside (3) contraction, or none (0)
-        second = np.where(fxr < fsim[:, 0], 1,
-                          np.where(fxr < fsim[:, -2], 0, np.where(fxr < fsim[:, -1], 2, 3)))
-        f2 = np.full(live.size, np.inf)     # the second trial's value, where evaluated
-        x2 = np.empty_like(xr)              # and its point
-        more = np.flatnonzero(second)
-        if more.size:
-            k = second[more]
-            x2[more] = _TRIAL_A[k] * xbar[more] - _TRIAL_B[k] * sim[more, -1]
-            f2[more] = _max_dists(rows.lines(balls[more]), x2[more])
+        second = np.where(fxr < f[:, 0], 1, np.where(fxr < f[:, -2], 0, 3 - (fxr < f[:, -1])))
+        x2 = _TRIAL_A[second][:, None] * xbar - _TRIAL_B[second][:, None] * worst
+        f2 = np.full(live.size, np.inf)     # its value, where evaluated
+        more = second != 0
+        if more.any():
+            f2[more] = _max_dists(lines.subset(more), x2[more])
         # scipy's branches: a start takes its second trial point when that
         # passes its branch's test; a failed expansion falls back to the
-        # reflection (0), a failed contraction to a shrink (-1)
-        keep = np.choose(second, [True, f2 < fxr, f2 <= fxr, f2 < fsim[:, -1]])
-        pick = np.where(keep, second, np.where(second == 1, 0, -1))
-        moved = np.flatnonzero(pick >= 0)
-        if moved.size:
-            sim[moved, -1] = np.where((pick == 0)[:, None], xr, x2)[moved]
-            fsim[moved, -1] = np.where(pick == 0, fxr, f2)[moved]
-        shrink = np.flatnonzero(pick < 0)
-        if shrink.size:
-            best = sim[shrink, :1]
-            sim[shrink, 1:] = best + _SIGMA * (sim[shrink, 1:] - best)
-            fsim[shrink, 1:] = _max_dists_blocked(rows, balls[shrink],
-                                                  sim[shrink, 1:]).reshape(-1, n)
+        # reflection, a failed contraction to a shrink
+        take = np.choose(second, [False, f2 < fxr, f2 <= fxr, f2 < f[:, -1]])
+        stay = take | (second < 2)
+        np.copyto(worst, np.where(take[:, None], x2, xr), where=stay[:, None])
+        np.copyto(sim[:, -1, 3], np.where(take, f2, fxr), where=stay)
+        if not stay.all():
+            shrink = np.flatnonzero(~stay)
+            best = sim[shrink, :1, :3]
+            sim[shrink, 1:, :3] = best + _SIGMA * (sim[shrink, 1:, :3] - best)
+            sim[shrink, 1:, 3] = _max_dists_blocked(rows, balls[shrink],
+                                                    sim[shrink, 1:, :3]).reshape(-1, 3)
         iterations += 1
-        sim, fsim = sort(sim, fsim)
+        sim = _sort(sim)
     return [out[j] for j in copy]
 
 
@@ -685,45 +702,38 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
     each step one kernel call across all sets, each line over its own set's
     member rows."""
     rows = _Rows([f.sub for f in fits])
-    balls = np.arange(len(fits))
+    sets = np.arange(len(fits))
     _, th_s, off_s = _strips(rows.cols[:2].T, rows.count)
     pair_lines, n_pairs = _pair_lines(rows, budget)
 
-    def flatten(groups: list[list]) -> tuple[list, list[int], np.ndarray]:
-        """The groups' items as one list, the count per group and the ball of each item."""
-        counts = [len(g) for g in groups]
-        return [x for g in groups for x in g], counts, np.repeat(balls, counts)
-
-    # stage A: direct candidates, scored together; the best few get their height refit
-    strip_h = _best_heights(rows.lines(balls), th_s, off_s)
-    cands = [[(0.0, 0.0, 0.0), (0.5 * math.pi, 0.0, 0.0), (th, off, h)] + lines
-             for th, off, h, lines in zip(th_s.tolist(), off_s.tolist(), strip_h,
-                                          _split(list(map(tuple, pair_lines.tolist())),
-                                                 n_pairs.tolist()))]
-    flat, counts, owner = flatten(cands)
-    scored = [sorted(zip(v, c))     # by value, ties by line
-              for v, c in zip(_split(_max_dists_blocked(rows, owner, flat).tolist(), counts),
-                              cands)]
-    top, counts, owner = flatten([[c for _, c in s[:budget.refine_starts]] for s in scored])
-    lines = rows.lines(owner)
-    heights = _best_heights(lines, [c[0] for c in top], [c[1] for c in top])
-    refit = [(th, c_, h2) for (th, c_, _), h2 in zip(top, heights)]
-    for s, v, r in zip(scored, _split(_max_dists(lines, refit).tolist(), counts),
-                       _split(refit, counts)):
-        s += zip(v, r)
-        s.sort()
+    # stage A: each set's two centre lines, its strip line and its pair
+    # lines, scored together, and ranked per set by (value, theta, offset,
+    # height), a tie kept in place as a sort of tuples keeps it; the best few
+    # get their height refit and join the candidates after them
+    strip = np.column_stack([th_s, off_s, _best_heights(rows.lines(sets), th_s, off_s)])
+    cands = np.concatenate([np.repeat([[0.0, 0.0, 0.0], [0.5 * math.pi, 0.0, 0.0]], len(fits), 0),
+                            strip, pair_lines])
+    owner = np.concatenate([np.tile(sets, 3), np.repeat(sets, n_pairs)])
+    v = _max_dists_blocked(rows, owner, cands)
+    order = np.lexsort((*cands[:, ::-1].T, v, owner))
+    top = order[_ragged(3 + n_pairs) < budget.refine_starts]
+    lines = rows.lines(owner[top])
+    refit = cands[top]
+    refit[:, 2] = _best_heights(lines, refit[:, 0], refit[:, 1])
+    v = np.concatenate([v[order], _max_dists(lines, refit)])
+    cands, owner = np.concatenate([cands[order], refit]), np.concatenate([owner[order], owner[top]])
+    order = np.lexsort((*cands[:, ::-1].T, v, owner))
 
     # stage B: Nelder-Mead polish from the best few
-    starts, counts, owner = flatten([[p for _, p in s[:budget.nm_starts]] for s in scored])
-    polished = _split(_nelder_mead(rows, owner, starts, _NM_STEPS, budget.nm_iter, 1e-10, 1e-13),
-                      counts)
+    n = np.bincount(owner, minlength=len(fits))
+    starts, best = order[_ragged(n) < budget.nm_starts], order[np.cumsum(n) - n]
+    polished = _nelder_mead(rows, owner[starts], cands[starts], _NM_STEPS, budget.nm_iter,
+                            1e-10, 1e-13)
     out = []
-    for s, polished_b in zip(scored, polished):
-        best = s[0]
-        for cand in polished_b:
-            if cand < best:
-                best = cand
-        out.append((best[1], max(GAP_FLOOR, s[0][0] / 2.0 - best[0] / 2.0)))
+    for direct, polished_b in zip(zip(v[best].tolist(), map(tuple, cands[best].tolist())),
+                                  _split(polished, np.minimum(n, budget.nm_starts).tolist())):
+        fun, x = min([direct, *polished_b])     # the first least (value, line)
+        out.append((x, max(GAP_FLOOR, direct[0] / 2.0 - fun / 2.0)))
     return out
 
 

@@ -43,8 +43,8 @@ from .beta import (
     BetaResult,
     beta_heis,
     beta_heis_many,
-    members_in_ball,
     scale_ball,
+    _memberships,
 )
 from .curves import PolygonalCurve, curve_length
 from .lines import foot_params_arr
@@ -342,10 +342,11 @@ def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | Polyg
     # its scale nor fresh in an earlier ball of the scale.  The path holds
     # the first net point before the first scale and the previous scale's
     # net after it (the nets are nested and every net point is a member of
-    # its own ball), so a running claimed set gives every scale's fresh
+    # its own ball), so a running claimed mask gives every scale's fresh
     # members in advance, and the fits, which read the point set and not
     # the path, are planned before the first insertion.
-    claimed = {hierarchy.nets[k_min][0]}
+    claimed = np.zeros(arr.shape[0], dtype=bool)
+    claimed[hierarchy.nets[k_min][0]] = True
     scales, items = [], []
     for k in range(k_min + 1, k_max + 1):
         net_k = hierarchy.nets[k]
@@ -353,15 +354,19 @@ def _plan(points: Sequence[HeisPoint], cfg: BuilderConfig) -> _BuildPlan | Polyg
         net_idx, net_arr = np.asarray(net_k, dtype=np.int32), arr[net_k]
         radius = cfg.c1 * 2.0 ** (-k)
         balls, fits = [], []
-        for anchor in net_k:
-            ball = Ball(HeisPoint(*arr[anchor]), radius)
-            members = net_idx[members_in_ball(net_arr, ball)]
-            balls.append((anchor, members))
-            fresh = [i for i in members.tolist() if i not in claimed]
-            if fresh:
-                claimed.update(fresh)
-                fits.append((anchor, fresh))
-                items.append((arr, ball))
+        # the members of blocks of anchors, one scan under BATCH_PAIRS distances each
+        step = max(1, BATCH_PAIRS // len(net_k))
+        for a in range(0, len(net_k), step):
+            block = [Ball(HeisPoint(*arr[anchor]), radius) for anchor in net_k[a:a + step]]
+            _, idx, count = _memberships(net_arr, block)
+            for anchor, ball, members in zip(net_k[a:a + step], block,
+                                             np.split(net_idx[idx], np.cumsum(count)[:-1])):
+                balls.append((anchor, members))
+                fresh = members[~claimed[members]]
+                if fresh.size:
+                    claimed[fresh] = True
+                    fits.append((anchor, fresh.tolist()))
+                    items.append((arr, ball))
         scales.append((k, balls, fits))
     return _BuildPlan(arr, hierarchy, scales, items)
 

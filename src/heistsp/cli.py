@@ -32,7 +32,8 @@ from .verify import DEFAULT_COUNTS, EXACT_CHECK_IDS, report_dict, run_suite, sui
 
 
 class InputError(ValueError):
-    """Malformed input file; carries a location for diagnostics."""
+    """Malformed input, or a file that cannot be read or written; carries a
+    location for diagnostics."""
 
 
 @dataclass
@@ -96,11 +97,14 @@ def save_points(path: str, pset: PointSetFile, header: list[str] | None = None) 
 
 def _write(path: str | None, text: str) -> None:
     """Every output's one writer: the file at path, or stdout without one."""
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc.strerror)) from exc
 
 
 def _config_header(args: argparse.Namespace, **resolved) -> list[str]:

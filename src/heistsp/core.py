@@ -59,8 +59,12 @@ def relative(ax, ay, az, bx, by, bz):
 def frame(c, s, x, y):
     """(x, y) rotated by -theta, given c = cos(theta) and s = sin(theta):
     the coordinates in the frame of a line of direction theta.  frame(c, -s,
-    x, y) rotates by +theta.  On floats or broadcast over arrays."""
-    return c * x + s * y, -s * x + c * y
+    x, y) rotates by +theta.  On floats or broadcast over arrays, updating
+    its own temporaries in place: c y - s x rounds as -s x + c y does."""
+    px, py = c * x, c * y
+    px += s * y
+    py -= s * x
+    return px, py
 
 
 def group_mul(a: HeisPoint, b: HeisPoint) -> HeisPoint:

@@ -108,9 +108,13 @@ def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.
     given cos and sin of its direction: x~ is the foot parameter axis, y~ the
     signed plane offset from the projected line, z~ the z mismatch against
     the line's profile at t = 0.  The line parameters broadcast against the
-    rows: one line's scalars, or one line per row."""
+    rows: one line's scalars, or one line per row (temporaries updated in place)."""
     px, py = frame(c, s, arr[..., 0], arr[..., 1])
-    return px, py - offset, arr[..., 2] + 2.0 * offset * px - height
+    py -= offset
+    pz = 2.0 * offset * px      # z + 2 offset x - height, in that order
+    pz += arr[..., 2]
+    pz -= height
+    return px, py, pz
 
 
 def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
@@ -143,11 +147,13 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
         np.sinh(u, out=u)
         ay *= -2.0          # negative exactly where |y~| > 0
         u *= ay
+    nonzero = ay < 0.0
     bad = ~np.isfinite(u)
-    bad &= ay < 0.0         # the y~ = 0 rows are not finite but take u = 0 below
+    bad &= nonzero          # the y~ = 0 rows are not finite but take u = 0 below
     if bad.any():
         u[bad] = -np.cbrt(q[bad])
-    u[~(ay < 0.0)] = 0.0
+    np.copyto(u, 0.0, where=~nonzero)
+    del bad, nonzero        # freed before f and its terms
     u += xt                 # t, the minimizer
     f = u - xt
     f *= f

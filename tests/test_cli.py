@@ -291,6 +291,16 @@ def test_bad_input_exits_2(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cmd", ["beta", "build", "carleson", "theorem-a", "theorem-b", "verify"])
+def test_out_into_a_missing_directory_exits_2(cmd, tmp_path, capsys):
+    path = write_points(tmp_path / "tri.txt", intro_triple(0.1))
+    out = str(tmp_path / "missing" / "x")
+    code, _, err = run_cli(capsys, cmd, *(["--samples", "200"] if cmd == "verify" else [path]),
+                           "--out", out)
+    assert code == 2
+    assert err.startswith("error: cannot write %s" % out) and "Traceback" not in err
+
+
 @pytest.mark.parametrize("cmd", ["build", "theorem-a"])
 def test_c1_at_one_is_refused_by_its_flag(cmd, tmp_path, capsys):
     # the builder needs c1 > 1: argparse refuses --c1 1 and names the flag

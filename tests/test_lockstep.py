@@ -178,6 +178,7 @@ def _scipy_polish(arr, x0, maxiter, polish=POLISHES["engine"]):
 
 
 STARTS = [(0.5 * math.pi, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3, 0.1, -0.2)]
+THREE_POINT = np.array([(-0.5, 0.0, 0.0), (0.0, 0.0, 0.05), (0.5, 0.0, 0.0)])
 
 
 @pytest.mark.parametrize("n_starts", [1, 2, 3])
@@ -187,7 +188,7 @@ STARTS = [(0.5 * math.pi, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3, 0.1, -0.2)]
 def test_lockstep_nelder_mead_equals_scipy(case, polish, n_starts, monkeypatch):
     maxiter = 120
     if case == "three-point":
-        arr = np.array([(-0.5, 0.0, 0.0), (0.0, 0.0, 0.05), (0.5, 0.0, 0.0)])
+        arr = THREE_POINT
         maxiter = 400
     elif case == "cloud":
         arr = sample_box(np.random.default_rng(10), 40, 0.7)
@@ -202,7 +203,7 @@ def test_lockstep_nelder_mead_equals_scipy(case, polish, n_starts, monkeypatch):
     max_dists = heistsp.beta._max_dists
 
     def spy(lines, params):
-        copies = np.diff(lines.first, append=len(lines.line)) // len(arr)
+        copies = lines.count // len(arr)
         calls.append((np.shape(params), copies - 1))     # the start of each line
         return max_dists(lines, params)
 
@@ -238,7 +239,7 @@ def test_lockstep_nelder_mead_polishes_each_distinct_start_once(monkeypatch):
     max_dists = heistsp.beta._max_dists
 
     def spy(lines, params):
-        calls.append(np.diff(lines.first, append=len(lines.line)) // len(arr) - 1)
+        calls.append(lines.count // len(arr) - 1)
         return max_dists(lines, params)
 
     monkeypatch.setattr(heistsp.beta, "_max_dists", spy)
@@ -251,6 +252,56 @@ def test_lockstep_nelder_mead_polishes_each_distinct_start_once(monkeypatch):
     lines = np.bincount(np.concatenate(calls), minlength=2)
     assert lines.tolist() == [refs[a].nfev + refs[b].nfev + refs[signed].nfev
                               + refs[STARTS[1]].nfev, refs[a].nfev]
+
+
+@st.composite
+def _polish_batches(draw):
+    """One lockstep's sets and starts: 2-10 sample_box sets of 3-40 rows,
+    then the three-point set, which converges early, and the shrink set;
+    each set takes 1-3 starts from a pool of four, so bit-equal copies of a
+    start in one set are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sets = [sample_box(rng, int(rng.integers(3, 41)), 0.7) for _ in range(draw(st.integers(2, 10)))]
+    sets += [THREE_POINT, sample_box(np.random.default_rng(21), 3, 0.7)]
+    pool = STARTS + [tuple(rng.uniform([0.0, -0.3, -0.3], [math.pi, 0.3, 0.3]).tolist())]
+    return sets, [draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)) for _ in sets]
+
+
+@given(_polish_batches())
+@settings(max_examples=5, deadline=None)
+def test_lockstep_that_changes_shape_equals_each_start_alone(case):
+    """Starts that leave the lockstep at different iterations, so that its
+    live block is cut down during the run, each give the result and make
+    the evaluations of their own scipy run and of a lockstep of their own."""
+    sets, starts = case
+    maxiter = 400
+    # one ball per distinct (set, start), its set padded with copies of its
+    # first row to 41 + its index rows: the same max distances, and a line's
+    # row count names its ball
+    ball_of: dict = {}
+    balls = [ball_of.setdefault((k, x0), len(ball_of)) for k, xs in enumerate(starts) for x0 in xs]
+    padded = [np.concatenate([sets[k], np.repeat(sets[k][:1], 41 + b - len(sets[k]), axis=0)])
+              for (k, _), b in ball_of.items()]
+    x0s = [x0 for xs in starts for x0 in xs]
+    refs = [_scipy_polish(sets[k], x0, maxiter) for k, x0 in ball_of]
+    calls = []
+    max_dists = heistsp.beta._max_dists
+
+    def spy(lines, params):
+        calls.append(lines.count - 41)      # the ball of each line
+        return max_dists(lines, params)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(heistsp.beta, "_max_dists", spy)
+        got = _nelder_mead(_Rows(padded), balls, x0s, _NM_STEPS, maxiter, 1e-10, 1e-13)
+    alone = [_nelder_mead(_Rows([padded[b]]), [0], [x0], _NM_STEPS, maxiter, 1e-10, 1e-13)[0]
+             for b, x0 in zip(balls, x0s)]
+    assert got == alone
+    assert got == [(float(refs[b].fun), tuple(float(v) for v in refs[b].x)) for b in balls]
+    # each distinct start evaluates the points scipy evaluates, once
+    assert np.bincount(np.concatenate(calls), minlength=len(refs)).tolist() == \
+        [ref.nfev for ref in refs]
+    assert len({ref.nit for ref in refs}) >= 2      # starts leave at different iterations
 
 
 def _table():
@@ -851,7 +902,9 @@ def _chunk_sets(draw):
     """Member sets of one chunk, drawn to mix 2-8, 9-120 and more than
     max_members members, coincident members, vertical stacks and more than
     max_members members at fewer distinct points (so the subsample repeats
-    rows), with a budget, a BATCH_PAIRS bound and a witness line per set."""
+    rows), with a budget, a BATCH_PAIRS bound and a witness line per set;
+    and subsamples whose rows come in runs of repeats, with zeros of both
+    signs, for the strip and pair passes."""
     kinds = draw(st.lists(st.sampled_from(["few", "mid", "big", "coincident", "stack", "repeats"]),
                           min_size=1, max_size=6))
     budget = BetaBudget(pair_starts=draw(st.sampled_from([10, 24, 70])),
@@ -871,7 +924,13 @@ def _chunk_sets(draw):
             pts = pts[rng.integers(0, 20, len(pts))]
         sets.append(pts)
     params = rng.uniform([0.0, -0.5, -0.5], [math.pi, 0.5, 0.5], (len(sets), 3))
-    return sets, budget, draw(st.sampled_from([heistsp.beta.BATCH_PAIRS, 150])), params
+    runs = []
+    for _ in range(draw(st.integers(0, 3))):
+        base = rng.choice([0.0, 0.5, -0.25, 1.0], (int(rng.integers(1, 12)), 3))
+        rows = np.repeat(base, rng.integers(1, 5, len(base)), axis=0)
+        rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0
+        runs.append(rows)
+    return sets, budget, draw(st.sampled_from([heistsp.beta.BATCH_PAIRS, 150])), params, runs
 
 
 @given(_chunk_sets())
@@ -880,7 +939,7 @@ def test_chunk_passes_equal_per_set_forms(case):
     """The engine's set-up passes over a chunk equal the per-set forms of
     tests/sequential.py bit for bit: frames, subsamples, strips, pair
     candidates, pair lines and witnesses."""
-    sets, budget, bound, params = case
+    sets, budget, bound, params, runs = case
     count = np.array([len(s) for s in sets])
     start = np.cumsum(count) - count
     with pytest.MonkeyPatch.context() as mp:
@@ -894,7 +953,7 @@ def test_chunk_passes_equal_per_set_forms(case):
         sub = heistsp.beta._subsamples(canon[np.repeat(fit, count)], count[fit],
                                        budget.max_members)
         assert _hex(sub) == _hex(np.concatenate(subs or [np.empty((0, 3))]))
-        subs += WRAPS
+        subs += WRAPS + runs
         rows = _Rows(subs)
         want = [min_width_strip(s[:, :2]) for s in subs]
         got = heistsp.beta._strips(rows.cols[:2].T, rows.count)
