@@ -7,11 +7,12 @@ from it.  Left translation, dilation and rotation about the z axis are
 affine in coordinates, so the frame moves with the set, and every
 candidate line is found in it.  Candidate lines come from the exact planar
 strip fit, lines through point pairs, and lines through the frame's
-origin; the best few are polished with Nelder-Mead over (theta, offset,
-height).  The returned beta is always the exact sup over members evaluated
-at the returned witness line, divided by diam(B), hence an upper bound on
-the true infimum.  No step draws from a caller's seed: the fit is a
-function of the point array and the member set alone.
+origin; the best few are polished over (theta, offset, height) by damped
+Gauss-Newton steps on a least-pth objective (_polish).  The returned beta
+is always the exact sup over members evaluated at the returned witness
+line, divided by diam(B), hence an upper bound on the true infimum.  No
+step draws from a caller's seed: the fit is a function of the point array
+and the member set alone.
 
 The engine runs in lockstep, over many balls at once: beta_heis_many takes
 (point set, ball) items, and beta_heis is its one-item case.  Items with
@@ -24,16 +25,13 @@ only (_Lines, x, y and z columns and a row count per line), its parameters
 reach its rows by np.repeat, their distances come from one
 lines.quartic_dists call, and each line's max is one np.maximum.reduceat.
 All candidates are scored together and ranked by one np.lexsort; the
-golden-section height searches run side by side; and the Nelder-Mead
-starts of all sets advance together over one block of their rows, gathered
-once per change of the live starts, each iteration evaluating every start's
-reflection in one call and then only the trial point each start's branch
-reads.  Each search replays its sequential form bit for bit
-(lines.golden_min_many; scipy 1.17.1's Nelder-Mead), and a line reads no
-row but its set's, so a result does not depend on the batch it runs in.
-A batch runs in chunks whose iterative steps stay under BATCH_PAIRS
-line-member pairs per kernel call; the one-shot calls and the shrinks run
-in blocks under the same bound.
+golden-section height searches run side by side (lines.golden_min_many);
+and the polish starts of all sets advance together over one block of
+their rows, one kernel call with the exact gradients an iteration, for a
+fixed number of iterations.  A line reads no row but its set's, so a
+result does not depend on the batch it runs in.  A batch runs in chunks
+whose iterative steps stay under BATCH_PAIRS line-member pairs per kernel
+call; the one-shot calls run in blocks under the same bound.
 
 The set-up runs in ragged passes too, each bit for bit with the per-set
 form it replaces.  The items are scanned in blocks over one point array,
@@ -47,8 +45,8 @@ each hull's monotone chain, a large set's subsample traversal, each witness
 line's transform_line, and math's atan2, cos and sin per pair run one at a
 time.  A set keeps its member indices and subsample until its chunk is
 solved, and then only its witness, so memory follows the chunk.
-beta_heis_oracle runs on the same kernels and passes over one set, so the
-package needs no scipy.
+beta_heis_oracle runs on the same kernels, passes and polish over one set,
+so the package needs no scipy.
 
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate, in units of beta (floored at GAP_FLOOR in the members'
@@ -66,6 +64,7 @@ import warnings
 
 import numpy as np
 
+from . import lines as _lines
 from .core import (
     HeisPoint,
     as_array,
@@ -92,8 +91,7 @@ from .lines import (
 
 def minimize(fun, x0, **kwargs):
     """scipy.optimize.minimize, imported on first use.  Nothing in heistsp
-    calls it (the polishes run _nelder_mead); kept importable because the
-    benchmark's tracer wraps it."""
+    calls it; kept importable because the benchmark's tracer wraps it."""
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(fun, x0, **kwargs)
 
@@ -116,8 +114,8 @@ class ResourceBudgetError(RuntimeError):
 class BetaBudget:
     pair_starts: int = 24      # candidate lines through point pairs
     refine_starts: int = 4     # candidates given an exact height refit
-    nm_starts: int = 3         # Nelder-Mead polish runs
-    nm_iter: int = 120
+    nm_starts: int = 3         # least-pth polish starts
+    nm_iter: int = 32          # polish iterations, one kernel call each
     max_members: int = 96      # optimization subsample; final eval uses all
 
 
@@ -128,15 +126,18 @@ GAP_FLOOR = 1e-9
 #: the most (grid cell, member) pairs beta_heis_oracle scans
 ORACLE_MAX_CELLS = 2e8
 
+#: the iterations of beta_heis_oracle's polish of its best cell
+ORACLE_POLISH_ITERS = 120
+
 #: lighter budget for the inner loops of the curve builder
 BUILDER_BUDGET = BetaBudget(pair_starts=10, refine_starts=2, nm_starts=2,
-                            nm_iter=60, max_members=48)
+                            nm_iter=24, max_members=48)
 
 #: the most (line, member) pairs one kernel call of beta_heis_many evaluates,
 #: each line counted against its own ball's subsample: a batch runs in
-#: chunks of balls whose height searches and reflections stay under this
-#: bound, and its one-shot calls and shrinks in blocks under it (a ball, a
-#: line or a shrinking simplex that exceeds it alone runs alone)
+#: chunks of balls whose height searches and polish steps stay under this
+#: bound, and its one-shot calls in blocks under it (a ball or a line that
+#: exceeds it alone runs alone)
 BATCH_PAIRS = 1 << 14
 
 
@@ -206,12 +207,6 @@ class _Lines(NamedTuple):
     count: np.ndarray       # (L,)
     first: np.ndarray       # (L,)
 
-    def subset(self, keep: np.ndarray) -> _Lines:
-        """The lines where keep holds, their rows copied out of this block."""
-        count = self.count[keep]
-        return _Lines(self.cols.compress(np.repeat(keep, self.count), axis=1), count,
-                      np.cumsum(count) - count)
-
 
 class _Rows:
     """The optimisation subsamples of many balls as one (R, 3) array of
@@ -244,16 +239,14 @@ def _max_dists(lines: _Lines, params) -> np.ndarray:
 
 
 def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
-    """_max_dists of the lines params[i] over ball balls[i]'s rows, for every
-    i, in calls under BATCH_PAIRS rows (a longer entry alone).  params[i] is
-    one line (theta, offset, height) or an (m, 3) array of m lines, which
-    stay in one call."""
+    """_max_dists of the line params[i] (theta, offset, height) over ball
+    balls[i]'s rows, for every i, in calls under BATCH_PAIRS rows (a longer
+    entry alone)."""
     params = np.asarray(params, dtype=float)
     balls = np.asarray(balls, dtype=np.intp)
-    per = params[0].size // 3 if len(params) else 1     # lines per entry
     out = [np.empty(0)]
-    for i, j in _blocks(rows.count[balls] * per):
-        out.append(_max_dists(rows.lines(np.repeat(balls[i:j], per)), params[i:j]))
+    for i, j in _blocks(rows.count[balls]):
+        out.append(_max_dists(rows.lines(balls[i:j]), params[i:j]))
     return np.concatenate(out)
 
 
@@ -578,123 +571,118 @@ def _pair_lines(rows: "_Rows", budget: BetaBudget) -> tuple[np.ndarray, np.ndarr
             np.bincount(owner[far], minlength=len(rows.count)))
 
 
-#: Nelder-Mead initial simplex: x0 plus these steps along each axis, at
-#: canonical-frame scales (scipy's default steps a zero coordinate by
-#: 2.5e-4, far too timid for theta/offset)
-_NM_STEPS = (0.25, 0.2, 0.3)
-
-#: scipy's Nelder-Mead coefficients: reflection, expansion, contraction, shrink
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-#: trial point k of an iteration is _TRIAL_A[k] * xbar - _TRIAL_B[k] * worst:
-#: reflection, expansion, outside and inside contraction.  scipy writes the
-#: inside contraction (1 - psi) * xbar + psi * worst, which rounds exactly as
-#: subtracting -psi * worst does.
-_TRIAL_A = np.array([1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO, 1 - _PSI])
-_TRIAL_B = np.array([_RHO, _RHO * _CHI, _PSI * _RHO, -_PSI])
-
-
-def _sort(sim: np.ndarray) -> np.ndarray:
-    """Each simplex's vertices by value, as scipy's argsort orders them: one
-    argsort and one flat gather."""
-    ind = sim[:, :, 3].argsort(axis=1)
-    ind += 4 * np.arange(len(sim))[:, None]
-    return sim.reshape(-1, 4).take(ind, axis=0)
+def _dists_grads(lines: _Lines, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distances of each line's rows to the line params[i] (theta,
+    offset, height), and the gradients of their logarithms in those
+    parameters, (3, P), 0 where a distance is 0: one kernel call."""
+    cos, sin, off, h = np.repeat(np.stack([np.cos(params[:, 0]), np.sin(params[:, 0]),
+                                           params[:, 1], params[:, 2]]), lines.count, axis=1)
+    xt, yt, zt = canon_coords(lines.cols.T, cos, sin, off, h)
+    d, fx, fy, fz = _lines.quartic_dists(xt, yt, zt, grad=True)
+    # the chain rule through canon_coords: d x~/d theta = y~ + offset,
+    # d y~/d theta = -x~ and d z~/d theta = 2 offset (y~ + offset); d y~/d
+    # offset = -1 and d z~/d offset = 2 x~; d z~/d height = -1
+    yt += off
+    g = np.stack([(fx + 2.0 * off * fz) * yt - fy * xt, 2.0 * xt * fz - fy, -fz])
+    f4 = (d * d) ** 2
+    g *= np.divide(0.25, f4, out=np.zeros_like(f4), where=f4 > 0.0)     # d log d = d(d^4) / 4 d^4
+    return d, g
 
 
-def _nelder_mead(rows: _Rows, balls, x0s, steps: tuple[float, float, float], maxiter: int,
-                 xatol: float, fatol: float) -> list[tuple[float, tuple[float, float, float]]]:
-    """(min, argmin) of the max line distance to its ball's members from each
-    start in x0s, start i in ball balls[i] of rows.
+#: the least-pth exponent p of the polish's first and last iteration,
+#: geometric in between
+POLISH_P = (4.0, 1e6)
+#: the damping mu of a start's first step (_polish adds p mu |m|^2 to the
+#: Hessian's diagonal), and its factors after an accepted and a rejected step
+POLISH_DAMPING = (1.0, 0.3, 4.0)
+#: the probe, a trial step in (theta, offset) before the first iteration:
+#: it leaves a saddle of symmetric members, such as a vertical pair, where
+#: the offset's gradient vanishes
+POLISH_PROBE = (0.05, 0.05, 0.0)
 
-    A lockstep replay of scipy 1.17.1's _minimize_neldermead (default
-    coefficients, maxiter given, no bounds) from the initial simplex
-    x0 + diag(steps).  Every start keeps its own simplex, arithmetic,
-    argsort and convergence test; the iteration counter they share starts at
-    1 as scipy's does, whatever ball a start belongs to, and a start that
-    converges leaves the lockstep.  The live starts' member rows are one
-    block, gathered at the start and cut down as starts leave.  An iteration
-    evaluates the reflections of all live starts over it in one kernel call
-    and then, in a second over the rows of the starts that need it, the one
-    further trial point that each start's branch reads (expansion, outside
-    or inside contraction, or none), so every start evaluates the points
-    scipy does.  Shrinks take one more call, in blocks under BATCH_PAIRS
-    rows.  On a sorted simplex scipy's max |f0 - fi| is f[-1] - f[0], and
-    its centroid's np.add.reduce is (x0 + x1) + x2.  A start repeated in the
-    same ball, bit for bit, is polished once and its copies share the result.
+
+def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[float, float, float]]]:
+    """(min, argmin) of the max line distance to its ball's members from
+    each start in x0s, start i in ball balls[i] of rows: the least max at
+    the start, its probe and its iters trial points.
+
+    A least-pth polish (Bandler & Charalambous, IEEE Trans. MTT 20 (1972);
+    Charalambous, Math. Programming 17 (1979)).  Iteration k minimises
+    log (sum_i d_i^p)^(1/p), p rising geometrically over POLISH_P, with each
+    log d_i linearised by its exact gradient (_dists_grads): a convex
+    log-sum-exp, whose gradient m is the mean of the gradients under the
+    weights d_i^p and whose Hessian is p times their covariance.  The damped
+    Gauss-Newton step solves (Hessian + p mu |m|^2 I) s = -m by the 3x3
+    adjugate; a start takes it only where the objective falls, and then its
+    damping mu falls, else it rises.  All starts run every iteration, one
+    kernel call each, over one block of their rows, and read only their own
+    rows and sums, so a result does not depend on the batch.  A start
+    repeated in the same ball, bit for bit, is polished once.
     """
-    x0 = np.array(x0s, dtype=float).reshape(-1, 3)
-    balls = np.asarray(balls, dtype=np.intp)
-    # each distinct (ball, start) once: start i of x0s is distinct start
-    # copy[i], and distinct start j is the start first[j] of x0s
+    x0, balls = np.array(x0s, dtype=float).reshape(-1, 3), np.asarray(balls, dtype=np.intp)
+    # each distinct (ball, start) once: start i of x0s is distinct start copy[i]
     distinct: dict[tuple[int, bytes], int] = {}
     copy = [distinct.setdefault((b, x.tobytes()), len(distinct))
             for b, x in zip(balls.tolist(), x0)]
     first = np.unique(copy, return_index=True)[1]
-    x0, balls = x0[first], balls[first]     # the ball of each simplex
-    live = np.arange(len(x0))               # the start of each simplex
-    # each live start's simplex: vertex k's point and value in sim[:, k]
-    sim = np.empty((len(x0), 4, 4))
-    sim[:, 0, :3] = x0
-    sim[:, 1:, :3] = x0[:, None, :] + np.diag(steps)
-    sim[:, :, 3] = _max_dists_blocked(rows, balls, sim[:, :, :3]).reshape(-1, 4)
-    out: list = [None] * len(x0)
-    sim = _sort(_sort(sim))     # scipy sorts twice before its first iteration
-    iterations = 1
-    lines = rows.lines(balls)
-    while live.size:
-        f = sim[:, :, 3]
-        if iterations < maxiter:
-            # scipy's test, its simplex spread read only where fatol holds
-            done = f[:, -1] - f[:, 0] <= fatol
-            near = np.flatnonzero(done)
-            done[near] = np.abs(sim[near, 1:, :3] - sim[near, :1, :3]).max(axis=(1, 2)) <= xatol
-        else:
-            done = np.ones(live.size, dtype=bool)
-        if done.any():
-            for r, fmin in zip(np.flatnonzero(done).tolist(), f[done].min(axis=1).tolist()):
-                out[live[r]] = (fmin, tuple(sim[r, 0, :3].tolist()))
-            keep = ~done
-            sim, balls, live = sim[keep], balls[keep], live[keep]
-            if not live.size:
-                break
-            lines = lines.subset(keep)
-            f = sim[:, :, 3]
-        xbar = sim[:, 0, :3] + sim[:, 1, :3]
-        xbar += sim[:, 2, :3]
-        xbar /= 3
-        worst = sim[:, -1, :3]
-        xr = _TRIAL_A[0] * xbar - _TRIAL_B[0] * worst
-        fxr = _max_dists(lines, xr)
-        # the trial point read after the reflection: expansion (1),
-        # outside (2) or inside (3) contraction, or none (0)
-        second = np.where(fxr < f[:, 0], 1, np.where(fxr < f[:, -2], 0, 3 - (fxr < f[:, -1])))
-        x2 = _TRIAL_A[second][:, None] * xbar - _TRIAL_B[second][:, None] * worst
-        f2 = np.full(live.size, np.inf)     # its value, where evaluated
-        more = second != 0
-        if more.any():
-            f2[more] = _max_dists(lines.subset(more), x2[more])
-        # scipy's branches: a start takes its second trial point when that
-        # passes its branch's test; a failed expansion falls back to the
-        # reflection, a failed contraction to a shrink
-        take = np.choose(second, [False, f2 < fxr, f2 <= fxr, f2 < f[:, -1]])
-        stay = take | (second < 2)
-        np.copyto(worst, np.where(take[:, None], x2, xr), where=stay[:, None])
-        np.copyto(sim[:, -1, 3], np.where(take, f2, fxr), where=stay)
-        if not stay.all():
-            shrink = np.flatnonzero(~stay)
-            best = sim[shrink, :1, :3]
-            sim[shrink, 1:, :3] = best + _SIGMA * (sim[shrink, 1:, :3] - best)
-            sim[shrink, 1:, 3] = _max_dists_blocked(rows, balls[shrink],
-                                                    sim[shrink, 1:, :3]).reshape(-1, 3)
-        iterations += 1
-        sim = _sort(sim)
+    x, lines, mu = x0[first], rows.lines(balls[first]), np.full(len(first), POLISH_DAMPING[0])
+    count, at = lines.count, lines.first
+
+    def spread(d):      # each start's max distance, and log(d_i / max) of its rows
+        top = np.maximum.reduceat(d, at)
+        return top, np.log(d) - np.repeat(np.log(top), count)
+
+    def weights(lr, p):     # (d_i / max)^p, floored at exp(-600), off the subnormals
+        return np.exp(np.maximum(lr * p, -600.0))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        d, g = _dists_grads(lines, x)
+        top, lr = spread(d)
+        best, best_x = top.copy(), x.copy()
+        for k in range(-1, iters):
+            if k < 0:       # the probe, taken where it lowers the max distance
+                trial = x + POLISH_PROBE
+            else:
+                p = POLISH_P[0] * (POLISH_P[1] / POLISH_P[0]) ** (k / max(1, iters - 1))
+                w = weights(lr, p)
+                # the weighted first and second moments of the gradients
+                m = np.empty((9, w.size))
+                np.multiply(g, w, out=m[:3])
+                for i, (a, b) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]):
+                    np.multiply(g[a], m[b], out=m[3 + i])
+                total = np.add.reduceat(w, at)
+                m = np.add.reduceat(m, at, axis=1) / total
+                m1, m2, m3 = m[:3]
+                damp = mu * (m1 * m1 + m2 * m2 + m3 * m3)
+                h11, h12, h13, h22, h23, h33 = m[3:] - m[[0, 0, 0, 1, 1, 2]] * m[[0, 1, 2, 1, 2, 2]]
+                h11 += damp
+                h22 += damp
+                h33 += damp
+                a11, a12, a13 = h22 * h33 - h23 * h23, h13 * h23 - h12 * h33, h12 * h23 - h13 * h22
+                a22, a23, a33 = h11 * h33 - h13 * h13, h12 * h13 - h11 * h23, h11 * h22 - h12 * h12
+                step = np.stack([a11 * m1 + a12 * m2 + a13 * m3, a12 * m1 + a22 * m2 + a23 * m3,
+                                 a13 * m1 + a23 * m2 + a33 * m3], axis=1)
+                step /= ((h11 * a11 + h12 * a12 + h13 * a13) * -p)[:, None]
+                np.copyto(step, 0.0, where=~np.isfinite(step))
+                trial = x + step
+            dt, gt = _dists_grads(lines, trial)
+            tt, lrt = spread(dt)
+            if k < 0:
+                ok = tt < top
+            else:
+                ok = (np.log(tt) + np.log(np.add.reduceat(weights(lrt, p), at)) / p
+                      < np.log(top) + np.log(total) / p)
+                mu = np.maximum(mu * np.where(ok, *POLISH_DAMPING[1:]), 1e-12)
+            better = tt < best
+            np.copyto(best, tt, where=better)
+            np.copyto(best_x, trial, where=better[:, None])
+            np.copyto(x, trial, where=ok[:, None])
+            np.copyto(top, tt, where=ok)
+            rows_ok = np.repeat(ok, count)
+            np.copyto(lr, lrt, where=rows_ok)
+            np.copyto(g, gt, where=rows_ok)
+    out = list(zip(best.tolist(), map(tuple, best_x.tolist())))
     return [out[j] for j in copy]
-
-
-def _split(values: list, counts: list[int]) -> list[list]:
-    """values cut back into consecutive runs of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [values[e - c:e] for c, e in zip(counts, ends)]
 
 
 def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, float, float], float]]:
@@ -724,15 +712,14 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
     cands, owner = np.concatenate([cands[order], refit]), np.concatenate([owner[order], owner[top]])
     order = np.lexsort((*cands[:, ::-1].T, v, owner))
 
-    # stage B: Nelder-Mead polish from the best few
+    # stage B: the least-pth polish from the best few
     n = np.bincount(owner, minlength=len(fits))
     starts, best = order[_ragged(n) < budget.nm_starts], order[np.cumsum(n) - n]
-    polished = _nelder_mead(rows, owner[starts], cands[starts], _NM_STEPS, budget.nm_iter,
-                            1e-10, 1e-13)
+    polished = iter(_polish(rows, owner[starts], cands[starts], budget.nm_iter))
     out = []
-    for direct, polished_b in zip(zip(v[best].tolist(), map(tuple, cands[best].tolist())),
-                                  _split(polished, np.minimum(n, budget.nm_starts).tolist())):
-        fun, x = min([direct, *polished_b])     # the first least (value, line)
+    for direct, k in zip(zip(v[best].tolist(), map(tuple, cands[best].tolist())),
+                         np.minimum(n, budget.nm_starts).tolist()):
+        fun, x = min([direct, *(next(polished) for _ in range(k))])     # the first least
         out.append((x, max(GAP_FLOOR, direct[0] / 2.0 - fun / 2.0)))
     return out
 
@@ -748,7 +735,7 @@ def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]
     """
     budget = budget or BetaBudget()
     # (line, member) pairs per subsample row in a fit's widest iterative call:
-    # a height search step, or the Nelder-Mead reflections
+    # a height search step, or a polish step, one line per start
     width = max(1, budget.refine_starts, budget.nm_starts)
     results: list[BetaResult | int] = []      # each item's result, or its set's slot
     slots: dict[tuple[int, bytes], int] = {}
@@ -833,8 +820,8 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
 
     Exhaustive canonical-frame grid over (theta, offset, height) with
     bounds derived from the ball, followed by one local refinement (exact
-    height refit plus a Nelder-Mead polish from the best cell, its initial
-    simplex one grid step along each axis).  The result is an upper bound
+    height refit, then the engine's least-pth polish from the best cell, one
+    start of ORACLE_POLISH_ITERS iterations).  The result is an upper bound
     on the true infimum, decreasing as the grid refines.
     """
     if resolution < 1:
@@ -880,10 +867,7 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
 
     th, c_, _ = best[1]
     x0 = (th, c_, _best_heights(rows.lines([0]), [th], [c_])[0])
-    spacing = max(math.pi / resolution, 2.0 * c_max / resolution)
-    cand = min((float(_max_dists(rows.lines([0]), [x0])[0]), x0),
-               _nelder_mead(rows, [0], [x0], (spacing, spacing, 2.0 * h_max / resolution),
-                            400, 1e-11, 1e-14)[0])
+    cand = _polish(rows, [0], [x0], ORACLE_POLISH_ITERS)[0]
     fit = _Fit(0, arr, idx, point_of(origin[0]), float(unit[0]), canon)
     return _witnesses([fit], [(cand[1], max(GAP_FLOOR, best[0] / 2.0 - cand[0] / 2.0))])[0] \
         .result(ball)

@@ -207,9 +207,9 @@ def _enclosing_ball(points: list[HeisPoint]) -> Ball:
 
 
 #: the largest --budget level.  Level L scores L pair candidates and runs
-#: max(2, L // 8) Nelder-Mead starts of 5 L iterations per beta evaluation,
-#: each iteration at most two broadcasts over one line per start (and one
-#: over three per shrinking start); above the cap a run exits 3.
+#: max(2, L // 8) polish starts of 4 L / 3 iterations per beta evaluation,
+#: each iteration one broadcast over one line per start; above the cap a
+#: run exits 3.
 MAX_BUDGET_LEVEL = 200
 
 
@@ -219,7 +219,7 @@ def _budget_from_level(level: int) -> BetaBudget:
     if level > MAX_BUDGET_LEVEL:
         raise ResourceBudgetError("--budget %d exceeds the cap of %d" % (level, MAX_BUDGET_LEVEL))
     return BetaBudget(pair_starts=level, refine_starts=max(2, level // 6),
-                      nm_starts=max(2, level // 8), nm_iter=5 * level)
+                      nm_starts=max(2, level // 8), nm_iter=4 * level // 3)
 
 
 def _theorem_a(args) -> tuple[TheoremAResult, list[str]]:

@@ -15,9 +15,9 @@ group law (group_mul, left_translate_arr), relative the coordinates of
 a^-1 b (dist, dist_arr, sigma and the callers outside core), and frame the
 rotation into a line's frame (rotate_z and rotate_arr rotate out of it by
 frame(c, -s, ...)).  Array helpers operate on float64 arrays of shape
-(n, 3); dist_arr is the one array form of the distance.  numpy's vectorised
-power may round a fourth root one ulp away from the scalar one.  dilate and
-dilate_arr stay two functions: they round z as (l*l)*z and (z*l)*l.
+(n, 3); dist_arr is the one array form of the distance, bit for bit with
+the scalar one.  dilate and dilate_arr stay two functions: they round z as
+(l*l)*z and (z*l)*l.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ def group_inv(a: HeisPoint) -> HeisPoint:
 
 
 def gauge(x, y, z):
-    """((x^2+y^2)^2 + z^2)^(1/4), on floats or broadcast over arrays."""
+    """((x^2+y^2)^2 + z^2)^(1/4), on floats or broadcast over arrays, the
+    fourth root a square root of a square root (math's, or numpy's in place)."""
     r2 = x * x + y * y
-    return (r2 * r2 + z * z) ** 0.25
+    n = r2 * r2 + z * z
+    return math.sqrt(math.sqrt(n)) if np.ndim(n) == 0 else np.sqrt(np.sqrt(n, out=n), out=n)
 
 
 def koranyi_norm(a: HeisPoint) -> float:

@@ -117,9 +117,10 @@ def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.
     return px, py, pz
 
 
-def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
+def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = False):
     """Koranyi distance to the line from canonical coordinates, broadcast
-    over the three arrays.
+    over the three arrays; with grad, also the derivatives of its fourth
+    power in x~, y~ and z~.
 
     The fourth power of the distance from the point to the line point at
     parameter t is f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2, and f'(t)/4 =
@@ -127,8 +128,11 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     cubic with nonnegative linear coefficient, hence a single real root
     (hyperbolic Cardano form).  Where that form overflows the root is taken
     as -cbrt(q); where y~ = 0, u = 0.  f at the vertical drop t = x~ is an
-    insurance candidate (the same min in exact math).  The temporaries are
-    updated in place.
+    insurance candidate (the same min in exact math), and the distance is
+    the square root of the square root of the lesser.  The derivatives are
+    f's at the winning t, held fixed (the envelope theorem): -4 u A,
+    4 (y~ A - t B) and 2 B, for A = u^2 + y~^2 and B = z~ - 2 t y~.  The
+    temporaries are updated in place.
     """
     if not np.shape(xt) == np.shape(yt) == np.shape(zt):    # engine calls share one shape
         xt, yt, zt = np.broadcast_arrays(xt, yt, zt)
@@ -139,7 +143,8 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     # u = -2 |y~| sinh(arcsinh(q / (2 |y~|^3)) / 3)
     ay = np.abs(yt)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = ay ** 3
+        u = ay * ay
+        u *= ay
         u *= 2.0
         np.divide(q, u, out=u)
         np.arcsinh(u, out=u)
@@ -155,6 +160,7 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     np.copyto(u, 0.0, where=~nonzero)
     del bad, nonzero        # freed before f and its terms
     u += xt                 # t, the minimizer
+    t = u.copy() if grad else None
     f = u - xt
     f *= f
     yy = yt * yt
@@ -168,9 +174,16 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray) -> np.ndarray:
     yy *= yy                # f at t = x~
     drop *= drop
     yy += drop
+    if grad:
+        np.copyto(t, xt, where=yy < f)     # the vertical drop wins
     np.minimum(f, yy, out=f)
-    f **= 0.25
-    return f
+    np.sqrt(np.sqrt(f, out=f), out=f)
+    if not grad:
+        return f
+    u = t - xt
+    a = u * u + yt * yt
+    b = zt - 2.0 * t * yt
+    return f, -4.0 * u * a, 4.0 * (yt * a - t * b), 2.0 * b
 
 
 def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:

@@ -120,7 +120,8 @@ def check_shortest_to_line(seed: int, n: int) -> LemmaCheck:
     xt, yt, zt = canon_coords(pts, *line)
     dpl = np.abs(yt)                         # d(p, p_L)
     dll = np.sqrt(np.abs(zt - 2.0 * xt * yt))  # d(p_L, L)
-    mix = (dpl ** 4 + dll ** 4) ** 0.25
+    mix = dpl ** 4 + dll ** 4
+    np.sqrt(np.sqrt(mix, out=mix), out=mix)
     d = quartic_dists(xt, yt, zt)
     scale = mix + 1e-300
     lower = (d - 0.5 * mix) / scale

@@ -155,12 +155,9 @@ class TestSymmetries:
 
 
 class TestDistanceKernel:
-    """dist_arr against the scalar dist on every shape it serves.
-
-    The array forms agree bit for bit.  A single pair is bit-equal to dist;
-    over arrays numpy's vectorised power (SIMD on AVX-512 builds) may round
-    the fourth root one ulp away from libm's, so there the check is one ulp.
-    """
+    """dist_arr against the scalar dist on every shape it serves, bit for
+    bit: both take the fourth root as a square root of a square root, which
+    is correctly rounded on floats (math.sqrt) and arrays (np.sqrt) alike."""
 
     def test_point_against_rows(self):
         arr = sample_box(np.random.default_rng(108), 200)
@@ -168,7 +165,7 @@ class TestDistanceKernel:
             p = HeisPoint(*map(float, row))
             want = np.array([dist(p, HeisPoint(*map(float, q))) for q in arr])
             got = dist_arr(row, arr)
-            assert np.all(np.abs(got - want) <= np.spacing(want))
+            assert np.array_equal(got, want)
             assert np.array_equal(dist_point_arr(p, arr), got)
             assert [float(dist_arr(row, q)) for q in arr] == want.tolist()
 
@@ -177,7 +174,7 @@ class TestDistanceKernel:
         pts = [HeisPoint(*map(float, row)) for row in arr]
         want = np.array([[dist(a, b) for b in pts] for a in pts])
         got = dist_arr(arr[:, None, :], arr[None, :, :])
-        assert np.all(np.abs(got - want) <= np.spacing(want))
+        assert np.array_equal(got, want)
         assert np.array_equal(dist_matrix(arr), got)
         for row, a in zip(got, arr):
             assert np.array_equal(row, dist_arr(a, arr))
@@ -277,7 +274,7 @@ def test_import_loads_no_scipy(tmp_path):
     """Importing heistsp, building a curve that needs connectivity repair or
     running the grid oracle loads no scipy module; with scipy made
     unimportable, the oracle and the beta and theorem-b commands still run.
-    The runtime needs numpy only: scipy is the lockstep tests' reference."""
+    The runtime needs numpy only."""
     src = os.path.dirname(os.path.dirname(heistsp.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

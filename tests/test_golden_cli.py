@@ -82,11 +82,11 @@ FIXTURES = {
 CASES = {
     # a ball given by --ball rather than the enclosing one
     "beta-ball": (["beta", "{d}/tri.txt", "--ball", "0 0 0 1.5"], []),
-    # a lone ball's beta: a Nelder-Mead lockstep of only its own starts
+    # a lone ball's beta: a polish lockstep of only its own starts
     "beta-enclosing": (["beta", "{d}/circle.txt", "--seed", "3", "--out", "{d}/beta.txt"],
                        ["beta.txt"]),
     # the benchmark's build command at default flags: the builder's fits
-    # and the Carleson balls in one engine call, one Nelder-Mead lockstep
+    # and the Carleson balls in one engine call, one polish lockstep
     "build-circle": (["build", "{d}/circle.txt", "--out", "{d}/circle", "--seed", "0"],
                      ["circle.curve.txt", "circle.ledger.csv"]),
     # eleven flat-ball insertions, each in the order of the points' feet on
@@ -105,7 +105,7 @@ CASES = {
     "carleson-density": (["carleson", "{d}/corner.txt", "--density", "16", "--out",
                           "{d}/carleson.csv"], ["carleson.csv"]),
     # the builder's fits and then the Carleson balls in one merged engine
-    # call, polishing all their balls in one Nelder-Mead lockstep
+    # call, polishing all their balls in one lockstep
     "theorem-a": (["theorem-a", "{d}/parabola.txt", "--r", "3.5", "--seed", "1"], []),
     # a curve resampled at a density, then its Carleson sum against its length
     "theorem-b": (["theorem-b", "{d}/corner.txt", "--density", "16"], []),

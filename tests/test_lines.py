@@ -207,6 +207,40 @@ class TestLineDist:
         assert np.all(d_vert <= 4.0 * d * (1.0 + 1e-9))
 
 
+def _central_differences(f, args, j, h):
+    """(f(args + h e_j) - f(args - h e_j)) / 2h, over arrays of args."""
+    up, down = list(args), list(args)
+    up[j], down[j] = args[j] + h, args[j] - h
+    return (f(*up) - f(*down)) / (2.0 * h)
+
+
+#: rows at y~ of about 1e-12, where the vertical drop beats the cubic root
+#: on a few rows by a rounding
+DROP_ROWS = np.random.default_rng(4).uniform([-2.0, -1e-12, -4.0], [2.0, 1e-12, 4.0], (400, 3)).T
+
+
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-120, 1e-12, 1.0]),
+                          st.floats(-2.0, 2.0), st.floats(-4.0, 4.0)), min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_kernel_gradient_against_central_differences(rows):
+    """The derivatives of d^4 that quartic_dists returns match central
+    differences of quartic_dists on rows with y~ = 0, rows at y~ = 1e-120,
+    whose cubic root takes the -cbrt(q) form, and rows where the vertical
+    drop wins (at y~ near 1e-12, where d(d^4)/dy~ has a cusp of height
+    4 |z~| cbrt(|y~ z~|) that a step wider than y~ averages out)."""
+    x, ys, ym, z = (np.array(v) for v in zip(*rows))
+    x, y, z = (np.concatenate([v, w]) for v, w in zip((x, ys * ym, z), DROP_ROWS))
+    d, *grad = quartic_dists(x.copy(), y.copy(), z.copy(), grad=True)
+    assert np.array_equal(d, quartic_dists(x.copy(), y.copy(), z.copy()))
+    assert (grad[0][-400:] == 0.0).any()        # t = x~: the drop won
+    scale = 1.0 + np.maximum(np.maximum(np.abs(x), np.abs(y)), np.sqrt(np.abs(z)))
+    h = 1e-6
+    cusp = np.where(np.abs(y) < h, 8.0 * np.abs(z) * np.cbrt(np.abs(z) * h), 0.0)
+    for j, g in enumerate(grad):
+        num = _central_differences(lambda *a: quartic_dists(*a) ** 4, (x, y, z), j, h)
+        assert np.all(np.abs(g - num) <= 1e-6 * scale ** 3 + (cusp if j == 1 else 0.0)), j
+
+
 class TestAreas:
     def test_trapezoid_examples(self):
         a, b = HeisPoint(1.0, 0.0, 0.3), HeisPoint(2.0, 0.0, -0.1)
