@@ -4,6 +4,8 @@ Every comparison here is exact: the batched distance kernel and the lockstep
 golden-section height search must reproduce line_dists_arr and golden_min
 bit for bit, the lockstep polish must give each start the result it gets
 alone, and a batch of balls must give each ball the result it gets alone.
+The one comparison with a tolerance holds the polish to scipy's Nelder-Mead,
+the polish it replaced.
 """
 
 import gc
@@ -204,6 +206,48 @@ def test_lockstep_polish_equals_each_start_alone(case, polish, n_starts, monkeyp
         assert fun <= line_dists_arr(arr, HorizontalLine(*x0)).max()
     if case == "vertical-pair":     # the probe leaves the symmetric saddle
         assert all(fun < 0.99 for fun, _ in got)
+
+
+#: (initial simplex steps, xatol, fatol) of scipy's Nelder-Mead, the polish
+#: that _polish replaced: the engine's, and beta_heis_oracle's, whose steps
+#: were one grid cell along each axis (resolution 48, heights in [-20, 20])
+NELDER_MEAD = {"engine": ((0.25, 0.2, 0.3), 1e-10, 1e-13),
+               "oracle": ((math.pi / 48, math.pi / 48, 40.0 / 48), 1e-11, 1e-14)}
+
+
+@pytest.mark.parametrize("n_starts", [1, 2, 3])
+@pytest.mark.parametrize("case, polish", [
+    pytest.param(case, polish, id=case if polish == "engine" else case + "-oracle")
+    for polish in NELDER_MEAD for case in ("three-point", "cloud", "shrink")])
+def test_lockstep_nelder_mead_equals_scipy(case, polish, n_starts):
+    """From every start, the lockstep polish at the oracle's iteration count
+    ends within 1e-6 relative of scipy's Nelder-Mead minimum, under either
+    initial simplex, or below it; scipy runs through heistsp.beta.minimize.
+    On the shrink set, three points whose first start made Nelder-Mead
+    shrink its simplex, Nelder-Mead stalls on the nonsmooth max from that
+    start under either simplex, and the polish ends over 5% lower."""
+    arr = {"three-point": THREE_POINT, "cloud": sample_box(np.random.default_rng(10), 40, 0.7),
+           "shrink": sample_box(np.random.default_rng(21), 3, 0.7)}[case]
+    steps, xatol, fatol = NELDER_MEAD[polish]
+    maxiter = 400 if case == "three-point" else 120
+
+    def objective(x):
+        return float(line_dists_arr(arr, HorizontalLine(x[0], x[1], x[2])).max())
+
+    refs = []
+    for x0 in STARTS[:n_starts]:
+        x0 = np.array(x0)
+        refs.append(heistsp.beta.minimize(
+            objective, x0, method="Nelder-Mead",
+            options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol, "disp": False,
+                     "initial_simplex": np.vstack([x0, x0 + np.diag(steps)])}))
+    sets = [np.concatenate([arr] * (i + 1)) for i in range(n_starts)]
+    got = _polish(_Rows(sets), list(range(n_starts)), STARTS[:n_starts], ORACLE_POLISH_ITERS)
+    for (fun, x), ref in zip(got, refs):
+        assert fun == objective(x)
+        assert fun <= float(ref.fun) * (1.0 + 1e-6)
+    if case == "shrink":
+        assert got[0][0] < 0.95 * float(refs[0].fun)
 
 
 def test_polish_polishes_each_distinct_start_once(monkeypatch):
