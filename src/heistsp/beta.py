@@ -1,52 +1,37 @@
 """Flatness numbers: minimax fit over horizontal lines, exact planar fit.
 
 beta_heis runs a canonical-frame multistart: the members of the ball are
-moved to the unit ball at the origin of their own frame, whose origin is
-the members' coordinate mean and whose unit is their largest gauge distance
-from it.  Left translation, dilation and rotation about the z axis are
-affine in coordinates, so the frame moves with the set, and every
-candidate line is found in it.  Candidate lines come from the exact planar
-strip fit, lines through point pairs, and lines through the frame's
-origin; the best few are polished over (theta, offset, height) by damped
-Gauss-Newton steps on a least-pth objective (_polish).  The returned beta
-is always the exact sup over members evaluated at the returned witness
-line, divided by diam(B), hence an upper bound on the true infimum.  No
-step draws from a caller's seed: the fit is a function of the point array
-and the member set alone.
+moved to the unit ball at the origin of their own frame (origin their
+coordinate mean, unit their largest gauge distance from it), which moves
+with the set under left translation, dilation and rotation about the z
+axis.  Candidate lines come from the exact planar strip fit, lines through
+point pairs, and lines through the frame's origin; the best few are
+polished over (theta, offset, height) by damped Newton steps on a
+least-pth objective (_polish).  The returned beta is the exact sup over
+members at the returned witness line, divided by diam(B): an upper bound
+on the true infimum.  No step draws from a caller's seed.
 
-The engine runs in lockstep, over many balls at once: beta_heis_many takes
-(point set, ball) items, and beta_heis is its one-item case.  Items with
-the same point array and the same members share one fit, since they differ
-only in the radius that divides the sup.  The sets' optimisation
-subsamples are ragged rows, one flat (R, 3) array with each set's rows
-consecutive (_Rows), and each step evaluates all the lines it needs, for
-all sets, in one kernel call: every line is paired with its own set's rows
-only (_Lines, x, y and z columns and a row count per line), its parameters
-reach its rows by np.repeat, their distances come from one
-lines.quartic_dists call, and each line's max is one np.maximum.reduceat.
-All candidates are scored together and ranked by one np.lexsort; the
-golden-section height searches run side by side (lines.golden_min_many);
-and the polish starts of all sets advance together over one block of
-their rows, one kernel call with the exact gradients an iteration, for a
-fixed number of iterations.  A line reads no row but its set's, so a
-result does not depend on the batch it runs in.  A batch runs in chunks
-whose iterative steps stay under BATCH_PAIRS line-member pairs per kernel
-call; the one-shot calls run in blocks under the same bound.
+The engine runs in lockstep over many balls: beta_heis_many takes (point
+set, ball) items, beta_heis is its one-item case, and items with the same
+point array and members share one fit.  The sets' optimisation subsamples
+are one flat (R, 3) array of ragged rows (_Rows), and each step evaluates
+all its lines, for all sets, in one lines.quartic_dists call, each line on
+its own set's rows only (_Lines) and its max one np.maximum.reduceat: the
+candidates' scores, the height searches (lines.golden_min_many) and each
+polish iteration.  So a result does not depend on the batch it runs in.  A
+batch runs in chunks whose iterative steps stay under BATCH_PAIRS
+line-member pairs per kernel call, and its one-shot calls in blocks.
 
 The set-up runs in ragged passes too, each bit for bit with the per-set
-form it replaces.  The items are scanned in blocks over one point array,
-under BATCH_PAIRS distances a pass (_memberships), and a block's new
-member sets are framed in one pass (_frames); each then joins the open
-chunk, which is solved when the next set would take it past the bound,
-and at the end.  A chunk's strips, pair candidates and pair lines are one
-pass each (_strips, _pair_candidates, _pair_lines), and its witnesses' exact
-sups one pass per run of sets under BATCH_PAIRS members (_witnesses).  Only
-each hull's monotone chain, a large set's subsample traversal, each witness
-line's transform_line, and math's atan2, cos and sin per pair run one at a
-time.  A set keeps its member indices and subsample until its chunk is
-solved, and then only its witness, so memory follows the chunk.
-beta_heis_oracle runs on the same kernels, passes and polish over one set,
-so the package needs no scipy.
+form it replaces: membership scans in blocks under BATCH_PAIRS distances
+(_memberships), one framing pass per block of new sets (_frames), which
+join the open chunk until the next would take it past the bound, and one
+pass per chunk for its strips, pair candidates and pair lines, and per run
+of sets under BATCH_PAIRS members for the witnesses' exact sups.  Only
+each hull's monotone chain, a large set's subsample traversal, each
+witness line's transform_line, and math's atan2, cos and sin per pair run
+one at a time.  Memory follows the chunk.  beta_heis_oracle runs on the
+same kernels, passes and polish over one set, so the package needs no scipy.
 
 certified_gap is the improvement the polish stage achieved over the best
 direct candidate, in units of beta (floored at GAP_FLOOR in the members'
@@ -64,7 +49,6 @@ import warnings
 
 import numpy as np
 
-from . import lines as _lines
 from .core import (
     HeisPoint,
     as_array,
@@ -115,7 +99,7 @@ class BetaBudget:
     pair_starts: int = 24      # candidate lines through point pairs
     refine_starts: int = 4     # candidates given an exact height refit
     nm_starts: int = 3         # least-pth polish starts
-    nm_iter: int = 32          # polish iterations, one kernel call each
+    nm_iter: int = 64          # polish iterations, one kernel call each
     max_members: int = 96      # optimization subsample; final eval uses all
 
 
@@ -571,34 +555,52 @@ def _pair_lines(rows: "_Rows", budget: BetaBudget) -> tuple[np.ndarray, np.ndarr
             np.bincount(owner[far], minlength=len(rows.count)))
 
 
-def _dists_grads(lines: _Lines, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distances of each line's rows to the line params[i] (theta,
-    offset, height), and the gradients of their logarithms in those
-    parameters, (3, P), 0 where a distance is 0: one kernel call."""
+#: the (row, column) of each of the six entries of a symmetric 3x3 matrix
+_SYM = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def _dists_grads(lines: _Lines, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distances d of each line's rows to the line params[i] (theta, offset,
+    height), and in those the gradients of log d, (3, P), and the Hessians of
+    d^4 over 4 d^4, (6, P) in _SYM order, 0 where d is 0: one kernel call."""
     cos, sin, off, h = np.repeat(np.stack([np.cos(params[:, 0]), np.sin(params[:, 0]),
                                            params[:, 1], params[:, 2]]), lines.count, axis=1)
     xt, yt, zt = canon_coords(lines.cols.T, cos, sin, off, h)
-    d, fx, fy, fz = _lines.quartic_dists(xt, yt, zt, grad=True)
-    # the chain rule through canon_coords: d x~/d theta = y~ + offset,
-    # d y~/d theta = -x~ and d z~/d theta = 2 offset (y~ + offset); d y~/d
-    # offset = -1 and d z~/d offset = 2 x~; d z~/d height = -1
+    d, (fx, fy, fz), (hxx, hxy, hxz, hyy, hyz, hzz) = quartic_dists(xt, yt, zt, grad=True)
+    # the chain rule through canon_coords, Y = y~ + offset: Jacobian columns (Y, -x~, 2 offset Y),
+    # (0, -1, 2 x~), (0, 0, -1); second derivatives -x~, -Y, -2 offset x~ in theta, and 2 Y of z~
+    # in theta and offset
     yt += off
-    g = np.stack([(fx + 2.0 * off * fz) * yt - fy * xt, 2.0 * xt * fz - fy, -fz])
+    zy = 2.0 * off * yt
+    vx, vy, vz = (yt * a - xt * b + zy * c for a, b, c in ((hxx, hxy, hxz), (hxy, hyy, hyz),
+                                                          (hxz, hyz, hzz)))
+    wy, wz = 2.0 * xt * hyz - hyy, 2.0 * xt * hzz - hyz
+    g = np.stack([fx * yt - fy * xt + fz * zy, 2.0 * xt * fz - fy, -fz])
+    c = np.stack([yt * vx - xt * vy + zy * vz - (fx + 2.0 * off * fz) * xt - fy * yt,
+                  2.0 * (xt * vz + yt * fz) - vy, -vz, 2.0 * xt * wz - wy, -wz, hzz])
     f4 = (d * d) ** 2
-    g *= np.divide(0.25, f4, out=np.zeros_like(f4), where=f4 > 0.0)     # d log d = d(d^4) / 4 d^4
-    return d, g
+    f4 = np.divide(0.25, f4, out=np.zeros_like(f4), where=f4 > 0.0)     # d log d = d(d^4) / 4 d^4
+    return d, g * f4, c * f4
 
 
-#: the least-pth exponent p of the polish's first and last iteration,
-#: geometric in between
-POLISH_P = (4.0, 1e6)
-#: the damping mu of a start's first step (_polish adds p mu |m|^2 to the
-#: Hessian's diagonal), and its factors after an accepted and a rejected step
+#: the least-pth p of a start's first step, the most it reaches, and its factor after a
+#: step taken that lowers the objective by under 0.3 / p, near that smoothing's optimum
+POLISH_P = (4.0, 1e7, 1.5)
+#: the damping mu of a start's first step, and its factors after a taken and a refused step
 POLISH_DAMPING = (1.0, 0.3, 4.0)
-#: the probe, a trial step in (theta, offset) before the first iteration:
-#: it leaves a saddle of symmetric members, such as a vertical pair, where
-#: the offset's gradient vanishes
+#: the probe, a trial step before the first iteration, out of a symmetric saddle (a vertical pair)
 POLISH_PROBE = (0.05, 0.05, 0.0)
+
+
+def _adjugate_solve(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """h^-1 m, (S, 3), for symmetric h, (6, S) in _SYM order, and m, (3, S), by
+    the adjugate; and whether h is positive definite (its leading minors)."""
+    h11, h12, h13, h22, h23, h33 = h
+    adj = np.stack([h22 * h33 - h23 * h23, h13 * h23 - h12 * h33, h12 * h23 - h13 * h22,
+                    h11 * h33 - h13 * h13, h12 * h13 - h11 * h23, h11 * h22 - h12 * h12])
+    det = h11 * adj[0] + h12 * adj[1] + h13 * adj[2]
+    x = (adj[[0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(3, 3, -1) * m).sum(axis=1) / det
+    return x.T, (h11 > 0.0) & (adj[5] > 0.0) & (det > 0.0)
 
 
 def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[float, float, float]]]:
@@ -607,17 +609,14 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
     the start, its probe and its iters trial points.
 
     A least-pth polish (Bandler & Charalambous, IEEE Trans. MTT 20 (1972);
-    Charalambous, Math. Programming 17 (1979)).  Iteration k minimises
-    log (sum_i d_i^p)^(1/p), p rising geometrically over POLISH_P, with each
-    log d_i linearised by its exact gradient (_dists_grads): a convex
-    log-sum-exp, whose gradient m is the mean of the gradients under the
-    weights d_i^p and whose Hessian is p times their covariance.  The damped
-    Gauss-Newton step solves (Hessian + p mu |m|^2 I) s = -m by the 3x3
-    adjugate; a start takes it only where the objective falls, and then its
-    damping mu falls, else it rises.  All starts run every iteration, one
-    kernel call each, over one block of their rows, and read only their own
-    rows and sums, so a result does not depend on the batch.  A start
-    repeated in the same ball, bit for bit, is polished once.
+    Charalambous, Math. Programming 17 (1979)): damped Newton steps on
+    log (sum_i d_i^p)^(1/p) from the exact derivatives of the log d_i
+    (_dists_grads), by the adjugate, Gauss-Newton where the Hessian is not
+    positive definite.  A start takes a step only where the objective falls,
+    and then its damping falls and its p may rise (POLISH_P), else the
+    damping rises.  All starts run every iteration, one kernel call for all,
+    each on its own rows and sums, so no result depends on the batch; a
+    start repeated bit for bit in its ball is polished once.
     """
     x0, balls = np.array(x0s, dtype=float).reshape(-1, 3), np.asarray(balls, dtype=np.intp)
     # each distinct (ball, start) once: start i of x0s is distinct start copy[i]
@@ -625,64 +624,59 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
     copy = [distinct.setdefault((b, x.tobytes()), len(distinct))
             for b, x in zip(balls.tolist(), x0)]
     first = np.unique(copy, return_index=True)[1]
-    x, lines, mu = x0[first], rows.lines(balls[first]), np.full(len(first), POLISH_DAMPING[0])
+    x, lines = x0[first], rows.lines(balls[first])
+    mu, p = np.full(len(first), POLISH_DAMPING[0]), np.full(len(first), POLISH_P[0])
     count, at = lines.count, lines.first
+    i, j = np.array(_SYM).T
 
     def spread(d):      # each start's max distance, and log(d_i / max) of its rows
-        top = np.maximum.reduceat(d, at)
-        return top, np.log(d) - np.repeat(np.log(top), count)
+        return (top := np.maximum.reduceat(d, at)), np.log(d) - np.repeat(np.log(top), count)
 
     def weights(lr, p):     # (d_i / max)^p, floored at exp(-600), off the subnormals
-        return np.exp(np.maximum(lr * p, -600.0))
+        return np.exp(np.maximum(lr * np.repeat(p, count), -600.0))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        d, g = _dists_grads(lines, x)
+        d, g, c = _dists_grads(lines, x)
         top, lr = spread(d)
         best, best_x = top.copy(), x.copy()
         for k in range(-1, iters):
             if k < 0:       # the probe, taken where it lowers the max distance
                 trial = x + POLISH_PROBE
             else:
-                p = POLISH_P[0] * (POLISH_P[1] / POLISH_P[0]) ** (k / max(1, iters - 1))
+                # the weighted means of the gradients, their products, the Hessians
                 w = weights(lr, p)
-                # the weighted first and second moments of the gradients
-                m = np.empty((9, w.size))
+                m = np.empty((15, w.size))
                 np.multiply(g, w, out=m[:3])
-                for i, (a, b) in enumerate([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]):
-                    np.multiply(g[a], m[b], out=m[3 + i])
+                np.multiply(g[i], m[j], out=m[3:9])
+                np.multiply(c, w, out=m[9:])
                 total = np.add.reduceat(w, at)
                 m = np.add.reduceat(m, at, axis=1) / total
-                m1, m2, m3 = m[:3]
-                damp = mu * (m1 * m1 + m2 * m2 + m3 * m3)
-                h11, h12, h13, h22, h23, h33 = m[3:] - m[[0, 0, 0, 1, 1, 2]] * m[[0, 1, 2, 1, 2, 2]]
-                h11 += damp
-                h22 += damp
-                h33 += damp
-                a11, a12, a13 = h22 * h33 - h23 * h23, h13 * h23 - h12 * h33, h12 * h23 - h13 * h22
-                a22, a23, a33 = h11 * h33 - h13 * h13, h12 * h13 - h11 * h23, h11 * h22 - h12 * h12
-                step = np.stack([a11 * m1 + a12 * m2 + a13 * m3, a12 * m1 + a22 * m2 + a23 * m3,
-                                 a13 * m1 + a23 * m2 + a33 * m3], axis=1)
-                step /= ((h11 * a11 + h12 * a12 + h13 * a13) * -p)[:, None]
+                # p times the gradients' covariance, damped by p mu |m|^2, plus
+                # the mean Hessian of log d: that of d^4 over 4 d^4, less 4 g g^T
+                gn = p * (m[3:9] - m[i] * m[j])
+                gn[[0, 3, 5]] += mu * p * (m[:3] * m[:3]).sum(axis=0)
+                step, pd = _adjugate_solve(gn + m[9:] - 4.0 * m[3:9], m[:3])
+                if not pd.all():
+                    step[~pd] = _adjugate_solve(gn[:, ~pd], m[:3, ~pd])[0]
                 np.copyto(step, 0.0, where=~np.isfinite(step))
-                trial = x + step
-            dt, gt = _dists_grads(lines, trial)
+                trial = x - step
+            dt, gt, ct = _dists_grads(lines, trial)
             tt, lrt = spread(dt)
             if k < 0:
                 ok = tt < top
             else:
-                ok = (np.log(tt) + np.log(np.add.reduceat(weights(lrt, p), at)) / p
-                      < np.log(top) + np.log(total) / p)
+                gain = (np.log(top) + np.log(total) / p
+                        - np.log(tt) - np.log(np.add.reduceat(weights(lrt, p), at)) / p)
+                ok = gain > 0.0
                 mu = np.maximum(mu * np.where(ok, *POLISH_DAMPING[1:]), 1e-12)
-            better = tt < best
-            np.copyto(best, tt, where=better)
-            np.copyto(best_x, trial, where=better[:, None])
-            np.copyto(x, trial, where=ok[:, None])
-            np.copyto(top, tt, where=ok)
-            rows_ok = np.repeat(ok, count)
-            np.copyto(lr, lrt, where=rows_ok)
-            np.copyto(g, gt, where=rows_ok)
+                p = np.where(ok & (gain * p < 0.3), np.minimum(p * POLISH_P[2], POLISH_P[1]), p)
+            better, rows_ok = tt < best, np.repeat(ok, count)
+            for now, new, where in ((best, tt, better), (best_x, trial, better[:, None]),
+                                    (x, trial, ok[:, None]), (top, tt, ok), (lr, lrt, rows_ok),
+                                    (g, gt, rows_ok), (c, ct, rows_ok)):
+                np.copyto(now, new, where=where)
     out = list(zip(best.tolist(), map(tuple, best_x.tolist())))
-    return [out[j] for j in copy]
+    return [out[q] for q in copy]
 
 
 def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, float, float], float]]:
@@ -818,11 +812,10 @@ def beta_heis_oracle(points: Sequence[HeisPoint] | np.ndarray, ball: Ball,
                      resolution: int = 60) -> BetaResult:
     """Brute-force grid reference for beta_heis.
 
-    Exhaustive canonical-frame grid over (theta, offset, height) with
-    bounds derived from the ball, followed by one local refinement (exact
-    height refit, then the engine's least-pth polish from the best cell, one
-    start of ORACLE_POLISH_ITERS iterations).  The result is an upper bound
-    on the true infimum, decreasing as the grid refines.
+    Exhaustive canonical-frame grid over (theta, offset, height) within
+    bounds from the ball, then an exact height refit and the engine's polish
+    (ORACLE_POLISH_ITERS iterations) from the best cell.  The result is an
+    upper bound on the true infimum, decreasing as the grid refines.
     """
     if resolution < 1:
         raise ValueError("oracle resolution must be at least 1, got %d" % resolution)

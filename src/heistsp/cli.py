@@ -208,8 +208,8 @@ def _enclosing_ball(points: list[HeisPoint]) -> Ball:
 
 #: the largest --budget level.  Level L scores L pair candidates and runs
 #: max(2, L // 8) polish starts of 4 L / 3 iterations per beta evaluation,
-#: each iteration one broadcast over one line per start; above the cap a
-#: run exits 3.
+#: each iteration one broadcast over one line per start (the default, 24, is
+#: BetaBudget() at half its polish iterations); above the cap a run exits 3.
 MAX_BUDGET_LEVEL = 200
 
 

@@ -119,8 +119,8 @@ def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.
 
 def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = False):
     """Koranyi distance to the line from canonical coordinates, broadcast
-    over the three arrays; with grad, also the derivatives of its fourth
-    power in x~, y~ and z~.
+    over the three arrays; with grad, also the gradient and Hessian of its
+    fourth power in (x~, y~, z~).
 
     The fourth power of the distance from the point to the line point at
     parameter t is f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2, and f'(t)/4 =
@@ -129,10 +129,12 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = F
     (hyperbolic Cardano form).  Where that form overflows the root is taken
     as -cbrt(q); where y~ = 0, u = 0.  f at the vertical drop t = x~ is an
     insurance candidate (the same min in exact math), and the distance is
-    the square root of the square root of the lesser.  The derivatives are
-    f's at the winning t, held fixed (the envelope theorem): -4 u A,
-    4 (y~ A - t B) and 2 B, for A = u^2 + y~^2 and B = z~ - 2 t y~.  The
-    temporaries are updated in place.
+    the square root of the square root of the lesser.  At the winning t, by
+    the envelope theorem, the gradient is f's with t held fixed: -4 u A,
+    4 (y~ A - t B) and 2 B, for A = u^2 + y~^2 and B = z~ - 2 t y~; and the
+    Hessian f_qq - f_qt f_tq / f_tt over q = (x~, y~, z~), in the order xx,
+    xy, xz, yy, yz, zz (f_tt = 12 A; the quotient 0 where A < 1e-100).  The temporaries are
+    updated in place.
     """
     if not np.shape(xt) == np.shape(yt) == np.shape(zt):    # engine calls share one shape
         xt, yt, zt = np.broadcast_arrays(xt, yt, zt)
@@ -181,9 +183,14 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = F
     if not grad:
         return f
     u = t - xt
-    a = u * u + yt * yt
-    b = zt - 2.0 * t * yt
-    return f, -4.0 * u * a, 4.0 * (yt * a - t * b), 2.0 * b
+    a, b = u * u + yt * yt, zt - 2.0 * t * yt
+    # f_xx (= -f_tx), f_yy, f_ty and f_tz; f_xy = -8 u y~, f_yz = -4 t, f_zz = 2
+    fxx, fyy = 8.0 * u * u + 4.0 * a, 8.0 * (yt * yt + t * t) + 4.0 * a
+    fty, ftz = 8.0 * yt * (u + t) - 4.0 * b, -4.0 * yt
+    r = np.divide(1.0, 12.0 * a, out=np.zeros_like(a), where=a > 1e-100)
+    return f, (-4.0 * u * a, 4.0 * (yt * a - t * b), 2.0 * b), \
+        (fxx - fxx * fxx * r, fxx * fty * r - 8.0 * u * yt, fxx * ftz * r,
+         fyy - fty * fty * r, -4.0 * t - fty * ftz * r, 2.0 - ftz * ftz * r)
 
 
 def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:

@@ -227,10 +227,12 @@ def test_kernel_gradient_against_central_differences(rows):
     differences of quartic_dists on rows with y~ = 0, rows at y~ = 1e-120,
     whose cubic root takes the -cbrt(q) form, and rows where the vertical
     drop wins (at y~ near 1e-12, where d(d^4)/dy~ has a cusp of height
-    4 |z~| cbrt(|y~ z~|) that a step wider than y~ averages out)."""
+    4 |z~| cbrt(|y~ z~|) that a step wider than y~ averages out); and its
+    Hessian matches central differences of that gradient on the rows with
+    |y~| >= 0.1, where the step is small against the root's scale y~^2."""
     x, ys, ym, z = (np.array(v) for v in zip(*rows))
     x, y, z = (np.concatenate([v, w]) for v, w in zip((x, ys * ym, z), DROP_ROWS))
-    d, *grad = quartic_dists(x.copy(), y.copy(), z.copy(), grad=True)
+    d, grad, hess = quartic_dists(x.copy(), y.copy(), z.copy(), grad=True)
     assert np.array_equal(d, quartic_dists(x.copy(), y.copy(), z.copy()))
     assert (grad[0][-400:] == 0.0).any()        # t = x~: the drop won
     scale = 1.0 + np.maximum(np.maximum(np.abs(x), np.abs(y)), np.sqrt(np.abs(z)))
@@ -239,6 +241,11 @@ def test_kernel_gradient_against_central_differences(rows):
     for j, g in enumerate(grad):
         num = _central_differences(lambda *a: quartic_dists(*a) ** 4, (x, y, z), j, h)
         assert np.all(np.abs(g - num) <= 1e-6 * scale ** 3 + (cusp if j == 1 else 0.0)), j
+    smooth = np.abs(y) >= 0.1
+    for (a, b), hab in zip([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], hess):
+        num = _central_differences(lambda *q: quartic_dists(*(v.copy() for v in q), grad=True)[1][a],
+                                   (x, y, z), b, h)
+        assert np.all((np.abs(hab - num) <= 1e-4 * scale ** 2)[smooth]), (a, b)
 
 
 class TestAreas:

@@ -163,17 +163,17 @@ def _beta_fields(res):
 #: (samples, violations, worst margin, extras) with every float as hex, and
 #: the count and SHA-1 of the beta results each check fitted, in order
 FROZEN_DICHOTOMY = {
-    "sharp-turn": ((24, 0, '0x1.4fa82649ad054p-9',
+    "sharp-turn": ((24, 0, '0x1.4f8be70f57752p-9',
                     {'branches': {'return': 12, 'ball': 12},
                      'window_const': '0x1.0000000000000p-1',
                      'ball_floor': '0x1.a36e2eb1c432dp-14',
-                     'ball_score_min': '0x1.5cc397bf3b26dp-9'}),
-                   12, '119c796d951e3a4ee7824a4bbe9fd93952d0073e'),
+                     'ball_score_min': '0x1.5ca75884e596bp-9'}),
+                   12, '6f08d46567839731d66db51cbc1b5e51c0c5b56b'),
     "angle-improvement": ((6, 0, '0x1.0000000000000p+0',
                            {'branches': {'projected': 0, 'ball': 6},
                             'tilde_floor': '0x1.999999999999ap-5',
                             'ball_floor': '0x1.5798ee2308c3ap-27'}),
-                          12, '27102bbdcd45245698f00444d80bf2ac89253722'),
+                          12, 'ff1906a23972165c0a6fa43098bf6b8afa78b7f6'),
 }
 
 
