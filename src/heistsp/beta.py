@@ -632,7 +632,7 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
     def spread(d):      # each start's max distance, and log(d_i / max) of its rows
         return (top := np.maximum.reduceat(d, at)), np.log(d) - np.repeat(np.log(top), count)
 
-    def weights(lr, p, count=count):    # (d_i / max)^p, floored at exp(-600), off the subnormals
+    def weights(lr, p):     # (d_i / max)^p, floored at exp(-600), off the subnormals
         return np.exp(np.maximum(lr * np.repeat(p, count), -600.0))
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -644,10 +644,12 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
                 trial = x + POLISH_PROBE
             else:
                 # the weighted means of the gradients, their products, the Hessians
+                w = weights(lr, p)
                 m = np.empty((15, w.size))
                 np.multiply(g, w, out=m[:3])
                 np.multiply(g[i], m[j], out=m[3:9])
                 np.multiply(c, w, out=m[9:])
+                total = np.add.reduceat(w, at)
                 m = np.add.reduceat(m, at, axis=1) / total
                 # p times the gradients' covariance, damped by p mu |m|^2, plus
                 # the mean Hessian of log d: that of d^4 over 4 d^4, less 4 g g^T
@@ -663,31 +665,16 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
             if k < 0:
                 ok = tt < top
             else:
-                wt = weights(lrt, p)
-                total_t = np.add.reduceat(wt, at)
-                gain = np.log(top) + np.log(total) / p - np.log(tt) - np.log(total_t) / p
+                gain = (np.log(top) + np.log(total) / p
+                        - np.log(tt) - np.log(np.add.reduceat(weights(lrt, p), at)) / p)
                 ok = gain > 0.0
                 mu = np.maximum(mu * np.where(ok, *POLISH_DAMPING[1:]), 1e-12)
-                new_p = np.where(ok & (gain * p < 0.3), np.minimum(p * POLISH_P[2], POLISH_P[1]), p)
+                p = np.where(ok & (gain * p < 0.3), np.minimum(p * POLISH_P[2], POLISH_P[1]), p)
             better, rows_ok = tt < best, np.repeat(ok, count)
             for now, new, where in ((best, tt, better), (best_x, trial, better[:, None]),
                                     (x, trial, ok[:, None]), (top, tt, ok), (lr, lrt, rows_ok),
                                     (g, gt, rows_ok), (c, ct, rows_ok)):
                 np.copyto(now, new, where=where)
-            # the next weights: a refused start keeps its own, a taken one whose p
-            # held takes the trial's, and only one whose p rose recomputes them
-            if k < 0:
-                w = weights(lr, p)
-                total = np.add.reduceat(w, at)
-                continue
-            rose, ok = new_p != p, ok & (new_p == p)
-            p = new_p
-            np.copyto(w, wt, where=np.repeat(ok, count))
-            np.copyto(total, total_t, where=ok)
-            if rose.any():
-                rows = np.repeat(rose, count)
-                w[rows] = weights(lr[rows], p[rose], count[rose])
-                total[rose] = np.add.reduceat(w[rows], np.cumsum(count[rose]) - count[rose])
     out = list(zip(best.tolist(), map(tuple, best_x.tolist())))
     return [out[q] for q in copy]
 
