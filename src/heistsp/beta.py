@@ -17,10 +17,11 @@ point array and members share one fit.  The sets' optimisation subsamples
 are one flat (R, 3) array of ragged rows (_Rows), and each step evaluates
 all its lines, for all sets, in one lines.quartic_dists call, each line on
 its own set's rows only (_Lines) and its max one np.maximum.reduceat: the
-candidates' scores, the height searches (lines.golden_min_many) and each
-polish iteration.  So a result does not depend on the batch it runs in.  A
-batch runs in chunks whose iterative steps stay under BATCH_PAIRS
-line-member pairs per kernel call, and its one-shot calls in blocks.
+candidates' scores, each step of the height searches (_best_heights, a
+bracketed search on exact subgradients) and each polish iteration.  So a
+result does not depend on the batch it runs in.  A batch runs in chunks
+whose iterative steps stay under BATCH_PAIRS line-member pairs per kernel
+call, and its one-shot calls in blocks.
 
 The set-up runs in ragged passes too, each bit for bit with the per-set
 form it replaces: membership scans in blocks under BATCH_PAIRS distances
@@ -64,7 +65,6 @@ from .core import (
 from .lines import (
     HorizontalLine,
     canon_coords,
-    golden_min_many,
     horizontal_line,
     line_dists_arr,     # kept importable because the benchmark's tracer wraps it
     line_through_two,
@@ -234,20 +234,27 @@ def _max_dists_blocked(rows: _Rows, balls, params) -> np.ndarray:
     return np.concatenate(out)
 
 
-#: golden-section steps of each height search
-HEIGHT_ITERS = 60
+#: the steps of each height search after its bracket's two ends
+HEIGHT_STEPS = 12
 
 
 def _best_heights(lines: _Lines, thetas, offsets) -> list[float]:
     """Minimax-optimal height of each line (thetas[i], offsets[i]) over its
     members.
 
-    max_i d(p_i, L_h) is quasiconvex in h (each d^4 is jointly convex in
-    (t, h)), so golden-section over the hull of the per-point zero-mismatch
-    heights finds the optimum.  All lines search in lockstep
-    (golden_min_many), one kernel call per step.
+    F(h) = max_i d_i(h)^4 is convex: each d_i^4 is the minimum over t of a
+    function jointly convex in (t, h), least at the row's target (zero
+    mismatch at its co-horizontal foot), so the targets' hull brackets the
+    optimum.  F'(h) is that of F's argmax row (the last), -2 (z~ - 2 t y~)
+    at the row's foot t by the envelope theorem.  Each step takes the
+    secant root of that row's derivative where both ends share the argmax
+    row, else the cut of the ends' tangents (Kelley, SIAM J. 8 (1960)); it
+    bisects where that point leaves the bracket or the bracket did not
+    halve over two steps, and keeps the side the sign of F' names.  The
+    least F met wins (the first on a tie).  All lines search in lockstep,
+    each on its own rows, one kernel call a probe: the ends and HEIGHT_STEPS.
     """
-    count = lines.count
+    count, first = lines.count, lines.first
     th = np.asarray(thetas, dtype=float)
     off = _per_row(np.asarray(offsets, dtype=float), count)
     # the canonical coordinates at height 0
@@ -255,11 +262,28 @@ def _best_heights(lines: _Lines, thetas, offsets) -> list[float]:
                               _per_row(np.sin(th), count), off, 0.0)
     # h with zero mismatch at the co-horizontal foot
     targets = lines.cols[2] - 2.0 * xt * yt + 2.0 * off * xt
-    a = np.minimum.reduceat(targets, lines.first)
-    b = np.maximum.reduceat(targets, lines.first)
-    return golden_min_many(
-        lambda h: np.maximum.reduceat(quartic_dists(xt, yt, z0 - _per_row(h, count)), lines.first),
-        a, b, HEIGHT_ITERS)[0].tolist()
+    rows = np.arange(xt.size)
+
+    def probe(h):       # (h, F, F's argmax row, F') and max d
+        d, t = quartic_dists(xt, yt, z0 - _per_row(h, count), foot=True)
+        top = np.maximum.reduceat(d, first)
+        k = np.maximum(np.maximum.reduceat(np.where(d == _per_row(top, count), rows, 0), first), first)
+        return np.stack([h, (top * top) ** 2, k, -2.0 * (z0[k] - h - 2.0 * t[k] * yt[k])]), top
+
+    (lo, d_lo), (hi, d_hi) = (probe(f.reduceat(targets, first)) for f in (np.minimum, np.maximum))
+    best = np.where(d_hi < d_lo, [hi[0], d_hi], [lo[0], d_lo])      # h and max d
+    back = [np.inf, np.inf]      # the bracket's width one and two steps back
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(HEIGHT_STEPS):
+            (a, fa, ka, ga), (b, fb, kb, gb), w = lo, hi, hi[0] - lo[0]
+            m = a + np.where(ka == kb, -ga * w, fa - fb + gb * w) / (gb - ga)
+            m = np.where((m > a) & (m < b) & (w <= 0.5 * back[1]), m, a + 0.5 * w)
+            back = [w, back[0]]
+            mid, d = probe(m)
+            np.copyto(best, [m, d], where=d < best[1])
+            right = mid[3] < 0.0        # the minimum lies right of m
+            lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return best[0].tolist()
 
 
 def _chain(seq: list) -> list:

@@ -14,12 +14,14 @@ Every rotation into a line's frame is core.frame: line_from_point_direction,
 foot, foot_params_arr and canon_coords call it.  Distances to lines have one
 kernel: canon_coords moves points into a line's frame, given the cosine and
 sine of its direction, and quartic_dists takes the distance there by a
-closed-form cubic root.  Callers with many lines (the beta engine, the
-lemma checks) pair the two themselves; line_dists_arr and line_dist are
-the one-line forms.  The line-relative area has one kernel too: line_area
-takes the shoelace of the foot trapezoid from the same canonical
-coordinates, for trapezoid_area and sigma_l and for the lemma checks'
-rows.  foot takes its line point from line_point_at.
+closed-form cubic root, and on request the minimising foot t (from which
+the beta engine's height search takes each d^4's derivative in the height)
+or the derivatives of the polish.  Callers with many lines (the beta
+engine, the lemma checks) pair the two themselves; line_dists_arr and
+line_dist are the one-line forms.  The line-relative area has one kernel
+too: line_area takes the shoelace of the foot trapezoid from the same
+canonical coordinates, for trapezoid_area and sigma_l and for the lemma
+checks' rows.  foot takes its line point from line_point_at.
 
 Sign conventions: the trapezoid area follows the path
 pi(a) -> pi(b) -> pi(b_L) -> pi(a_L) with the usual counterclockwise
@@ -29,7 +31,7 @@ shoelace sign, so the unit square traversed clockwise has area -1.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,10 +119,11 @@ def canon_coords(arr: np.ndarray, c, s, offset, height) -> tuple[np.ndarray, np.
     return px, py, pz
 
 
-def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = False):
+def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = False,
+                  foot: bool = False):
     """Koranyi distance to the line from canonical coordinates, broadcast
     over the three arrays; with grad, also the gradient and Hessian of its
-    fourth power in (x~, y~, z~).
+    fourth power in (x~, y~, z~), else with foot the minimising t.
 
     The fourth power of the distance from the point to the line point at
     parameter t is f(t) = ((t-x~)^2+y~^2)^2 + (z~-2ty~)^2, and f'(t)/4 =
@@ -162,7 +165,7 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = F
     np.copyto(u, 0.0, where=~nonzero)
     del bad, nonzero        # freed before f and its terms
     u += xt                 # t, the minimizer
-    t = u.copy() if grad else None
+    t = u.copy() if grad or foot else None
     f = u - xt
     f *= f
     yy = yt * yt
@@ -176,12 +179,12 @@ def quartic_dists(xt: np.ndarray, yt: np.ndarray, zt: np.ndarray, grad: bool = F
     yy *= yy                # f at t = x~
     drop *= drop
     yy += drop
-    if grad:
+    if t is not None:
         np.copyto(t, xt, where=yy < f)     # the vertical drop wins
     np.minimum(f, yy, out=f)
     np.sqrt(np.sqrt(f, out=f), out=f)
     if not grad:
-        return f
+        return f if t is None else (f, t)
     u = t - xt
     a, b = u * u + yt * yt, zt - 2.0 * t * yt
     # f_xx (= -f_tx), f_yy, f_ty and f_tz; f_xy = -8 u y~, f_yz = -4 t, f_zz = 2
@@ -202,33 +205,6 @@ def line_dists_arr(arr: np.ndarray, line: HorizontalLine) -> np.ndarray:
 def line_dist(p: HeisPoint, line: HorizontalLine) -> float:
     """Koranyi distance of p to the line."""
     return float(line_dists_arr(np.array([[p.x, p.y, p.z]]), line)[0])
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
-                    iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search of a unimodal f on [a, b], every row in lockstep:
-    (t, f(t)) of each row's better final probe.  f maps one probe per row to
-    the row's values, one call per step; each row's arithmetic is that of the
-    scalar search, which starts from the probes c1 = b - g (b - a) and
-    c2 = a + g (b - a), g = 1/golden ratio, and each step keeps the side of
-    the better probe (c1 on a tie)."""
-    c1 = b - _INV_GOLDEN * (b - a)
-    c2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = f(c1), f(c2)
-    for _ in range(iters):
-        left = f1 <= f2
-        a = np.where(left, a, c1)
-        b = np.where(left, c2, b)
-        step = _INV_GOLDEN * (b - a)
-        t = np.where(left, b - step, a + step)
-        ft = f(t)
-        c1, f1, c2, f2 = (np.where(left, t, c2), np.where(left, ft, f2),
-                          np.where(left, c1, t), np.where(left, f1, ft))
-    better = f1 <= f2
-    return np.where(better, c1, c2), np.where(better, f1, f2)
 
 
 def line_area(xa, ya, xb, yb, offset):

@@ -1,8 +1,9 @@
 """The sequential, one-point forms that the library's lockstep kernels replay.
 
 The tests compare the array kernels of heistsp.lines against these scalar
-references bit for bit (golden_min, the quartic profile) or to a tolerance
-(line distances by golden section), and beta's pair candidates against
+references bit for bit (the quartic profile) or to a tolerance (line
+distances by golden section, golden_min_many being golden_min in lockstep;
+beta's height search against golden_min_many), and beta's pair candidates against
 pair_candidates, which draws one pair per generator call.  The beta
 engine's set-up passes run over every member set of a chunk at once; the
 per-set forms they replace, one member set a call, are kept here as their
@@ -39,6 +40,27 @@ def golden_min(f: Callable[[float], float], a: float, b: float,
             c2 = a + _INV_GOLDEN * (b - a)
             f2 = f(c2)
     return (c1, f1) if f1 <= f2 else (c2, f2)
+
+
+def golden_min_many(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray,
+                    iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """golden_min of every row in lockstep, bit for bit: (t, f(t)) of each
+    row's better final probe, where f maps one probe per row to the row's
+    values, one call per step."""
+    c1 = b - _INV_GOLDEN * (b - a)
+    c2 = a + _INV_GOLDEN * (b - a)
+    f1, f2 = f(c1), f(c2)
+    for _ in range(iters):
+        left = f1 <= f2
+        a = np.where(left, a, c1)
+        b = np.where(left, c2, b)
+        step = _INV_GOLDEN * (b - a)
+        t = np.where(left, b - step, a + step)
+        ft = f(t)
+        c1, f1, c2, f2 = (np.where(left, t, c2), np.where(left, ft, f2),
+                          np.where(left, c1, t), np.where(left, f1, ft))
+    better = f1 <= f2
+    return np.where(better, c1, c2), np.where(better, f1, f2)
 
 
 def point_canon_coords(p: HeisPoint, line: HorizontalLine) -> tuple[float, float, float]:

@@ -25,7 +25,6 @@ from heistsp.lines import (
     foot,
     foot_params_arr,
     horizontal_line,
-    golden_min_many,
     line_area,
     line_dist,
     line_from_point_direction,
@@ -36,7 +35,7 @@ from heistsp.lines import (
     transform_line,
     trapezoid_area,
 )
-from sequential import golden_min, point_canon_coords, quartic
+from sequential import golden_min, golden_min_many, point_canon_coords, quartic
 
 X_AXIS = horizontal_line(0.0, 0.0, 0.0)
 
@@ -222,24 +221,34 @@ DROP_ROWS = np.random.default_rng(4).uniform([-2.0, -1e-12, -4.0], [2.0, 1e-12, 
 @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-120, 1e-12, 1.0]),
                           st.floats(-2.0, 2.0), st.floats(-4.0, 4.0)), min_size=1, max_size=40))
 @settings(max_examples=60, deadline=None)
+@example([(0.0, 1.0, 1e-05, 1.0)])      # y~ = 1e-5: a step of 1e-6 in y~ misses by 3e-5
 def test_kernel_gradient_against_central_differences(rows):
     """The derivatives of d^4 that quartic_dists returns match central
     differences of quartic_dists on rows with y~ = 0, rows at y~ = 1e-120,
     whose cubic root takes the -cbrt(q) form, and rows where the vertical
     drop wins (at y~ near 1e-12, where d(d^4)/dy~ has a cusp of height
-    4 |z~| cbrt(|y~ z~|) that a step wider than y~ averages out); and its
-    Hessian matches central differences of that gradient on the rows with
-    |y~| >= 0.1, where the step is small against the root's scale y~^2."""
+    4 |z~| cbrt(|y~ z~|) that a step wider than y~ averages out; off the
+    cusp the step in y~ stays under |y~| / 1000); and its Hessian matches
+    central differences of that gradient on the rows with |y~| >= 0.1,
+    where the step is small against the root's scale y~^2.  With foot, it
+    returns the same distances and the foot t the gradient is taken at, bit
+    for bit: d(d^4)/dz~ = 2 (z~ - 2 t y~)."""
     x, ys, ym, z = (np.array(v) for v in zip(*rows))
     x, y, z = (np.concatenate([v, w]) for v, w in zip((x, ys * ym, z), DROP_ROWS))
     d, grad, hess = quartic_dists(x.copy(), y.copy(), z.copy(), grad=True)
     assert np.array_equal(d, quartic_dists(x.copy(), y.copy(), z.copy()))
+    d_foot, t = quartic_dists(x.copy(), y.copy(), z.copy(), foot=True)
+    assert np.array_equal(d_foot, d) and np.array_equal(2.0 * (z - 2.0 * t * y), grad[2])
     assert (grad[0][-400:] == 0.0).any()        # t = x~: the drop won
     scale = 1.0 + np.maximum(np.maximum(np.abs(x), np.abs(y)), np.sqrt(np.abs(z)))
     h = 1e-6
     cusp = np.where(np.abs(y) < h, 8.0 * np.abs(z) * np.cbrt(np.abs(z) * h), 0.0)
+    # off the cusp, a step in y~ under |y~| / 1000: d(d^4)/dy~ bends as |y~|^(-2/3)
+    # there, and a step of 1e-6 at y~ = 1e-5 misses it by 3e-5
+    h_y = np.where(np.abs(y) < h, h, np.minimum(h, 1e-3 * np.abs(y)))
     for j, g in enumerate(grad):
-        num = _central_differences(lambda *a: quartic_dists(*a) ** 4, (x, y, z), j, h)
+        num = _central_differences(lambda *a: quartic_dists(*a) ** 4, (x, y, z), j,
+                                   h_y if j == 1 else h)
         assert np.all(np.abs(g - num) <= 1e-6 * scale ** 3 + (cusp if j == 1 else 0.0)), j
     smooth = np.abs(y) >= 0.1
     for (a, b), hab in zip([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)], hess):
