@@ -715,7 +715,8 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
     # stage A: each set's two centre lines, its strip line and its pair
     # lines, scored together, and ranked per set by (value, theta, offset,
     # height), a tie kept in place as a sort of tuples keeps it; the best few
-    # get their height refit and join the candidates after them
+    # get their height refit (a strip line keeps its own, which is the same
+    # search on the same rows) and join the candidates after them
     strip = np.column_stack([th_s, off_s, _best_heights(rows.lines(sets), th_s, off_s)])
     cands = np.concatenate([np.repeat([[0.0, 0.0, 0.0], [0.5 * math.pi, 0.0, 0.0]], len(fits), 0),
                             strip, pair_lines])
@@ -723,10 +724,9 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
     v = _max_dists_blocked(rows, owner, cands)
     order = np.lexsort((*cands[:, ::-1].T, v, owner))
     top = order[_ragged(3 + n_pairs) < budget.refine_starts]
-    lines = rows.lines(owner[top])
-    refit = cands[top]
-    refit[:, 2] = _best_heights(lines, refit[:, 0], refit[:, 1])
-    v = np.concatenate([v[order], _max_dists(lines, refit)])
+    refit, new = cands[top], (top < 2 * len(fits)) | (top >= 3 * len(fits))
+    refit[new, 2] = _best_heights(rows.lines(owner[top[new]]), refit[new, 0], refit[new, 1])
+    v = np.concatenate([v[order], _max_dists(rows.lines(owner[top]), refit)])
     cands, owner = np.concatenate([cands[order], refit]), np.concatenate([owner[order], owner[top]])
     order = np.lexsort((*cands[:, ::-1].T, v, owner))
 
