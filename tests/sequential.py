@@ -2,13 +2,14 @@
 
 The tests compare the array kernels of heistsp.lines against these scalar
 references bit for bit (the quartic profile) or to a tolerance (line
-distances by golden section, golden_min_many being golden_min in lockstep;
-beta's height search against golden_min_many), and beta's pair candidates against
-pair_candidates, which draws one pair per generator call.  The beta
-engine's set-up passes run over every member set of a chunk at once; the
-per-set forms they replace, one member set a call, are kept here as their
-reference: member_frame, subsample, min_width_strip (with convex_hull_2d),
-pair_candidates, pair_lines and witness.
+distances by golden_min).  golden_min_many is golden_min in lockstep, bit
+for bit, and the reference of beta's height search.  beta's pair
+candidates are compared with pair_candidates, which draws one pair per
+generator call.
+The beta engine's set-up passes run over every member set of a chunk at
+once; the per-set forms they replace, one member set a call, are kept here
+as their reference: member_frame, subsample, min_width_strip (with
+convex_hull_2d), pair_candidates, pair_lines and witness.
 """
 
 import math
