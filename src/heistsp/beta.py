@@ -4,12 +4,13 @@ beta_heis runs a canonical-frame multistart: the members of the ball are
 moved to the unit ball at the origin of their own frame (origin their
 coordinate mean, unit their largest gauge distance from it), which moves
 with the set under left translation, dilation and rotation about the z
-axis.  Candidate lines come from the exact planar strip fit, lines through
-point pairs, and lines through the frame's origin; the best few are
-polished over (theta, offset, height) by damped Newton steps on a
-least-pth objective (_polish).  The returned beta is the exact sup over
-members at the returned witness line, divided by diam(B): an upper bound
-on the true infimum.  No step draws from a caller's seed.
+axis.  Candidate lines come from the exact planar strip fit (at the height
+its search finds), lines through point pairs, and lines through the
+frame's origin; the best few are polished over (theta, offset, height) by
+damped Newton steps on a least-pth objective (_polish).  The returned beta
+is the exact sup over members at the returned witness line, divided by
+diam(B): an upper bound on the true infimum.  No step draws from a
+caller's seed.
 
 The engine runs in lockstep over many balls: beta_heis_many takes (point
 set, ball) items, beta_heis is its one-item case, and items with the same
@@ -17,11 +18,11 @@ point array and members share one fit.  The sets' optimisation subsamples
 are one flat (R, 3) array of ragged rows (_Rows), and each step evaluates
 all its lines, for all sets, in one lines.quartic_dists call, each line on
 its own set's rows only (_Lines) and its max one np.maximum.reduceat: the
-candidates' scores, each step of the height searches (_best_heights, a
-bracketed search on exact subgradients) and each polish iteration.  So a
-result does not depend on the batch it runs in.  A batch runs in chunks
-whose iterative steps stay under BATCH_PAIRS line-member pairs per kernel
-call, and its one-shot calls in blocks.
+candidates' scores, each step of the strip lines' height search
+(_best_heights, a bracketed search on exact subgradients) and each polish
+iteration.  So a result does not depend on the batch it runs in.  A batch
+runs in chunks whose iterative steps stay under BATCH_PAIRS line-member
+pairs per kernel call, and its one-shot calls in blocks.
 
 The set-up runs in ragged passes too, each bit for bit with the per-set
 form it replaces: membership scans in blocks under BATCH_PAIRS distances
@@ -97,8 +98,7 @@ class ResourceBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class BetaBudget:
     pair_starts: int = 24      # candidate lines through point pairs
-    refine_starts: int = 4     # candidates given an exact height refit
-    nm_starts: int = 3         # least-pth polish starts
+    nm_starts: int = 3         # polish starts: the best-scored candidates
     nm_iter: int = 64          # polish iterations, one kernel call each
     max_members: int = 96      # optimization subsample; final eval uses all
 
@@ -114,8 +114,7 @@ ORACLE_MAX_CELLS = 2e8
 ORACLE_POLISH_ITERS = 120
 
 #: lighter budget for the inner loops of the curve builder
-BUILDER_BUDGET = BetaBudget(pair_starts=10, refine_starts=2, nm_starts=2,
-                            nm_iter=24, max_members=48)
+BUILDER_BUDGET = BetaBudget(pair_starts=10, nm_starts=2, nm_iter=24, max_members=48)
 
 #: the most (line, member) pairs one kernel call of beta_heis_many evaluates,
 #: each line counted against its own ball's subsample: a batch runs in
@@ -712,26 +711,20 @@ def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, floa
     _, th_s, off_s = _strips(rows.cols[:2].T, rows.count)
     pair_lines, n_pairs = _pair_lines(rows, budget)
 
-    # stage A: each set's two centre lines, its strip line and its pair
-    # lines, scored together, and ranked per set by (value, theta, offset,
-    # height), a tie kept in place as a sort of tuples keeps it; the best few
-    # get their height refit (a strip line keeps its own, which is the same
-    # search on the same rows) and join the candidates after them
+    # stage A: each set's two centre lines, its strip line at its searched
+    # height and its pair lines, scored together, and ranked per set by
+    # (value, theta, offset, height), a tie kept in place as a sort of
+    # tuples keeps it
     strip = np.column_stack([th_s, off_s, _best_heights(rows.lines(sets), th_s, off_s)])
     cands = np.concatenate([np.repeat([[0.0, 0.0, 0.0], [0.5 * math.pi, 0.0, 0.0]], len(fits), 0),
                             strip, pair_lines])
     owner = np.concatenate([np.tile(sets, 3), np.repeat(sets, n_pairs)])
     v = _max_dists_blocked(rows, owner, cands)
     order = np.lexsort((*cands[:, ::-1].T, v, owner))
-    top = order[_ragged(3 + n_pairs) < budget.refine_starts]
-    refit, new = cands[top], (top < 2 * len(fits)) | (top >= 3 * len(fits))
-    refit[new, 2] = _best_heights(rows.lines(owner[top[new]]), refit[new, 0], refit[new, 1])
-    v = np.concatenate([v[order], _max_dists(rows.lines(owner[top]), refit)])
-    cands, owner = np.concatenate([cands[order], refit]), np.concatenate([owner[order], owner[top]])
-    order = np.lexsort((*cands[:, ::-1].T, v, owner))
 
-    # stage B: the least-pth polish from the best few
-    n = np.bincount(owner, minlength=len(fits))
+    # stage B: the least-pth polish from the best few, which fits their
+    # heights with their thetas and offsets
+    n = 3 + n_pairs
     starts, best = order[_ragged(n) < budget.nm_starts], order[np.cumsum(n) - n]
     polished = iter(_polish(rows, owner[starts], cands[starts], budget.nm_iter))
     out = []
@@ -754,7 +747,7 @@ def beta_heis_many(items: Sequence[tuple[Sequence[HeisPoint] | np.ndarray, Ball]
     budget = budget or BetaBudget()
     # (line, member) pairs per subsample row in a fit's widest iterative call:
     # a height search step, or a polish step, one line per start
-    width = max(1, budget.refine_starts, budget.nm_starts)
+    width = max(1, budget.nm_starts)
     results: list[BetaResult | int] = []      # each item's result, or its set's slot
     slots: dict[tuple[int, bytes], int] = {}
     witnesses: list[_Witness | None] = []

@@ -206,10 +206,11 @@ def _enclosing_ball(points: list[HeisPoint]) -> Ball:
     return Ball(HeisPoint(*arr[best[1]]), radius)
 
 
-#: the largest --budget level.  Level L scores L pair candidates and runs
-#: max(2, L // 8) polish starts of 4 L / 3 iterations per beta evaluation,
-#: each iteration one broadcast over one line per start (the default, 24, is
-#: BetaBudget() at half its polish iterations); above the cap a run exits 3.
+#: the largest --budget level.  Level L scores L pair candidates beside the
+#: strip and two centre lines and runs max(2, L // 8) polish starts of
+#: 4 L / 3 iterations per beta evaluation, each iteration one broadcast over
+#: one line per start (the default, 24, is BetaBudget() at half its polish
+#: iterations); above the cap a run exits 3.
 MAX_BUDGET_LEVEL = 200
 
 
@@ -218,8 +219,7 @@ def _budget_from_level(level: int) -> BetaBudget:
         raise InputError("--budget must be at least 2")
     if level > MAX_BUDGET_LEVEL:
         raise ResourceBudgetError("--budget %d exceeds the cap of %d" % (level, MAX_BUDGET_LEVEL))
-    return BetaBudget(pair_starts=level, refine_starts=max(2, level // 6),
-                      nm_starts=max(2, level // 8), nm_iter=4 * level // 3)
+    return BetaBudget(pair_starts=level, nm_starts=max(2, level // 8), nm_iter=4 * level // 3)
 
 
 def _theorem_a(args) -> tuple[TheoremAResult, list[str]]:

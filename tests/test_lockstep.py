@@ -24,8 +24,8 @@ import heistsp.beta
 import heistsp.builder
 import heistsp.multiscale
 from heistsp.builder import BuilderConfig, ScaleRangeError, _build, theorem_a_check
-from heistsp.core import (ORIGIN, HeisPoint, as_array, left_translate_arr, point_of, rotate_arr,
-                          sample_box)
+from heistsp.core import (ORIGIN, HeisPoint, as_array, left_translate_arr, norm_arr, point_of,
+                          rotate_arr, sample_box)
 from heistsp.curves import curve_length
 from heistsp.multiscale import build_nets, carleson_sum
 from heistsp.lines import (
@@ -392,36 +392,36 @@ def _fields(res):
 FROZEN = [
     ('0x1.22dcdebb11616p-6', '0x1.170cfd7fa253ap+1', '-0x1.7f79cb5011cb8p-7',
      '0x1.85230fca85f19p-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
-     '0x1.d694f8e68e4acp-2', '0x1.c059ab5b7b8f5p-4', False),
+     '0x1.d694f8e68e4acp-2', '0x1.c059ab5b7b8f9p-4', False),
     ('0x1.22dcdebb11616p-6', '0x1.170cfd7fa253ap+1', '-0x1.7f79cb5011cb8p-7',
      '0x1.85230fca85f19p-2', '0x1.32e5152bd25fcp-1', '-0x1.7db3ad31555b7p-1',
-     '0x1.d694f8e68e4acp-2', '0x1.c059ab5b7b8f5p-4', False),
+     '0x1.d694f8e68e4acp-2', '0x1.c059ab5b7b8f9p-4', False),
     ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1', '0x1.db2f8fe6643a4p+1',
      '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1', '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
     ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1', '0x1.db2f8fe6643a4p+1',
      '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1', '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
-    ('0x1.cb0ec345f2864p-3', '0x0.0p+0', '0x1.4f8e747804397p-2', '-0x1.989e8f69dcb1ap-58',
+    ('0x1.cb0ec345f2864p-3', '0x0.0p+0', '0x1.4f8e747804397p-2', '0x1.028d6d9c6c498p-56',
      '-0x1.0000000000000p-1', '0x1.0000000000000p-2', '-0x1.5555555555555p-4',
-     '0x1.0defb148ae76fp-5', False),
-    ('0x1.cb0ed4ad5363cp-3', '0x0.0p+0', '0x1.4f8e8e4115393p-2', '0x0.0p+0',
+     '0x1.80d78b4aa4ae9p-5', False),
+    ('0x1.cb0ecedbc1674p-3', '0x0.0p+0', '0x1.4f8e85a2245b4p-2', '0x1.7c9c638033fb2p-59',
      '-0x1.0000000000000p-1', '0x1.0000000000000p-2', '-0x1.5555555555555p-4',
-     '0x1.80d745ad21383p-5', False),
-    ('0x1.cadf1796b8350p-3', '0x1.ef73e7e141d69p+0', '-0x1.0c3091da004bdp-4',
-     '-0x1.1f3cee98c686ap-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
-     '-0x1.49b2c7f3ccf06p-2', '0x1.221af623a6c51p-5', False),
-    ('0x1.cae00f5e6031fp-3', '0x1.ef7360cc694f1p+0', '-0x1.0c28e8b8f6199p-4',
-     '-0x1.1f3920cef908fp-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
-     '-0x1.49b2c7f3ccf06p-2', '0x1.2217170506d17p-5', False),
-    ('0x1.5d33377afff20p-3', '0x1.ffcb43cb3e283p-1', '0x1.93e3691f03688p-1',
-     '0x1.4902ab94f08b1p+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
-     '0x1.4902ab94f0d9fp+1', '0x1.b8f58bbb03defp-5', False),
-    ('0x1.5d33ec50f0719p-3', '0x1.ffcb43cb3dc46p-1', '0x1.93e4561c4d1f9p-1',
-     '0x1.4902ab94f0da3p+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
-     '0x1.4902ab94f0d9fp+1', '0x1.b8f2b86341e01p-5', False),
-    ('0x1.d295d392ed900p-3', '0x0.0p+0', '0x1.453034c37f9efp-2', '-0x1.f406862307e38p-57',
+     '0x1.80d75cf3692a8p-5', False),
+    ('0x1.cadf1796b8351p-3', '0x1.ef73e7e141d68p+0', '-0x1.0c3091da004bap-4',
+     '-0x1.1f3cee98c6867p-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
+     '-0x1.49b2c7f3ccf06p-2', '0x1.224e3c6c1e538p-5', False),
+    ('0x1.cae00f5e61ccdp-3', '0x1.ef7360cc6475fp+0', '-0x1.0c28e8b8d94aap-4',
+     '-0x1.1f3920ced797bp-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
+     '-0x1.49b2c7f3ccf06p-2', '0x1.224a5d4d77f4dp-5', False),
+    ('0x1.5d33377afe98bp-3', '0x1.ffcb43cb45304p-1', '0x1.93e3691f01a42p-1',
+     '0x1.4902ab94eaf59p+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
+     '0x1.4902ab94f0d9fp+1', '0x1.fb62241e20750p-5', False),
+    ('0x1.5d33ec54a0364p-3', '0x1.ffcb43c647b37p-1', '0x1.93e4562120d6ap-1',
+     '0x1.4902ab98e28eep+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
+     '0x1.4902ab94f0d9fp+1', '0x1.fb5f50b799ffbp-5', False),
+    ('0x1.d295d392ed900p-3', '0x0.0p+0', '0x1.453034c37f9efp-2', '-0x1.df0d267da6478p-55',
      '-0x1.0000000000000p+0', '0x1.0000000000000p+0', '-0x1.5555555555555p-1',
      '0x1.6e1edb80b8588p-6', False),
-    ('0x1.d296a49b5f684p-3', '0x0.0p+0', '0x1.452f1e9fecea0p-2', '-0x1.a0c4a991bf9f8p-55',
+    ('0x1.d296a49b5f684p-3', '0x0.0p+0', '0x1.452f1e9fecea0p-2', '0x1.cc29e2b2b78cep-57',
      '-0x1.0000000000000p+0', '0x1.0000000000000p+0', '-0x1.5555555555555p-1',
      '0x1.6e18533d29968p-6', False),
     ('0x1.1639dc296a3c1p-2', '0x1.79d9eb590247ap-2', '0x1.d07dac30cc9f4p-3',
@@ -430,12 +430,12 @@ FROZEN = [
     ('0x1.163aaff27ba04p-2', '0x1.79d7b7c7056b8p-2', '0x1.d07976faebbabp-3',
      '0x1.9b861a4115c66p-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
      '0x1.42ad0e694ae7cp-1', '0x1.418887d5257a6p-6', False),
-    ('0x1.e7cb31391a4c4p-3', '0x1.9c42ed7775fb8p-1', '0x1.75141af3485bap-1',
-     '0x1.302095fffee78p+2', '-0x1.6c6b937b20382p-1', '-0x1.67a42fcf7e1d0p-1',
-     '0x1.f5cf5de66497cp+2', '0x1.00f98802e487dp-7', False),
-    ('0x1.e7cc44de437e9p-3', '0x1.9c42ed69f97bap-1', '0x1.7515a3de58878p-1',
-     '0x1.3020960ba33c1p+2', '0x1.58eea2a9d6da3p-1', '0x1.7a5f6075d4885p-1',
-     '0x1.a9c7386664ddep+0', '0x1.ff61806cf6674p-13', False),
+    ('0x1.e7cb31391a4c5p-3', '0x1.9c42ed7775fb0p-1', '0x1.75141af3485bcp-1',
+     '0x1.302095fffee7fp+2', '-0x1.6c6b937b20382p-1', '-0x1.67a42fcf7e1d0p-1',
+     '0x1.f5cf5de66497cp+2', '0x1.c18758664faadp-4', False),
+    ('0x1.e7cc44ddc391fp-3', '0x1.9c42ed72dcd7dp-1', '0x1.7515a3dda515ep-1',
+     '0x1.30209603f70e7p+2', '0x1.58eea2a9d6da3p-1', '0x1.7a5f6075d4885p-1',
+     '0x1.a9c7386664ddep+0', '0x1.8f39d53d0a0d9p-4', False),
 ]
 
 
@@ -525,9 +525,9 @@ def test_oracle_field_equal_on_fixed_table():
     assert _oracle_fields() == FROZEN_ORACLE
 
 
-def test_budget_without_refits_or_polish():
+def test_budget_without_polish():
     pts = [ORIGIN, HeisPoint(0.0, 0.0, 1.0)]
-    res = beta_heis(pts, Ball(ORIGIN, 1.0), BetaBudget(refine_starts=0, nm_starts=0))
+    res = beta_heis(pts, Ball(ORIGIN, 1.0), BetaBudget(nm_starts=0))
     assert res.beta > 0.0
     assert _polish(_Rows([np.zeros((2, 3))]), [], [], 10) == []
 
@@ -673,10 +673,10 @@ def test_balls_with_equal_members_share_one_fit(bound, monkeypatch):
 
 
 def test_lone_beta_kernel_calls(monkeypatch):
-    """A lone ball's beta at BetaBudget() makes 97 kernel calls: 14 in each
-    of its two height searches (the bracket's two ends and 12 steps), one
-    scoring the candidates, one the refits, 66 in the polish (its start, its
-    probe and 64 iterations) and one for the witness."""
+    """A lone ball's beta at BetaBudget() makes 82 kernel calls: 14 in the
+    strip line's height search (the bracket's two ends and 12 steps), one
+    scoring the candidates, 66 in the polish (its start, its probe and 64
+    iterations) and one for the witness."""
     calls = []
     kernel = heistsp.beta.quartic_dists
 
@@ -686,7 +686,7 @@ def test_lone_beta_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(heistsp.beta, "quartic_dists", spy)
     beta_heis(sample_box(np.random.default_rng(3), 30, 0.8), Ball(ORIGIN, 1.0))
-    assert len(calls) == 97
+    assert len(calls) == 82
 
 
 @pytest.mark.parametrize("budget", [BetaBudget(), BUILDER_BUDGET], ids=["default", "builder"])
@@ -752,7 +752,7 @@ def test_kernel_calls_stay_within_batch_pairs(budget, monkeypatch):
         assert got == want
 
 
-@pytest.mark.parametrize("bound", [200, 3000])
+@pytest.mark.parametrize("bound", [200, 2250])
 def test_live_fits_stay_within_one_chunk(bound, monkeypatch):
     """When a chunk is solved, the only fits alive are its own and the one
     that closed it: what a batch holds follows BATCH_PAIRS, not the batch."""
@@ -831,6 +831,21 @@ def test_polish_quality_ceilings():
             assert improved.mean() < 0.05
 
 
+@pytest.mark.parametrize("seed, k, enclosing", [(5, 36, True), (6, 39, False)])
+def test_builder_budget_within_five_percent_of_oracle(seed, k, enclosing):
+    """At BUILDER_BUDGET the engine stays within criterion 5's 5% of
+    beta_heis_oracle(resolution=32) on two of 40 sample_box sets of 3 to 39
+    points drawn in turn from a seed: set 36 of seed 5, 3 points, in the
+    ball at the origin of 1.01 times their largest norm, and set 39 of
+    seed 6, 29 points, in the unit ball.  With a height refit of its best
+    candidates before the polish, the engine was 26.65% and 9.17% above the
+    oracle on them."""
+    rng = np.random.default_rng(seed)
+    pts = [sample_box(rng, int(rng.integers(3, 40)), 1.0) for _ in range(40)][k]
+    ball = Ball(ORIGIN, 1.01 * float(norm_arr(pts).max()) if enclosing else 1.0)
+    assert beta_heis(pts, ball, BUILDER_BUDGET).beta <= 1.05 * beta_heis_oracle(pts, ball, 32).beta
+
+
 @pytest.mark.parametrize("n", [5, 9, 10, 13, 48, 64, 96, 97, 1000])
 def test_pair_candidates_equal_one_draw_per_pair(n):
     # the library draws each round's missing pairs in one call; with ten to
@@ -873,9 +888,9 @@ LIFTED = [("circle", lifted_circle), ("sine", lifted_sine), ("parabola", lifted_
 #: a = 4 and the default budget (the effort of build's default --budget 24)
 #: on the 50-point lifted fixtures
 FROZEN_CARLESON = {
-    "circle": (103, '0x1.7e6bc33f74849p-4', '0fdf8414079f1d5cfbde612563971b86bb105019'),
-    "sine": (92, '0x1.384329d77d394p-5', '5e76a056e9db8b910415e575bc0f1a1a9181ab11'),
-    "parabola": (122, '0x1.6cc3c9cf315afp-6', '04c0a01b42799c88f24211f363825b609765aad0'),
+    "circle": (103, '0x1.7e6bc33f748efp-4', 'fbfde35ab7d15e8faca468bd7f8f21d8b578fb2e'),
+    "sine": (92, '0x1.384329d77d2b3p-5', '99f890fddf02c5a4ef3c07f43aad9c465a6d8d6e'),
+    "parabola": (122, '0x1.6cc3c9cf31485p-6', '17530f5fee5868ec3bb0331a48b4d15ec70ddfb5'),
 }
 
 

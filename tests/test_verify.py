@@ -168,12 +168,12 @@ FROZEN_DICHOTOMY = {
                      'window_const': '0x1.0000000000000p-1',
                      'ball_floor': '0x1.a36e2eb1c432dp-14',
                      'ball_score_min': '0x1.5ca75884e596bp-9'}),
-                   12, 'acc1a34644ad95e7106076486cb3b1f0cef80288'),
+                   12, '141353723a435cc531bcd674d5975a5c535f64ee'),
     "angle-improvement": ((6, 0, '0x1.0000000000000p+0',
                            {'branches': {'projected': 0, 'ball': 6},
                             'tilde_floor': '0x1.999999999999ap-5',
                             'ball_floor': '0x1.5798ee2308c3ap-27'}),
-                          12, '2bdb134deb0daaa99f47fee0e6ea826623fec901'),
+                          12, 'bdace6f6a21125c13d106357e34555c71be1fcb0'),
 }
 
 
