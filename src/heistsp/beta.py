@@ -7,10 +7,10 @@ with the set under left translation, dilation and rotation about the z
 axis.  Candidate lines come from the exact planar strip fit (at the height
 its search finds), lines through point pairs, and lines through the
 frame's origin; the best few are polished over (theta, offset, height) by
-damped Newton steps on a least-pth objective (_polish).  The returned beta
-is the exact sup over members at the returned witness line, divided by
-diam(B): an upper bound on the true infimum.  No step draws from a
-caller's seed.
+damped Newton steps on a least-pth objective (_polish), which merges the
+starts of a ball that converge together.  The returned beta is the exact
+sup over members at the returned witness line, divided by diam(B): an
+upper bound on the true infimum.  No step draws from a caller's seed.
 
 The engine runs in lockstep over many balls: beta_heis_many takes (point
 set, ball) items, beta_heis is its one-item case, and items with the same
@@ -582,13 +582,15 @@ def _pair_lines(rows: "_Rows", budget: BetaBudget) -> tuple[np.ndarray, np.ndarr
 _SYM = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
 
 
-def _dists_grads(lines: _Lines, params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distances d of each line's rows to the line params[i] (theta, offset,
-    height), and in those the gradients of log d, (3, P), and the Hessians of
-    d^4 over 4 d^4, (6, P) in _SYM order, 0 where d is 0: one kernel call."""
+def _dists_grads(lines: _Lines, params: np.ndarray, grad: bool = True) -> tuple:
+    """The distances d of each line's rows to the line params[i] (theta, offset, height),
+    and in those the gradients of log d, (3, P), and the Hessians of d^4 over 4 d^4,
+    (6, P) in _SYM order, 0 where d is 0, or without grad None: one kernel call."""
     cos, sin, off, h = np.repeat(np.stack([np.cos(params[:, 0]), np.sin(params[:, 0]),
                                            params[:, 1], params[:, 2]]), lines.count, axis=1)
     xt, yt, zt = canon_coords(lines.cols.T, cos, sin, off, h)
+    if not grad:
+        return quartic_dists(xt, yt, zt), None, None
     d, (fx, fy, fz), (hxx, hxy, hxz, hyy, hyz, hzz) = quartic_dists(xt, yt, zt, grad=True)
     # the chain rule through canon_coords, Y = y~ + offset: Jacobian columns (Y, -x~, 2 offset Y),
     # (0, -1, 2 x~), (0, 0, -1); second derivatives -x~, -Y, -2 offset x~ in theta, and 2 Y of z~
@@ -611,6 +613,8 @@ def _dists_grads(lines: _Lines, params: np.ndarray) -> tuple[np.ndarray, np.ndar
 POLISH_P = (4.0, 1e7, 1.5)
 #: the damping mu of a start's first step, and its factors after a taken and a refused step
 POLISH_DAMPING = (1.0, 0.3, 4.0)
+#: the merge's iteration, iters // POLISH_MERGE[0], and its tolerance in each parameter
+POLISH_MERGE = (4, 1e-2)
 #: the probe, a trial step before the first iteration, out of a symmetric saddle (a vertical pair)
 POLISH_PROBE = (0.05, 0.05, 0.0)
 
@@ -626,10 +630,24 @@ def _adjugate_solve(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x.T, (h11 > 0.0) & (adj[5] > 0.0) & (det > 0.0)
 
 
+def _representatives(balls: np.ndarray, best: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each start's representative: with each ball's starts ranked by best, then
+    position, the best-ranked kept one within POLISH_MERGE[1] of it in every
+    parameter of x, else the start itself, which is kept."""
+    order = np.lexsort((best, balls))
+    rank, rep = _ragged(np.unique(balls[order], return_counts=True)[1]), np.arange(len(order))
+    for r in range(1, rank.max(initial=0) + 1):
+        a = np.flatnonzero(rank == r)
+        for b in a - np.arange(1, r + 1)[:, None]:      # the last is the best-ranked
+            near = (rep[b] == b) & (np.abs(x[order[a]] - x[order[b]]) <= POLISH_MERGE[1]).all(1)
+            rep[a[near]] = b[near]
+    return order[rep][np.argsort(order)]
+
+
 def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[float, float, float]]]:
     """(min, argmin) of the max line distance to its ball's members from
     each start in x0s, start i in ball balls[i] of rows: the least max at
-    the start, its probe and its iters trial points.
+    the start, its probe and its iters trial points, or a merged start's representative's.
 
     A least-pth polish (Bandler & Charalambous, IEEE Trans. MTT 20 (1972);
     Charalambous, Math. Programming 17 (1979)): damped Newton steps on
@@ -637,19 +655,15 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
     (_dists_grads), by the adjugate, Gauss-Newton where the Hessian is not
     positive definite.  A start takes a step only where the objective falls,
     and then its damping falls and its p may rise (POLISH_P), else the
-    damping rises.  All starts run every iteration, one kernel call for all,
-    each on its own rows and sums, so no result depends on the batch; a
-    start repeated bit for bit in its ball is polished once.
+    damping rises.  The live starts run every iteration, one kernel call for all,
+    each on its own rows and sums; at iteration iters // POLISH_MERGE[0] those of a
+    ball that converged together merge (_representatives; multi-level single linkage,
+    Rinnooy Kan & Timmer, Math. Programming 39 (1987)).  So no result depends on the batch.
     """
-    x0, balls = np.array(x0s, dtype=float).reshape(-1, 3), np.asarray(balls, dtype=np.intp)
-    # each distinct (ball, start) once: start i of x0s is distinct start copy[i]
-    distinct: dict[tuple[int, bytes], int] = {}
-    copy = [distinct.setdefault((b, x.tobytes()), len(distinct))
-            for b, x in zip(balls.tolist(), x0)]
-    first = np.unique(copy, return_index=True)[1]
-    x, lines = x0[first], rows.lines(balls[first])
-    mu, p = np.full(len(first), POLISH_DAMPING[0]), np.full(len(first), POLISH_P[0])
-    count, at = lines.count, lines.first
+    x, balls = np.array(x0s, dtype=float).reshape(-1, 3), np.asarray(balls, dtype=np.intp)
+    _, count, at = lines = rows.lines(balls)
+    mu, p = np.full(len(x), POLISH_DAMPING[0]), np.full(len(x), POLISH_P[0])
+    slot = np.arange(len(x))        # each start's row of the arrays below
     i, j = np.array(_SYM).T
 
     def spread(d):      # each start's max distance, and log(d_i / max) of its rows
@@ -663,6 +677,12 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
         top, lr = spread(d)
         best, best_x = top.copy(), x.copy()
         for k in range(-1, iters):
+            if k == iters // POLISH_MERGE[0]:       # merge the starts that converged together
+                live = (rep := _representatives(balls, best, x)) == slot
+                slot, on = (np.cumsum(live) - 1)[rep], np.repeat(live, count)
+                _, count, at = lines = rows.lines(balls[live])
+                mu, p, x, top, best, best_x = (v[live] for v in (mu, p, x, top, best, best_x))
+                lr, g, c = lr[on], g[:, on], c[:, on]
             if k < 0:       # the probe, taken where it lowers the max distance
                 trial = x + POLISH_PROBE
             else:
@@ -683,7 +703,7 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
                     step[~pd] = _adjugate_solve(gn[:, ~pd], m[:3, ~pd])[0]
                 np.copyto(step, 0.0, where=~np.isfinite(step))
                 trial = x - step
-            dt, gt, ct = _dists_grads(lines, trial)
+            dt, gt, ct = _dists_grads(lines, trial, grad=k < iters - 1)    # no step after the last
             tt, lrt = spread(dt)
             if k < 0:
                 ok = tt < top
@@ -697,9 +717,9 @@ def _polish(rows: _Rows, balls, x0s, iters: int) -> list[tuple[float, tuple[floa
             for now, new, where in ((best, tt, better), (best_x, trial, better[:, None]),
                                     (x, trial, ok[:, None]), (top, tt, ok), (lr, lrt, rows_ok),
                                     (g, gt, rows_ok), (c, ct, rows_ok)):
-                np.copyto(now, new, where=where)
-    out = list(zip(best.tolist(), map(tuple, best_x.tolist())))
-    return [out[q] for q in copy]
+                if new is not None:
+                    np.copyto(now, new, where=where)
+    return [(f, tuple(v)) for f, v in zip(best[slot].tolist(), best_x[slot].tolist())]
 
 
 def _solve(fits: list[_Fit], budget: BetaBudget) -> list[tuple[tuple[float, float, float], float]]:

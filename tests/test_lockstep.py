@@ -2,8 +2,9 @@
 
 Almost every comparison here is exact: the batched distance kernel must
 reproduce line_dists_arr, and golden_min_many golden_min, bit for bit; each
-line's height search and each polish start must give the result it gets
-alone; and a batch of balls must give each ball the result it gets alone.
+line's height search must give the result it gets alone, and each set's
+polish starts the results they get polished alone; and a batch of balls
+must give each ball the result it gets alone.
 Two comparisons have a tolerance: the height search's max distances are at
 most those of the 60-step golden section it replaced times 1 + 1e-13, and
 the polish is held to scipy's Nelder-Mead, the polish it replaced.
@@ -24,6 +25,7 @@ import heistsp.beta
 import heistsp.builder
 import heistsp.multiscale
 from heistsp.builder import BuilderConfig, ScaleRangeError, _build, theorem_a_check
+from heistsp.cli import _budget_from_level
 from heistsp.core import (ORIGIN, HeisPoint, as_array, left_translate_arr, norm_arr, point_of,
                           rotate_arr, sample_box)
 from heistsp.curves import curve_length
@@ -37,6 +39,7 @@ from heistsp.lines import (
 from heistsp.beta import (
     BUILDER_BUDGET,
     ORACLE_POLISH_ITERS,
+    POLISH_MERGE,
     Ball,
     BetaBudget,
     _Rows,
@@ -204,9 +207,9 @@ def _spy_polish_calls(monkeypatch, calls, rows_per_ball):
     row count, rows_per_ball(count)."""
     dists_grads = heistsp.beta._dists_grads
 
-    def spy(lines, params):
+    def spy(lines, params, **grad):
         calls.append(rows_per_ball(lines.count))
-        return dists_grads(lines, params)
+        return dists_grads(lines, params, **grad)
 
     monkeypatch.setattr(heistsp.beta, "_dists_grads", spy)
 
@@ -316,34 +319,42 @@ def test_polish_derivatives_against_central_differences(seed):
                                atol=1e-4 * np.abs(want[smooth]).max()), (a, b)
 
 
-def test_polish_polishes_each_distinct_start_once(monkeypatch):
+def test_polish_merges_starts_that_converge_together(monkeypatch):
     # ball 0 holds one copy of the cloud and ball 1 two, so each line's row
-    # count tells its ball; -0.0 and 0.0 are different starts, bit for bit
+    # count tells its ball; start 2 is start 0 moved under the tolerance
     arr = sample_box(np.random.default_rng(10), 40, 0.7)
-    a, b, signed = STARTS[0], STARTS[2], (0.0, -0.0, 0.0)
-    balls = [0, 1, 0, 0, 1, 0, 0]
-    starts = [a, a, a, b, a, signed, STARTS[1]]
+    a, b = STARTS[0], STARTS[2]
+    near = (a[0] + 3e-3, a[1] - 2e-3, a[2] + 1e-3)
+    balls = [0, 0, 0, 0, 1, 0]
+    starts = [a, a, near, b, a, STARTS[1]]
     rows = _Rows([arr, np.concatenate([arr, arr])])
     calls = []
-    _spy_polish_calls(monkeypatch, calls, lambda count: (count // len(arr) - 1).tolist())
-    got = _polish(rows, balls, starts, 20)
-    # each distinct (ball, start) is one line of every call, in first-seen order
-    assert calls == [[0, 1, 0, 0, 0]] * 22
-    alone = {(k, x0): _polish(rows, [k], [x0], 20)[0] for k, x0 in zip(balls, starts)}
-    assert got == [alone[k, x0] for k, x0 in zip(balls, starts)]
-    assert got[0] == got[2]
+    with monkeypatch.context() as m:
+        _spy_polish_calls(m, calls, lambda count: (count // len(arr) - 1).tolist())
+        got = _polish(rows, balls, starts, 20)
+    # every start until iteration 20 // 4, then the kept ones: the copy of
+    # start 0 and start 2 stop
+    assert calls == [balls] * 7 + [[0, 0, 1, 0]] * 15
+    alone = [_polish(rows, [k], [x0], 20)[0] for k, x0 in zip(balls, starts)]
+    assert got[0] == got[1] == got[2] == alone[0]
+    assert got[2] != alone[2]
+    assert got[3:] == alone[3:]
 
 
 @st.composite
 def _polish_batches(draw):
     """One lockstep's sets and starts: 2-10 sample_box sets of 3-40 rows,
     then the three-point set and the vertical pair; each set takes 1-3
-    starts from a pool of four, so bit-equal copies of a start in one set
-    are common; and an iteration count."""
+    starts from a pool of six, four starts and two of them moved under the
+    merge's tolerance, so bit-equal copies of a start in one set and
+    near-duplicates are common; and an iteration count."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sets = [sample_box(rng, int(rng.integers(3, 41)), 0.7) for _ in range(draw(st.integers(2, 10)))]
     sets += [THREE_POINT, VERTICAL_PAIR]
     pool = STARTS + [tuple(rng.uniform([0.0, -0.3, -0.3], [math.pi, 0.3, 0.3]).tolist())]
+    tol = POLISH_MERGE[1]
+    pool += [tuple((np.array(pool[k]) + rng.uniform(-tol, tol, 3)).tolist())
+             for k in rng.integers(0, len(pool), 2)]
     return (sets, [draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)) for _ in sets],
             draw(st.sampled_from([0, 1, 7, 32])))
 
@@ -359,6 +370,22 @@ def test_polish_lockstep_equals_each_set_alone(case):
     got = _polish(_Rows(sets), balls, x0s, iters)
     alone = [r for s, xs in zip(sets, starts) for r in _polish(_Rows([s]), [0] * len(xs), xs, iters)]
     assert got == alone
+
+
+@given(_polish_batches())
+@settings(max_examples=5, deadline=None)
+def test_polish_merge_reads_its_own_set(case):
+    """Each set's least result in a lockstep equals, bit for bit, that of the
+    set polished alone; and no start reports more than the least max it met
+    before the merge, its result polished alone for the merge's iterations."""
+    sets, starts, iters = case
+    balls = [k for k, xs in enumerate(starts) for _ in xs]
+    got = iter(_polish(_Rows(sets), balls, [x0 for xs in starts for x0 in xs], iters))
+    for s, xs in zip(sets, starts):
+        mine = [next(got) for _ in xs]
+        assert min(mine) == min(_polish(_Rows([s]), [0] * len(xs), xs, iters))
+        for (fun, _), x0 in zip(mine, xs):
+            assert fun <= _polish(_Rows([s]), [0], [x0], iters // POLISH_MERGE[0])[0][0]
 
 
 def _table():
@@ -400,7 +427,7 @@ FROZEN = [
      '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1', '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
     ('0x0.0p+0', '0x0.0p+0', '0x1.6a09e667f3bcdp-1', '0x1.db2f8fe6643a4p+1',
      '-0x1.6a09e667f3bccp-1', '0x1.6a09e667f3bcdp-1', '0x1.2d97c7f3321d2p+2', '0x0.0p+0', False),
-    ('0x1.cb0ec345f2864p-3', '0x0.0p+0', '0x1.4f8e747804397p-2', '0x1.028d6d9c6c498p-56',
+    ('0x1.cb0ec345f2864p-3', '0x0.0p+0', '0x1.4f8e747804397p-2', '0x0.0p+0',
      '-0x1.0000000000000p-1', '0x1.0000000000000p-2', '-0x1.5555555555555p-4',
      '0x1.80d78b4aa4ae9p-5', False),
     ('0x1.cb0ecedbc1674p-3', '0x0.0p+0', '0x1.4f8e85a2245b4p-2', '0x1.7c9c638033fb2p-59',
@@ -412,27 +439,27 @@ FROZEN = [
     ('0x1.cae00f5e61ccdp-3', '0x1.ef7360cc6475fp+0', '-0x1.0c28e8b8d94aap-4',
      '-0x1.1f3920ced797bp-3', '0x1.2ddec6decc500p-1', '0x1.04af1e02dff1ap-1',
      '-0x1.49b2c7f3ccf06p-2', '0x1.224a5d4d77f4dp-5', False),
-    ('0x1.5d33377afe98bp-3', '0x1.ffcb43cb45304p-1', '0x1.93e3691f01a42p-1',
-     '0x1.4902ab94eaf59p+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
-     '0x1.4902ab94f0d9fp+1', '0x1.fb62241e20750p-5', False),
+    ('0x1.5d33377afff20p-3', '0x1.ffcb43cb3e283p-1', '0x1.93e3691f03688p-1',
+     '0x1.4902ab94f08b1p+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
+     '0x1.4902ab94f0d9fp+1', '0x1.fb62241e1b10cp-5', False),
     ('0x1.5d33ec54a0364p-3', '0x1.ffcb43c647b37p-1', '0x1.93e4562120d6ap-1',
      '0x1.4902ab98e28eep+2', '0x1.207e7fd768dc1p-2', '0x1.eb42a9bcd5057p-1',
      '0x1.4902ab94f0d9fp+1', '0x1.fb5f50b799ffbp-5', False),
     ('0x1.d295d392ed900p-3', '0x0.0p+0', '0x1.453034c37f9efp-2', '-0x1.df0d267da6478p-55',
      '-0x1.0000000000000p+0', '0x1.0000000000000p+0', '-0x1.5555555555555p-1',
      '0x1.6e1edb80b8588p-6', False),
-    ('0x1.d296a49b5f684p-3', '0x0.0p+0', '0x1.452f1e9fecea0p-2', '0x1.cc29e2b2b78cep-57',
+    ('0x1.d296a49b5f685p-3', '0x0.0p+0', '0x1.452f1e9fecea0p-2', '-0x1.595a0fa7b93c2p-53',
      '-0x1.0000000000000p+0', '0x1.0000000000000p+0', '-0x1.5555555555555p-1',
-     '0x1.6e18533d29968p-6', False),
+     '0x1.6e18533d29960p-6', False),
     ('0x1.1639dc296a3c1p-2', '0x1.79d9eb590247ap-2', '0x1.d07dac30cc9f4p-3',
      '0x1.9b89fadc1faabp-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
      '0x1.42ad0e694ae7cp-1', '0x1.4195c4663bbe5p-6', False),
     ('0x1.163aaff27ba04p-2', '0x1.79d7b7c7056b8p-2', '0x1.d07976faebbabp-3',
      '0x1.9b861a4115c66p-3', '-0x1.688de0efd74c0p-1', '0x1.65506d58f6016p-1',
      '0x1.42ad0e694ae7cp-1', '0x1.418887d5257a6p-6', False),
-    ('0x1.e7cb31391a4c5p-3', '0x1.9c42ed7775fb0p-1', '0x1.75141af3485bcp-1',
-     '0x1.302095fffee7fp+2', '-0x1.6c6b937b20382p-1', '-0x1.67a42fcf7e1d0p-1',
-     '0x1.f5cf5de66497cp+2', '0x1.c18758664faadp-4', False),
+    ('0x1.e7cb31391a4c4p-3', '0x1.9c42ed7776086p-1', '0x1.75141af3485bcp-1',
+     '0x1.302095fffedc8p+2', '0x1.58eea2a9d6da3p-1', '0x1.7a5f6075d4885p-1',
+     '0x1.a9c7386664ddep+0', '0x1.c18758664faacp-4', False),
     ('0x1.e7cc44ddc391fp-3', '0x1.9c42ed72dcd7dp-1', '0x1.7515a3dda515ep-1',
      '0x1.30209603f70e7p+2', '0x1.58eea2a9d6da3p-1', '0x1.7a5f6075d4885p-1',
      '0x1.a9c7386664ddep+0', '0x1.8f39d53d0a0d9p-4', False),
@@ -888,9 +915,9 @@ LIFTED = [("circle", lifted_circle), ("sine", lifted_sine), ("parabola", lifted_
 #: a = 4 and the default budget (the effort of build's default --budget 24)
 #: on the 50-point lifted fixtures
 FROZEN_CARLESON = {
-    "circle": (103, '0x1.7e6bc33f748efp-4', 'fbfde35ab7d15e8faca468bd7f8f21d8b578fb2e'),
-    "sine": (92, '0x1.384329d77d2b3p-5', '99f890fddf02c5a4ef3c07f43aad9c465a6d8d6e'),
-    "parabola": (122, '0x1.6cc3c9cf31485p-6', '17530f5fee5868ec3bb0331a48b4d15ec70ddfb5'),
+    "circle": (103, '0x1.7e6bc33f74935p-4', 'cc8f9a9ee6575755e862b49e8876bd53e0835e93'),
+    "sine": (92, '0x1.384329d77ddefp-5', 'e5047fdfadf506f7a0b2d0dd4c13bf4c86e39695'),
+    "parabola": (122, '0x1.6cc3c9cf3155dp-6', 'c0965252fd39dbadb2c71edad4361d81a883fa0f'),
 }
 
 
@@ -980,6 +1007,24 @@ def test_theorem_a_check_is_one_engine_call(name, pts, monkeypatch):
     assert _ledger_hex(got.ledger) == _ledger_hex(ledger)
     assert got.ledger.snapshots == ledger.snapshots
     assert _terms_hex(reports[0]) == _terms_hex(rep)
+
+
+def test_polish_merge_stops_most_starts_on_a_lifted_curve(monkeypatch):
+    """On lifted_circle(50)'s theorem_a_check at the CLI's level 24 (3
+    polish starts of 32 iterations), the starts fall into few basins: at
+    most 60% of them stay live after the merge."""
+    kept = []
+    representatives = heistsp.beta._representatives
+
+    def spy(balls, best, x):
+        rep = representatives(balls, best, x)
+        kept.append((np.count_nonzero(rep == np.arange(len(rep))), len(rep)))
+        return rep
+
+    monkeypatch.setattr(heistsp.beta, "_representatives", spy)
+    theorem_a_check(lifted_circle(50), BuilderConfig(beta_budget=_budget_from_level(24)))
+    live, total = map(sum, zip(*kept))
+    assert total > 0 and live <= 0.6 * total, (live, total)
 
 
 def _ledger_hex(ledger):

@@ -173,7 +173,7 @@ FROZEN_DICHOTOMY = {
                            {'branches': {'projected': 0, 'ball': 6},
                             'tilde_floor': '0x1.999999999999ap-5',
                             'ball_floor': '0x1.5798ee2308c3ap-27'}),
-                          12, 'bdace6f6a21125c13d106357e34555c71be1fcb0'),
+                          12, '93fdb053f95a2122ad579fb5b64d02c064954d48'),
 }
 
 
